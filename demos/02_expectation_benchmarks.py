@@ -8,12 +8,14 @@ schemes should match the truth with far less variance than Monte Carlo.
 Runs in about a minute; trim REPETITIONS for a quicker look.
 """
 
+from functools import partial
+
 import numpy as np
 
 from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
 from qdoe.estimators import replicate
 from qdoe.models import build_model
-from qdoe.runner import build_design
+from qdoe.runner import build_design, evaluate_design
 
 SIZES = (10, 20, 50, 100)
 REPETITIONS = 300
@@ -42,10 +44,7 @@ def run(model_name, scheme, n, seed):
     def builder(rng):
         return build_design(CFG, model.columns, model.groups, scheme, n, rng).design
 
-    probe = builder(np.random.default_rng(0))
-    order = np.array([list(probe.column_roles).index(c) for c in model.columns])
-    f = lambda row: float(model.evaluate(row[order][None, :])[0])
-    return replicate(builder, f, REPETITIONS, seed)
+    return replicate(builder, partial(evaluate_design, model), REPETITIONS, seed)
 
 
 for b, (name, label, truth, schemes) in enumerate(BENCHMARKS):

@@ -8,12 +8,14 @@ the analytic copula and quantile functions) and quantization-based LHS
 design sizes.
 """
 
+from functools import partial
+
 import numpy as np
 
 from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
 from qdoe.estimators import replicate
 from qdoe.models import build_model, flood_evaluate
-from qdoe.runner import build_design, sample_joint
+from qdoe.runner import build_design, evaluate_design, sample_joint
 
 SIZES = (10, 20, 50, 100)
 REPETITIONS = 200
@@ -43,10 +45,8 @@ for s, scheme in enumerate(("mc", "lhsd", "qlhs")):
         def builder(rng, _n=n, _scheme=scheme):
             return build_design(CFG, model.columns, model.groups, _scheme, _n, rng).design
 
-        probe = builder(np.random.default_rng(0))
-        order = np.array([list(probe.column_roles).index(c) for c in model.columns])
-        f = lambda row: float(flood_evaluate(row[order][None, :])[0])
-        summary = replicate(builder, f, REPETITIONS, 50_000_000 * (s + 1) + 1_000_000 * k)
+        summary = replicate(builder, partial(evaluate_design, model), REPETITIONS,
+                            50_000_000 * (s + 1) + 1_000_000 * k)
         cells.append(f" | {summary.mean:8.4f} {summary.variance:8.2e}")
     print(f"{scheme:6}" + "".join(cells))
 

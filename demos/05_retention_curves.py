@@ -15,6 +15,7 @@ correlated and here known only through a generator. The demo contrasts:
 Also exports the fitted copula correlation for audit.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, Signifi
 from qdoe.copula import correlation_to_csv, fit_gaussian_copula
 from qdoe.estimators import replicate
 from qdoe.models import VG_COLUMNS, build_model, vg_pool, vg_theta
-from qdoe.runner import build_design
+from qdoe.runner import build_design, evaluate_design
 
 cfg = ExperimentConfig(
     seed=0, scheme=None, n=(), repetitions=None, pool_size=3000,
@@ -59,8 +60,8 @@ for s, scheme in enumerate(("mc", "lhsd", "rq")):
         def builder(r, _n=n, _scheme=scheme):
             return build_design(cfg, model.columns, model.groups, _scheme, _n, r).design
 
-        f = lambda row: float(model.evaluate(row[None, :])[0])
-        summary = replicate(builder, f, 200, 70_000_000 * (s + 1) + 1_000_000 * k)
+        summary = replicate(builder, partial(evaluate_design, model), 200,
+                            70_000_000 * (s + 1) + 1_000_000 * k)
         cells.append(f" | {summary.mean:7.5f} {summary.variance:8.2e}")
     print(f"   {scheme:6}" + "".join(cells))
 print()

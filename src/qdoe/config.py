@@ -304,6 +304,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} is not allowed in a config")
+    return value
+
+
 def load_config(
     path,
     *,
@@ -315,7 +323,7 @@ def load_config(
     hashing so the embedded hash reflects the effective configuration."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -326,8 +334,4 @@ def load_config(
         raw["output_dir"] = out_override
     if shared_override:
         raw["shared_quantizer"] = True
-    if isinstance(raw, dict):
-        for key, value in list(raw.items()):
-            if isinstance(value, float) and math.isnan(value):
-                raise ConfigError(f"config.{key}: NaN is not allowed")
     return parse_config(raw)

@@ -15,8 +15,9 @@ Five stratified schemes plus plain Monte Carlo:
 ==========  ============================================================
 
 Rows of uniform-weight schemes carry weight 1/n; rq and qlhs rows carry
-the cell probabilities (summing to one); q2lhs weights are products that
-the estimator normalizes.
+the cell probabilities (summing to one); q2lhs weights are products of
+cell probabilities. Every scheme is estimated by the one rule
+sum_i w_i f(x_i) / sum_i w_i (see :mod:`qdoe.estimators`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .quantizer import CandidatePool, Quantizer, sample_cell
 __all__ = [
     "Design",
     "UNIFORM_SCHEMES",
-    "WEIGHTED_SCHEMES",
     "lhs",
     "lhs_with_marginals",
     "lhsd",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 UNIFORM_SCHEMES = ("mc", "lhs", "lhsd")
-WEIGHTED_SCHEMES = ("rq", "qlhs", "q2lhs")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Weighted expectation estimators over design rows.
 
-The estimator matches the design scheme: uniform schemes average, rq and
-qlhs use the cell probabilities directly (their weights sum to one), and
-q2lhs self-normalizes by the weight total.
+Every scheme uses one rule: given the model outputs f(x_i) on the design
+rows, the estimate is sum_i w_i f(x_i) / sum_i w_i. Uniform schemes carry
+w_i = 1/n, rq and qlhs the cell probabilities, and q2lhs products of cell
+probabilities (whose total is not one, hence the normalization).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .designs import Design
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, DimensionError, EvaluationError
 
 __all__ = ["EstimateResult", "ReplicateSummary", "estimate", "replicate"]
 
@@ -27,28 +28,27 @@ class EstimateResult:
     seed: int | None = None
 
 
-def estimate(design: Design, f: Callable[[np.ndarray], float]) -> EstimateResult:
-    """Estimate E[f] from a weighted design.
+def estimate(design: Design, values) -> EstimateResult:
+    """Estimate E[f] from the model outputs ``values`` on the design rows.
 
-    ``f`` is evaluated on every row; a non-finite value aborts with the
-    offending row index.
+    A non-finite value aborts with the index of the first offending row.
     """
-    values = np.empty(design.n)
-    for i, row in enumerate(design.points):
-        values[i] = f(row)
-        if not np.isfinite(values[i]):
-            raise EvaluationError(
-                f"evaluator returned non-finite value {values[i]} on row {i}: {row.tolist()}"
-            )
-    if design.scheme in ("rq", "qlhs"):
-        value = float(design.weights @ values)
-    elif design.scheme == "q2lhs":
-        total = float(design.weights.sum())
-        if total < 1e-300:
-            raise EvaluationError("q2lhs weights are degenerate (sum below 1e-300)")
-        value = float(design.weights @ values) / total
-    else:
-        value = float(values.mean())
+    values = np.asarray(values, dtype=float)
+    if values.shape != (design.n,):
+        raise DimensionError(
+            f"expected {design.n} model values, one per design row, got shape {values.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationError(
+            f"non-finite value {values[i]} on row {i}: {design.points[i].tolist()}"
+        )
+    w = design.weights
+    total = float(w.sum())
+    if total < 1e-300:
+        raise EvaluationError(f"{design.scheme} weights are degenerate (sum below 1e-300)")
+    value = float(w @ values) / total
     return EstimateResult(value=value, scheme=design.scheme, n=design.n, seed=design.seed)
 
 
@@ -69,7 +69,7 @@ class ReplicateSummary:
 
 def replicate(
     build_design: Callable[[np.random.Generator], Design],
-    f: Callable[[np.ndarray], float],
+    evaluate: Callable[[Design], np.ndarray],
     repetitions: int,
     base_seed: int,
     *,
@@ -77,7 +77,8 @@ def replicate(
 ) -> ReplicateSummary:
     """Repeat design construction and estimation with derived seeds.
 
-    Repetition r runs on ``numpy.random.default_rng(base_seed + r)``, so
+    Repetition r builds its design on ``numpy.random.default_rng(base_seed + r)``
+    and estimates from ``evaluate(design)``, the model outputs on its rows, so
     results are reproducible and independent of execution order; with
     ``threads > 1`` repetitions fan out to a thread pool and are still
     assembled by index.
@@ -87,7 +88,7 @@ def replicate(
 
     def one(r: int) -> tuple[float, str, int]:
         design = build_design(np.random.default_rng(base_seed + r))
-        result = estimate(design, f)
+        result = estimate(design, evaluate(design))
         return result.value, result.scheme, result.n
 
     if threads > 1:

@@ -24,8 +24,6 @@ from .quantizer import CandidatePool
 __all__ = [
     "InputGroup",
     "ModelSpec",
-    "toy_eval",
-    "flood_eval",
     "flood_evaluate",
     "vg_theta",
     "vg_conductivity",
@@ -85,7 +83,7 @@ class ModelSpec:
     """Named evaluator with its input schema.
 
     ``evaluate`` is vectorized over an (m, d) matrix whose columns follow
-    ``columns``; ``eval_row`` evaluates a single row.
+    ``columns``.
     """
 
     name: str
@@ -98,54 +96,29 @@ class ModelSpec:
     def d(self) -> int:
         return len(self.columns)
 
-    def eval_row(self, row) -> float:
-        row = np.asarray(row, dtype=float).reshape(-1)
-        if row.shape[0] != self.d:
-            raise DimensionError(f"model {self.name} expects {self.d} inputs, got {row.shape[0]}")
-        return float(self.evaluate(row[None, :])[0])
-
 
 # ---------------------------------------------------------------------------
 # analytic toy functions
 
-def _toy_square(x):
-    return x[:, 0] ** 2
+def _toy(name: str, arity: int, fn: Callable[[np.ndarray], np.ndarray]):
+    """Vectorized evaluator of one toy over (m, arity) rows."""
+
+    def evaluate(rows):
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != arity:
+            raise DimensionError(f"toy {name} expects {arity} inputs, got {rows.shape[1]}")
+        return fn(rows)
+
+    return evaluate
 
 
-def _toy_x1x2(x):
-    return x[:, 0] * x[:, 1]
-
-
-def _toy_x2y(x):
-    return x[:, 0] ** 2 * x[:, 1]
-
-
-def _toy_x1px2_sq_y(x):
-    return (x[:, 0] + x[:, 1]) ** 2 * x[:, 2]
-
-
-def _toy_xy2py2(x):
-    return x[:, 0] * x[:, 1] ** 2 + x[:, 1] ** 2
-
-
-_TOYS: dict[str, tuple[int, Callable[[np.ndarray], np.ndarray]]] = {
-    "square": (1, _toy_square),
-    "x1x2": (2, _toy_x1x2),
-    "x2y": (2, _toy_x2y),
-    "x1px2_sq_y": (3, _toy_x1px2_sq_y),
-    "xy2py2": (2, _toy_xy2py2),
+_TOYS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "square": _toy("square", 1, lambda x: x[:, 0] ** 2),
+    "x1x2": _toy("x1x2", 2, lambda x: x[:, 0] * x[:, 1]),
+    "x2y": _toy("x2y", 2, lambda x: x[:, 0] ** 2 * x[:, 1]),
+    "x1px2_sq_y": _toy("x1px2_sq_y", 3, lambda x: (x[:, 0] + x[:, 1]) ** 2 * x[:, 2]),
+    "xy2py2": _toy("xy2py2", 2, lambda x: x[:, 0] * x[:, 1] ** 2 + x[:, 1] ** 2),
 }
-
-
-def toy_eval(name: str, row) -> float:
-    """Evaluate one analytic toy function on a row."""
-    if name not in _TOYS:
-        raise ConfigError(f"unknown toy function {name!r}")
-    arity, fn = _TOYS[name]
-    row = np.asarray(row, dtype=float).reshape(-1)
-    if row.shape[0] != arity:
-        raise DimensionError(f"toy {name} expects {arity} inputs, got {row.shape[0]}")
-    return float(fn(row[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +158,6 @@ def flood_evaluate(rows) -> np.ndarray:
         raise DomainError(f"flood model domain violation on row {i}: {rows[i].tolist()}")
     h = (q / (width * ks * np.sqrt((zm - zv) / length))) ** 0.6
     return zv + h - hd - cb
-
-
-def flood_eval(row) -> float:
-    """Scalar wrapper around :func:`flood_evaluate`."""
-    return float(flood_evaluate(np.asarray(row, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +307,7 @@ def _model_square(params) -> ModelSpec:
         name="square",
         columns=("x",),
         groups=(_singleton_copula_group("x", Normal(0.0, 1.0)),),
-        evaluate=_toy_square,
+        evaluate=_TOYS["square"],
     )
 
 
@@ -348,7 +316,7 @@ def _model_x1x2(params) -> ModelSpec:
         name="x1x2",
         columns=("x1", "x2"),
         groups=(_gauss_pair_group("x", ("x1", "x2"), 0.8),),
-        evaluate=_toy_x1x2,
+        evaluate=_TOYS["x1x2"],
     )
 
 
@@ -360,7 +328,7 @@ def _model_x2y(params) -> ModelSpec:
             _singleton_copula_group("x", Normal(0.0, 1.0)),
             InputGroup("y", ("y",), "independent", marginals=(Uniform(0.0, 1.0),)),
         ),
-        evaluate=_toy_x2y,
+        evaluate=_TOYS["x2y"],
     )
 
 
@@ -372,7 +340,7 @@ def _model_x1px2_sq_y(params) -> ModelSpec:
             _gauss_pair_group("x", ("x1", "x2"), 0.8),
             InputGroup("y", ("y",), "independent", marginals=(Uniform(0.0, 1.0),)),
         ),
-        evaluate=_toy_x1px2_sq_y,
+        evaluate=_TOYS["x1px2_sq_y"],
     )
 
 
@@ -384,7 +352,7 @@ def _model_xy2py2(params) -> ModelSpec:
             _singleton_copula_group("x", LogNormal(0.0, 1.0)),
             _singleton_copula_group("y", Normal(0.0, 1.0)),
         ),
-        evaluate=_toy_xy2py2,
+        evaluate=_TOYS["xy2py2"],
     )
 
 

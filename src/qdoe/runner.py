@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
 log = logging.getLogger("qdoe")
 
 _SWEEP_SEED_STRIDE = 1_000_000
+# bundle key of the joint block an rq design quantizes
+_JOINT = "__joint__"
 
 
 def sample_group(group: InputGroup, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,11 +159,23 @@ class DesignBundle:
     pools: dict[str, CandidatePool]
 
 
-def _quantize_group(group, n, cfg, rng, shared, quantizer_files):
-    if shared is not None and group.name in shared:
-        return shared[group.name]
-    if group.name in quantizer_files:
-        quantizer = load_quantizer(quantizer_files[group.name])
+def _fit(cfg: ExperimentConfig, pool: CandidatePool, n: int, rng) -> Quantizer:
+    """The one Lloyd fit of the runner, with the config's settings."""
+    return lloyd(pool, n, rng, max_iter=cfg.lloyd.max_iter, rel_tol=cfg.lloyd.rel_tol,
+                 restarts=cfg.lloyd.restarts)
+
+
+def _quantize_group(group, n, cfg, rng, shared, key):
+    """(quantizer, pool) of one quantized block.
+
+    The pair stored in ``shared`` under ``key`` wins; otherwise a fixed pool
+    group listed in ``quantizer_files`` loads its file, and anything else is
+    fitted on a fresh pool.
+    """
+    if shared is not None and key in shared:
+        return shared[key]
+    if group.name in cfg.quantizer_files:
+        quantizer = load_quantizer(cfg.quantizer_files[group.name])
         if group.kind != "pool":
             raise ConfigError(
                 f"quantizer_files[{group.name!r}] requires a fixed pool group "
@@ -179,15 +194,7 @@ def _quantize_group(group, n, cfg, rng, shared, quantizer_files):
             )
         return quantizer, pool
     pool = group_pool(group, cfg.pool_size, rng)
-    quantizer = lloyd(
-        pool,
-        n,
-        rng,
-        max_iter=cfg.lloyd.max_iter,
-        rel_tol=cfg.lloyd.rel_tol,
-        restarts=cfg.lloyd.restarts,
-    )
-    return quantizer, pool
+    return _fit(cfg, pool, n, rng), pool
 
 
 def build_design(
@@ -204,6 +211,12 @@ def build_design(
     """Construct one design of the requested scheme and size."""
     quantizers: dict[str, Quantizer] = {}
     pools: dict[str, CandidatePool] = {}
+
+    def quantized(group, key=None):
+        key = key or group.name
+        quantizers[key], pools[key] = pair = _quantize_group(group, n, cfg, rng, shared, key)
+        return pair
+
     if scheme == "mc":
         design = mc_design(sample_joint(columns, groups, n, rng), column_roles=columns, seed=seed)
     elif scheme == "lhs":
@@ -213,15 +226,10 @@ def build_design(
         copula, marginals = _joint_copula_and_marginals(columns, groups, cfg.pool_size, rng)
         design = lhsd(n, copula, marginals, rng, column_roles=columns, seed=seed)
     elif scheme == "rq":
-        if shared is not None and "__joint__" in shared:
-            quantizer, pool = shared["__joint__"]
-        elif len(groups) == 1 and groups[0].kind == "pool":
-            quantizer, pool = _quantize_group(groups[0], n, cfg, rng, None, cfg.quantizer_files)
-        else:
-            pool = CandidatePool(sample_joint(columns, groups, cfg.pool_size, rng))
-            quantizer = lloyd(pool, n, rng, max_iter=cfg.lloyd.max_iter,
-                              rel_tol=cfg.lloyd.rel_tol, restarts=cfg.lloyd.restarts)
-        quantizers["__joint__"], pools["__joint__"] = quantizer, pool
+        # a single fixed pool is quantized as-is; anything else through joint draws
+        joint = groups[0] if len(groups) == 1 and groups[0].kind == "pool" else InputGroup(
+            _JOINT, tuple(columns), "generator", generator=partial(sample_joint, columns, groups))
+        quantizer, pool = quantized(joint, _JOINT)
         design = rq_design(quantizer, pool, rng, column_roles=columns, seed=seed)
     elif scheme == "qlhs":
         dependent = _dependent_groups(groups)
@@ -233,8 +241,7 @@ def build_design(
         if not indep_names:
             raise ConfigError("qlhs requires at least one independent input; use rq instead")
         dep = dependent[0]
-        quantizer, pool = _quantize_group(dep, n, cfg, rng, shared, cfg.quantizer_files)
-        quantizers[dep.name], pools[dep.name] = quantizer, pool
+        quantizer, pool = quantized(dep)
         design = qlhs_design(
             quantizer, pool, indep_marginals, rng,
             column_roles=tuple(dep.columns) + tuple(indep_names), seed=seed,
@@ -249,10 +256,8 @@ def build_design(
         if leftover:
             raise ConfigError(f"q2lhs cannot place independent columns {leftover}")
         ga, gb = dependent
-        qa, pa = _quantize_group(ga, n, cfg, rng, shared, cfg.quantizer_files)
-        qb, pb = _quantize_group(gb, n, cfg, rng, shared, cfg.quantizer_files)
-        quantizers[ga.name], pools[ga.name] = qa, pa
-        quantizers[gb.name], pools[gb.name] = qb, pb
+        qa, pa = quantized(ga)
+        qb, pb = quantized(gb)
         design = q2lhs_design(
             qa, pa, qb, pb, rng,
             column_roles=tuple(ga.columns) + tuple(gb.columns), seed=seed,
@@ -262,71 +267,57 @@ def build_design(
     return DesignBundle(design=design, quantizers=quantizers, pools=pools)
 
 
-def _prebuild_shared(cfg, columns, groups, scheme, n) -> dict | None:
-    """Fixed quantization artifacts for the shared-quantizer mode, built
-    once from a seed derived from the config seed."""
-    if not cfg.shared_quantizer or scheme not in ("rq", "qlhs", "q2lhs"):
-        return None
-    rng = np.random.default_rng([cfg.seed, 1])
-    shared: dict = {}
-    if scheme == "rq":
-        pool = CandidatePool(sample_joint(columns, groups, cfg.pool_size, rng))
-        quantizer = lloyd(pool, n, rng, max_iter=cfg.lloyd.max_iter,
-                          rel_tol=cfg.lloyd.rel_tol, restarts=cfg.lloyd.restarts)
-        shared["__joint__"] = (quantizer, pool)
-        return shared
-    for group in _dependent_groups(groups):
-        shared[group.name] = _quantize_group(group, n, cfg, rng, None, cfg.quantizer_files)
-    return shared
-
-
-def _resolve_inputs(cfg: ExperimentConfig) -> tuple[tuple[str, ...], tuple[InputGroup, ...], ModelSpec | None]:
-    model = None
-    if cfg.model_name is not None:
-        model = build_model(cfg.model_name, cfg.model_params)
-    if cfg.columns is None or cfg.groups is None:
-        raise ConfigError("config declares neither a model nor inline inputs")
-    return cfg.columns, cfg.groups, model
-
-
 def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:
     """Evaluate a model on design rows, reordering columns by their roles."""
     idx = [design.column_roles.index(c) for c in model.columns]
     return np.asarray(model.evaluate(design.points[:, idx]), dtype=float)
 
 
-def _row_evaluator(model: ModelSpec, roles):
-    idx = np.array([list(roles).index(c) for c in model.columns])
+def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: bool = False):
+    """Shared set-up of the CLI commands: check the config keys ``command``
+    requires, resolve its inputs and create the output directory.
 
-    def f(row):
-        return float(model.evaluate(row[idx][None, :])[0])
+    Returns ``(columns, groups, model, out_dir)``; ``model`` is None for
+    inline inputs.
+    """
+    for attr in required:
+        value = getattr(cfg, attr)
+        if value is None or (attr == "n" and not value):
+            raise ConfigError(f"command {command!r} requires config key {attr!r}")
+    model = None
+    if cfg.model_name is not None:
+        model = build_model(cfg.model_name, cfg.model_params)
+    if cfg.columns is None or cfg.groups is None:
+        raise ConfigError("config declares neither a model nor inline inputs")
+    if needs_model and model is None:
+        raise ConfigError(f"command {command!r} requires a model with an evaluator")
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.columns, cfg.groups, model, out_dir
 
-    return f
+
+def _sweep(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+    """``(n, seed)`` per design size; size index k runs on ``seed + 1_000_000 * k``."""
+    return [(n, cfg.seed + _SWEEP_SEED_STRIDE * k) for k, n in enumerate(cfg.n)]
 
 
 def _meta_lines(cfg: ExperimentConfig, extra=()) -> list[str]:
     return [f"config_hash={cfg.config_hash} seed={cfg.seed}", *extra]
 
 
-def _require(cfg, attr, command):
-    value = getattr(cfg, attr)
-    if value is None or (attr == "n" and not value):
-        raise ConfigError(f"command {command!r} requires config key {attr!r}")
-    return value
+def _write_table(path: Path, cfg: ExperimentConfig, meta: str, header: str, rows) -> None:
+    lines = [f"# {c}" for c in _meta_lines(cfg, [meta])] + [header, *rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_sample(cfg: ExperimentConfig) -> list[Path]:
     """Write one design CSV per requested size; returns the paths."""
-    scheme = _require(cfg, "scheme", "sample")
-    _require(cfg, "n", "sample")
-    columns, groups, _ = _resolve_inputs(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    columns, groups, _, out_dir = _start(cfg, "sample", "scheme", "n")
+    scheme = cfg.scheme
     paths = []
-    for k, n in enumerate(cfg.n):
-        seed_n = cfg.seed + _SWEEP_SEED_STRIDE * k
+    for n, seed in _sweep(cfg):
         bundle = build_design(cfg, columns, groups, scheme, n,
-                              np.random.default_rng(seed_n), seed=seed_n)
+                              np.random.default_rng(seed), seed=seed)
         path = out_dir / f"design_{scheme}_n{n}.csv"
         extra = [f"scheme={scheme} n={n}"]
         for name, quantizer in bundle.quantizers.items():
@@ -344,39 +335,34 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Replicated estimation over the design-size sweep.
 
     Writes one repetition CSV per size plus a single JSON summary with
-    mean, variance and the 2.5/97.5 percentiles per size.
+    mean, variance and the 2.5/97.5 percentiles per size. In shared-quantizer
+    mode the quantizers of one extra design, built on seed ``[seed, 1]``, serve
+    every repetition of that size.
     """
-    scheme = _require(cfg, "scheme", "estimate")
-    _require(cfg, "n", "estimate")
-    repetitions = _require(cfg, "repetitions", "estimate")
+    columns, groups, model, out_dir = _start(
+        cfg, "estimate", "scheme", "n", "repetitions", needs_model=True)
+    scheme, repetitions = cfg.scheme, cfg.repetitions
     if repetitions < 2:
         raise ConfigError(f"config.repetitions: must be >= 2, got {repetitions}")
-    columns, groups, model = _resolve_inputs(cfg)
-    if model is None:
-        raise ConfigError("command 'estimate' requires a model with an evaluator")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    evaluate = partial(evaluate_design, model)
     paths = []
     entries = []
-    for k, n in enumerate(cfg.n):
-        base_seed = cfg.seed + _SWEEP_SEED_STRIDE * k
-        shared = _prebuild_shared(cfg, columns, groups, scheme, n)
+    for n, base_seed in _sweep(cfg):
+        shared = None
+        if cfg.shared_quantizer:
+            first = build_design(cfg, columns, groups, scheme, n,
+                                 np.random.default_rng([cfg.seed, 1]))
+            shared = {key: (q, first.pools[key]) for key, q in first.quantizers.items()}
 
         def builder(rng, _n=n, _shared=shared):
             return build_design(cfg, columns, groups, scheme, _n, rng, shared=_shared).design
 
-        # column order depends only on scheme and groups, so probe it once
-        probe = build_design(cfg, columns, groups, scheme, n,
-                             np.random.default_rng(base_seed), shared=shared)
-        f = _row_evaluator(model, probe.design.column_roles)
         started = time.monotonic()
-        summary = replicate(builder, f, repetitions, base_seed, threads=threads)
+        summary = replicate(builder, evaluate, repetitions, base_seed, threads=threads)
         elapsed = time.monotonic() - started
         rep_path = out_dir / f"estimates_{scheme}_{model.name}_n{n}.csv"
-        lines = [f"# {c}" for c in _meta_lines(cfg, [f"scheme={scheme} model={model.name} n={n}"])]
-        lines.append("seed,estimate")
-        lines += [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)]
-        rep_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(rep_path, cfg, f"scheme={scheme} model={model.name} n={n}", "seed,estimate",
+                     [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)])
         paths.append(rep_path)
         entries.append(
             {
@@ -434,18 +420,12 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     Permutation statistics are computed by vectorized Gram-matrix
     lookups, so no worker pool is involved here.
     """
-    scheme = _require(cfg, "scheme", "hsic")
-    _require(cfg, "n", "hsic")
-    columns, groups, model = _resolve_inputs(cfg)
-    if model is None:
-        raise ConfigError("command 'hsic' requires a model with an evaluator")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    columns, groups, model, out_dir = _start(cfg, "hsic", "scheme", "n", needs_model=True)
+    scheme = cfg.scheme
     paths = []
-    for k, n in enumerate(cfg.n):
-        seed_n = cfg.seed + _SWEEP_SEED_STRIDE * k
-        rng = np.random.default_rng(seed_n)
-        bundle = build_design(cfg, columns, groups, scheme, n, rng, seed=seed_n)
+    for n, seed in _sweep(cfg):
+        rng = np.random.default_rng(seed)
+        bundle = build_design(cfg, columns, groups, scheme, n, rng, seed=seed)
         design = bundle.design
         outputs = evaluate_design(model, design)
         roles = design.column_roles
@@ -470,13 +450,11 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
             rng=rng,
         )
         path = out_dir / f"screening_{scheme}_{model.name}_n{n}.csv"
-        lines = [f"# {c}" for c in _meta_lines(
-            cfg, [f"scheme={scheme} model={model.name} n={n} "
-                  f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}"])]
-        lines.append("input,hsic,p_value,decision")
-        for res in results:
-            lines.append(f"{res.name},{res.hsic_value!r},{res.p_value!r},{res.decision}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(path, cfg, f"scheme={scheme} model={model.name} n={n} "
+                                f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}",
+                     "input,hsic,p_value,decision",
+                     [f"{res.name},{res.hsic_value!r},{res.p_value!r},{res.decision}"
+                      for res in results])
         print(f"hsic: scheme={scheme} model={model.name} n={n} -> {path}")
         for res in results:
             print(f"  {res.name}: hsic={res.hsic_value:.4g} p={res.p_value:.4g} {res.decision}")
@@ -486,8 +464,8 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
 
 def run_quantize(cfg: ExperimentConfig) -> list[Path]:
     """Quantize one dependent group's pool and persist the artifact."""
-    n_cells = _require(cfg, "n_cells", "quantize")
-    columns, groups, _ = _resolve_inputs(cfg)
+    _, groups, _, out_dir = _start(cfg, "quantize", "n_cells")
+    n_cells = cfg.n_cells
     dependent = _dependent_groups(groups)
     if cfg.group is not None:
         matches = [g for g in dependent if g.name == cfg.group]
@@ -502,16 +480,7 @@ def run_quantize(cfg: ExperimentConfig) -> list[Path]:
         )
     rng = np.random.default_rng(cfg.seed)
     pool = group_pool(target, cfg.pool_size, rng)
-    quantizer = lloyd(
-        pool,
-        n_cells,
-        rng,
-        max_iter=cfg.lloyd.max_iter,
-        rel_tol=cfg.lloyd.rel_tol,
-        restarts=cfg.lloyd.restarts,
-    )
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    quantizer = _fit(cfg, pool, n_cells, rng)
     path = out_dir / f"quantizer_{target.name}_n{n_cells}.csv"
     save_quantizer(
         quantizer,

@@ -6,6 +6,7 @@ runner's convention, so the suite is deterministic.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -28,7 +29,7 @@ from qdoe.estimators import replicate
 from qdoe.hsic import screen
 from qdoe.models import FLOOD_COLUMNS, build_model, flood_evaluate, vg_conductivity, vg_theta
 from qdoe.quantizer import assign, lloyd
-from qdoe.runner import build_design
+from qdoe.runner import build_design, evaluate_design
 
 STRIDE = 1_000_000
 
@@ -44,15 +45,6 @@ def mk_cfg(pool_size=2000, max_iter=60, rel_tol=1e-7, restarts=1):
     )
 
 
-def row_evaluator(model, roles):
-    idx = np.array([list(roles).index(c) for c in model.columns])
-
-    def f(row):
-        return float(model.evaluate(row[idx][None, :])[0])
-
-    return f
-
-
 def sweep(model, scheme, sizes, repetitions, base_seed, cfg):
     """Replicated estimation per design size with strided seeds."""
     out = {}
@@ -60,9 +52,8 @@ def sweep(model, scheme, sizes, repetitions, base_seed, cfg):
         def builder(rng, _n=n):
             return build_design(cfg, model.columns, model.groups, scheme, _n, rng).design
 
-        probe = builder(np.random.default_rng(0))
-        f = row_evaluator(model, probe.column_roles)
-        out[n] = replicate(builder, f, repetitions, base_seed + STRIDE * k)
+        out[n] = replicate(builder, partial(evaluate_design, model), repetitions,
+                           base_seed + STRIDE * k)
     return out
 
 
@@ -295,8 +286,7 @@ def test_criterion_8_screening_ground_truth():
         bundle = build_design(cfg, model.columns, model.groups, "qlhs", 400, rng)
         design = bundle.design
         roles = design.column_roles
-        reorder = [roles.index(c) for c in model.columns]
-        outputs = model.evaluate(design.points[:, reorder])
+        outputs = evaluate_design(model, design)
         groups = [(c, [roles.index(c)]) for c in ("x1", "x2", "x3", "x4", "x5")]
         groups.append(("w", [roles.index(c) for c in ("w1", "w2", "w3")]))
         results = screen(design, outputs, groups, permutations=199, alpha=0.01, rng=rng)

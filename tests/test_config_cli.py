@@ -81,6 +81,18 @@ def test_model_and_inline_inputs_are_exclusive():
         )
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_nested_non_finite_constant_returns_2_and_writes_nothing(tmp_path, constant):
+    inputs = {"groups": [{"name": "g", "kind": "independent", "columns": ["x"],
+                          "marginals": [{"type": "normal", "mu": 0, "sigma": 1}]}]}
+    path, _ = write_config(tmp_path, scheme="mc", n=4, inputs=inputs,
+                           output_dir=str(tmp_path / "out"))
+    path.write_text(path.read_text().replace('"mu": 0', f'"mu": {constant}'))
+    assert constant in path.read_text()
+    assert main(["sample", "--config", str(path)]) == 2
+    assert not (tmp_path / "out" / "design_mc_n4.csv").exists()
+
+
 def test_model_resolves_columns():
     cfg = parse_config({"version": 1, "seed": 1, "model": {"name": "flood"}})
     assert cfg.columns == ("Q", "Ks", "Zv", "Zm", "Hd", "Cb", "L", "B")
@@ -265,6 +277,47 @@ def test_estimate_end_to_end_determinism(tmp_path):
     first = (tmp_path / "out" / "estimates_qlhs_x2y_n6.csv").read_bytes()
     assert main(["estimate", "--config", str(path), "--threads", "1"]) == 0
     assert (tmp_path / "out" / "estimates_qlhs_x2y_n6.csv").read_bytes() == first
+
+
+def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):
+    path, _ = write_config(
+        tmp_path, scheme="qlhs", n=[5, 8], repetitions=6, pool_size=300,
+        lloyd={"restarts": 1, "max_iter": 25, "rel_tol": 1e-6},
+        model={"name": "x2y"}, output_dir=str(tmp_path / "out"),
+    )
+    outputs = [tmp_path / "out" / name for name in
+               ("estimates_qlhs_x2y_n5.csv", "estimates_qlhs_x2y_n8.csv", "summary_qlhs_x2y.json")]
+    runs = []
+    for threads in ("1", "2"):
+        assert main(["estimate", "--config", str(path), "--shared-quantizer",
+                     "--threads", threads]) == 0
+        runs.append([out.read_bytes() for out in outputs])
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][2])["shared_quantizer"] is True
+
+
+def test_shared_quantizer_rq_checks_the_quantizer_file(tmp_path):
+    # the fixed pool and its quantizer file resolve as in the unshared mode,
+    # so a 7-cell file cannot serve a 5-point design in either mode
+    from qdoe.models import vg_pool
+    from qdoe.quantizer import save_pool
+
+    pool_csv = tmp_path / "vg_pool.csv"
+    save_pool(vg_pool(60, np.random.default_rng(0)), pool_csv,
+              column_names=("theta_r", "theta_s", "alpha", "n", "k_sat"))
+    model = {"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}}
+    qcfg, _ = write_config(tmp_path, name="q.json", model=model, n_cells=7,
+                           lloyd={"restarts": 1, "max_iter": 25},
+                           output_dir=str(tmp_path / "art"))
+    assert main(["quantize", "--config", str(qcfg)]) == 0
+    ecfg, _ = write_config(
+        tmp_path, name="e.json", scheme="rq", n=5, repetitions=2, model=model,
+        quantizer_files={"vg": str(tmp_path / "art" / "quantizer_vg_n7.csv")},
+        output_dir=str(tmp_path / "out"),
+    )
+    for shared in ([], ["--shared-quantizer"]):
+        assert main(["estimate", "--config", str(ecfg), "--threads", "1", *shared]) == 2
+        assert not (tmp_path / "out" / "estimates_rq_vg_theta_n5.csv").exists()
 
 
 # ---------------------------------------------------------------------------

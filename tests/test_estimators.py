@@ -4,6 +4,7 @@ import pytest
 from qdoe import (
     CandidatePool,
     ConfigError,
+    DimensionError,
     EvaluationError,
     Normal,
     estimate,
@@ -32,7 +33,7 @@ def all_scheme_designs(four_point_pool, rng):
 
 def test_constant_function_is_estimated_exactly(all_scheme_designs):
     for design in all_scheme_designs:
-        result = estimate(design, lambda row: 2.5)
+        result = estimate(design, np.full(design.n, 2.5))
         assert result.value == pytest.approx(2.5, abs=1e-12)
         assert result.scheme == design.scheme
 
@@ -40,34 +41,37 @@ def test_constant_function_is_estimated_exactly(all_scheme_designs):
 def test_weighted_sum_matches_manual_computation(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     design = rq_design(q, four_point_pool, rng)
-    f = lambda row: float(row[0]) + 1.0
     expected = float(design.weights @ (design.points[:, 0] + 1.0))
-    assert estimate(design, f).value == pytest.approx(expected, abs=1e-15)
+    assert estimate(design, design.points[:, 0] + 1.0).value == pytest.approx(expected, abs=1e-15)
 
 
 def test_q2lhs_estimate_is_self_normalized(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     design = q2lhs_design(q, four_point_pool, q, four_point_pool, rng)
-    f = lambda row: float(row[0] + row[1])
     values = design.points.sum(axis=1)
     expected = float(design.weights @ values) / float(design.weights.sum())
-    assert estimate(design, f).value == pytest.approx(expected, abs=1e-15)
+    assert estimate(design, values).value == pytest.approx(expected, abs=1e-15)
 
 
 def test_non_finite_value_names_the_row(all_scheme_designs):
     design = all_scheme_designs[0]
-
-    def bad(row):
-        return np.nan if row is design.points[1] or np.array_equal(row, design.points[1]) else 1.0
-
+    values = np.ones(design.n)
+    values[1] = np.nan
+    values[3] = np.inf  # a later bad row: the message names the first one
     with pytest.raises(EvaluationError, match="row 1"):
-        estimate(design, bad)
+        estimate(design, values)
+
+
+def test_values_of_the_wrong_length_are_rejected(all_scheme_designs):
+    design = all_scheme_designs[0]
+    with pytest.raises(DimensionError):
+        estimate(design, np.ones(design.n - 1))
 
 
 def test_replicate_requires_two_repetitions(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     with pytest.raises(ConfigError):
-        replicate(lambda r: rq_design(q, four_point_pool, r), lambda row: 1.0, 1, 0)
+        replicate(lambda r: rq_design(q, four_point_pool, r), lambda d: np.ones(d.n), 1, 0)
 
 
 def test_replicate_with_forced_identical_seeds_has_zero_variance(four_point_pool):
@@ -76,7 +80,7 @@ def test_replicate_with_forced_identical_seeds_has_zero_variance(four_point_pool
     def builder(_rng):
         return rq_design(q, four_point_pool, np.random.default_rng(99))
 
-    summary = replicate(builder, lambda row: float(row[0]), 2, 0)
+    summary = replicate(builder, lambda d: d.points[:, 0], 2, 0)
     assert summary.variance == 0.0
 
 
@@ -86,7 +90,7 @@ def test_replicate_threads_match_serial(four_point_pool):
     def builder(rng):
         return rq_design(q, four_point_pool, rng)
 
-    f = lambda row: float(row[0]) ** 2
+    f = lambda d: d.points[:, 0] ** 2
     serial = replicate(builder, f, 32, 5, threads=1)
     threaded = replicate(builder, f, 32, 5, threads=4)
     assert np.array_equal(serial.estimates, threaded.estimates)
@@ -106,7 +110,7 @@ def test_rq_variance_identity_with_fixed_quantizer():
     def builder(rng):
         return rq_design(q, pool, rng)
 
-    summary = replicate(builder, lambda row: float(row[0]) ** 2, 5000, 10)
+    summary = replicate(builder, lambda d: d.points[:, 0] ** 2, 5000, 10)
     assert summary.variance == pytest.approx(theoretical, rel=0.2)
 
 
@@ -116,25 +120,23 @@ def test_rq_unbiased_on_square(rng):
         q = lloyd(pool, 50, r, restarts=1, max_iter=40, rel_tol=1e-6)
         return rq_design(q, pool, r)
 
-    summary = replicate(builder, lambda row: float(row[0]) ** 2, 200, 123)
+    summary = replicate(builder, lambda d: d.points[:, 0] ** 2, 200, 123)
     se = np.sqrt(summary.variance / summary.repetitions)
     assert abs(summary.mean - 1.0) < 3 * se
 
 
 def test_lhs_variance_bound_against_mc():
-    f = lambda row: float(row[0]) ** 2
+    def square(design):
+        return estimate(design, design.points[:, 0] ** 2).value
+
     n = 50
     lhs_estimates = np.array(
-        [
-            estimate(lhs_with_marginals(n, [Normal(0, 1)], np.random.default_rng(s)), f).value
-            for s in range(5000)
-        ]
+        [square(lhs_with_marginals(n, [Normal(0, 1)], np.random.default_rng(s)))
+         for s in range(5000)]
     )
     mc_estimates = np.array(
-        [
-            estimate(mc_design(np.random.default_rng(10_000 + s).standard_normal((n, 1))), f).value
-            for s in range(5000)
-        ]
+        [square(mc_design(np.random.default_rng(10_000 + s).standard_normal((n, 1))))
+         for s in range(5000)]
     )
     assert lhs_estimates.var(ddof=1) <= (n / (n - 1)) * mc_estimates.var(ddof=1)
 
@@ -142,7 +144,7 @@ def test_lhs_variance_bound_against_mc():
 def test_replicate_summary_fields(four_point_pool):
     q = lloyd(four_point_pool, 2, np.random.default_rng(4))
     summary = replicate(
-        lambda rng: rq_design(q, four_point_pool, rng), lambda row: float(row[0]), 50, 7
+        lambda rng: rq_design(q, four_point_pool, rng), lambda d: d.points[:, 0], 50, 7
     )
     assert summary.repetitions == 50
     assert summary.base_seed == 7

@@ -5,9 +5,7 @@ from qdoe import ConfigError, DimensionError, DomainError, ParameterError
 from qdoe.models import (
     MODEL_NAMES,
     build_model,
-    flood_eval,
     flood_evaluate,
-    toy_eval,
     vg_conductivity,
     vg_pool,
     vg_pool_from_sample,
@@ -16,19 +14,27 @@ from qdoe.models import (
 from qdoe.quantizer import lloyd, sample_cell
 
 
+def toy(name, row):
+    return build_model(name).evaluate(np.array([row], dtype=float))[0]
+
+
+def flood(row):
+    return flood_evaluate(np.array([row], dtype=float))[0]
+
+
 def test_toy_values():
-    assert toy_eval("square", [3.0]) == 9.0
-    assert toy_eval("xy2py2", [0.0, 2.0]) == 4.0
-    assert toy_eval("x1px2_sq_y", [1.0, 1.0, 0.5]) == 2.0
-    assert toy_eval("x1x2", [2.0, 3.0]) == 6.0
-    assert toy_eval("x2y", [2.0, 0.5]) == 2.0
+    assert toy("square", [3.0]) == 9.0
+    assert toy("xy2py2", [0.0, 2.0]) == 4.0
+    assert toy("x1px2_sq_y", [1.0, 1.0, 0.5]) == 2.0
+    assert toy("x1x2", [2.0, 3.0]) == 6.0
+    assert toy("x2y", [2.0, 0.5]) == 2.0
 
 
 def test_toy_arity_mismatch():
     with pytest.raises(DimensionError):
-        toy_eval("square", [1.0, 2.0])
+        toy("square", [1.0, 2.0])
     with pytest.raises(ConfigError):
-        toy_eval("cube", [1.0])
+        toy("cube", [1.0])
 
 
 def test_flood_hand_computed_value():
@@ -36,7 +42,7 @@ def test_flood_hand_computed_value():
     q, ks, zv, zm, hd, cb, length, width = 1013, 30, 50, 55, 8, 55.5, 5000, 300
     h = (q / (width * ks * np.sqrt((zm - zv) / length))) ** 0.6
     expected = zv + h - hd - cb
-    assert flood_eval([q, ks, zv, zm, hd, cb, length, width]) == pytest.approx(
+    assert flood([q, ks, zv, zm, hd, cb, length, width]) == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -44,8 +50,8 @@ def test_flood_hand_computed_value():
 def test_flood_radical_invariance():
     base = [1013, 30, 50, 55, 8, 55.5, 5000, 300]
     scaled = [1013, 30, 50, 50 + 4 * 5, 8, 55.5, 4 * 5000, 300]
-    assert flood_eval(base) + 55.5 + 8 - 50 == pytest.approx(
-        flood_eval(scaled) + 55.5 + 8 - 50, rel=1e-12
+    assert flood(base) + 55.5 + 8 - 50 == pytest.approx(
+        flood(scaled) + 55.5 + 8 - 50, rel=1e-12
     )
 
 
@@ -53,8 +59,8 @@ def test_flood_height_homogeneous_in_flow():
     row = np.array([1013, 30, 50, 55, 8, 55.5, 5000, 300.0])
     row2 = row.copy()
     row2[0] *= 2
-    h1 = flood_eval(row) - 50 + 8 + 55.5
-    h2 = flood_eval(row2) - 50 + 8 + 55.5
+    h1 = flood(row) - 50 + 8 + 55.5
+    h2 = flood(row2) - 50 + 8 + 55.5
     assert h2 / h1 == pytest.approx(2**0.6, abs=1e-12)
 
 
@@ -182,9 +188,3 @@ def test_vg_model_accepts_external_pool(tmp_path):
     group = model.groups[0]
     assert group.kind == "pool"
     assert np.array_equal(group.pool_points, pool.points)
-
-
-def test_eval_row_matches_vectorized():
-    model = build_model("flood")
-    row = np.array([1013, 30, 50, 55, 8, 55.5, 5000, 300.0])
-    assert model.eval_row(row) == flood_eval(row)
