@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
+from qdoe.config import parse_config
 from qdoe.estimators import replicate
 from qdoe.models import build_model, flood_evaluate
 from qdoe.runner import build_design, evaluate_design, sample_joint
@@ -20,13 +20,8 @@ from qdoe.runner import build_design, evaluate_design, sample_joint
 SIZES = (10, 20, 50, 100)
 REPETITIONS = 200
 
-CFG = ExperimentConfig(
-    seed=0, scheme=None, n=(), repetitions=None, pool_size=2000,
-    lloyd=LloydSettings(max_iter=50, rel_tol=1e-6, restarts=1),
-    model_name=None, model_params={}, columns=None, groups=None,
-    kernels=KernelSettings(), test=SignificanceSettings(), hsic_groups=None,
-    output_dir=".", shared_quantizer=False, quantizer_files={}, n_cells=None, group=None,
-)
+CFG = parse_config({"version": 1, "seed": 0, "pool_size": 2000,
+                    "lloyd": {"max_iter": 50, "rel_tol": 1e-6, "restarts": 1}})
 
 model = build_model("flood")
 

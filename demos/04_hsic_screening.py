@@ -10,7 +10,7 @@ accepted as independent; everything else rejected.
 
 import numpy as np
 
-from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
+from qdoe.config import parse_config
 from qdoe.hsic import screen
 from qdoe.models import build_model
 from qdoe.runner import build_design, evaluate_design
@@ -19,13 +19,8 @@ N = 400
 PERMUTATIONS = 499
 ALPHA = 0.01
 
-cfg = ExperimentConfig(
-    seed=0, scheme=None, n=(), repetitions=None, pool_size=6000,
-    lloyd=LloydSettings(max_iter=25, rel_tol=1e-6, restarts=1),
-    model_name=None, model_params={}, columns=None, groups=None,
-    kernels=KernelSettings(), test=SignificanceSettings(), hsic_groups=None,
-    output_dir=".", shared_quantizer=False, quantizer_files={}, n_cells=None, group=None,
-)
+cfg = parse_config({"version": 1, "seed": 0, "pool_size": 6000,
+                    "lloyd": {"max_iter": 25, "rel_tol": 1e-6, "restarts": 1}})
 
 model = build_model("synthetic_screen")
 print("Response: y = 3*x1 + 4*x2^2 + 1.5*sin(2*pi*x3) + 0.6*(w1 + w2 + w3)")

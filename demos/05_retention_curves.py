@@ -20,19 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
+from qdoe.config import parse_config
 from qdoe.copula import correlation_to_csv, fit_gaussian_copula
 from qdoe.estimators import replicate
 from qdoe.models import VG_COLUMNS, build_model, vg_pool, vg_theta
 from qdoe.runner import build_design, evaluate_design
 
-cfg = ExperimentConfig(
-    seed=0, scheme=None, n=(), repetitions=None, pool_size=3000,
-    lloyd=LloydSettings(max_iter=40, rel_tol=1e-6, restarts=1),
-    model_name=None, model_params={}, columns=None, groups=None,
-    kernels=KernelSettings(), test=SignificanceSettings(), hsic_groups=None,
-    output_dir=".", shared_quantizer=False, quantizer_files={}, n_cells=None, group=None,
-)
+cfg = parse_config({"version": 1, "seed": 0, "pool_size": 3000,
+                    "lloyd": {"max_iter": 40, "rel_tol": 1e-6, "restarts": 1}})
 
 rng = np.random.default_rng(31)
 model = build_model("vg_theta", {"h": 1.0})

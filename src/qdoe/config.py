@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import distribution_from_config
-from .errors import ConfigError, QdoeError
+from .errors import ConfigError, ParameterError, QdoeError
+from .hsic import KernelSpec
 from .models import InputGroup, build_model
 from .quantizer import load_pool
 
 __all__ = [
     "LloydSettings",
-    "KernelSettings",
     "SignificanceSettings",
     "ExperimentConfig",
     "parse_config",
@@ -40,13 +40,6 @@ class LloydSettings:
     max_iter: int = 200
     rel_tol: float = 1e-8
     restarts: int = 5
-
-
-@dataclass(frozen=True)
-class KernelSettings:
-    bandwidth_rule: str = "std"
-    bandwidth: float | None = None
-    standardize_groups: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class ExperimentConfig:
     model_params: dict
     columns: tuple[str, ...] | None
     groups: tuple[InputGroup, ...] | None
-    kernels: KernelSettings
+    kernels: KernelSpec
     test: SignificanceSettings
     hsic_groups: tuple[tuple[str, ...], ...] | None
     output_dir: str
@@ -243,17 +236,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     kern_raw = raw.get("kernels", {})
     _check_keys(kern_raw, ("bandwidth_rule", "bandwidth", "standardize_groups"), "config.kernels")
-    kernels = KernelSettings(
-        bandwidth_rule=kern_raw.get("bandwidth_rule", "std"),
-        bandwidth=(None if kern_raw.get("bandwidth") is None
-                   else _as_number(kern_raw["bandwidth"], "config.kernels.bandwidth")),
-        standardize_groups=bool(kern_raw.get("standardize_groups", True)),
-    )
-    _expect(kernels.bandwidth_rule in ("std", "median", "fixed"),
-            "config.kernels.bandwidth_rule", "expected 'std', 'median' or 'fixed'")
-    if kernels.bandwidth_rule == "fixed":
-        _expect(kernels.bandwidth is not None and kernels.bandwidth > 0,
-                "config.kernels.bandwidth", "fixed rule requires a positive bandwidth")
+    try:
+        kernels = KernelSpec(
+            bandwidth_rule=kern_raw.get("bandwidth_rule", "std"),
+            bandwidth=(None if kern_raw.get("bandwidth") is None
+                       else _as_number(kern_raw["bandwidth"], "config.kernels.bandwidth")),
+            standardize_groups=bool(kern_raw.get("standardize_groups", True)),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"config.kernels: {exc}") from exc
 
     test_raw = raw.get("test", {})
     _check_keys(test_raw, ("permutations", "alpha"), "config.test")

@@ -1,12 +1,16 @@
 """Kernel dependence measures and permutation-based independence tests.
 
 The dependence measure is the squared RKHS distance between the joint
-embedding of (X, Y) and the product of the marginal embeddings, estimated
-either by the centered Gram-matrix trace (uniform-weight samples) or by a
-weighted three-term sum when the sample comes from a quantization design
-with cell-probability weights. Independence is tested by permuting the
-outputs against fixed inputs and comparing the observed statistic to the
-permutation null.
+embedding of (X, Y) and the product of the marginal embeddings. For a
+sample with row weights w summing to one it is estimated by
+
+    sum_ij A_ij Ky_ij,  A = (w w^T) o (Kx - (Kx w) 1^T - 1 (Kx w)^T + w^T Kx w),
+
+the input Gram matrix centered under w. Cell probabilities of a
+quantization design give the weighted estimate; uniform weights w = 1/n
+give the V-statistic (1/n^2) tr(Kx H Ky H). Independence is tested by
+permuting the outputs against fixed inputs and comparing the observed
+statistic to the permutation null.
 """
 
 from __future__ import annotations
@@ -35,45 +39,26 @@ __all__ = [
 class KernelSpec:
     """RBF kernel exp(-||x - x'||^2 / (2 theta^2)) with a bandwidth rule.
 
-    ``scalar_rbf`` applies to single columns; ``group_rbf`` to multivariate
-    blocks, optionally standardizing each column by the evaluation sample's
-    mean and standard deviation first (recommended when column scales
-    differ by orders of magnitude). Bandwidth rules:
+    A sample of several columns is first standardized column by column
+    with its own mean and standard deviation when ``standardize_groups``
+    is set (recommended when column scales differ by orders of
+    magnitude); a single column never is. Bandwidth rules:
 
     - ``fixed``: use ``bandwidth`` as given;
     - ``std``: the sample standard deviation (after standardization this
-      is 1 for a group kernel);
+      is 1);
     - ``median``: sqrt of half the median positive squared distance.
     """
 
-    kind: str = "scalar_rbf"
-    bandwidth: float | None = None
     bandwidth_rule: str = "std"
-    standardize: bool = False
+    bandwidth: float | None = None
+    standardize_groups: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("scalar_rbf", "group_rbf"):
-            raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if self.bandwidth_rule not in ("fixed", "std", "median"):
             raise ParameterError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
         if self.bandwidth_rule == "fixed" and (self.bandwidth is None or self.bandwidth <= 0):
             raise ParameterError("fixed bandwidth rule requires bandwidth > 0")
-        if self.standardize and self.kind != "group_rbf":
-            raise ParameterError("standardization applies to group kernels only")
-
-    @staticmethod
-    def scalar(bandwidth: float | None = None, rule: str = "std") -> "KernelSpec":
-        if bandwidth is not None:
-            return KernelSpec("scalar_rbf", bandwidth, "fixed")
-        return KernelSpec("scalar_rbf", None, rule)
-
-    @staticmethod
-    def group(
-        standardize: bool = True, bandwidth: float | None = None, rule: str = "std"
-    ) -> "KernelSpec":
-        if bandwidth is not None:
-            return KernelSpec("group_rbf", bandwidth, "fixed", standardize)
-        return KernelSpec("group_rbf", None, rule, standardize)
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,27 @@ def _as_sample(sample) -> np.ndarray:
     return x
 
 
+def _paired_samples(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
+    x = _as_sample(inputs)
+    y = _as_sample(outputs)
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
+    return x, y
+
+
+def _weights(weights, n: int) -> np.ndarray:
+    """Row weights of the estimate: ``None`` is uniform 1/n; given weights
+    must be aligned with the rows and sum to one."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != n:
+        raise DimensionError("weights are not aligned with the sample rows")
+    if abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ParameterError("weights must sum to 1 for the weighted estimate")
+    return w
+
+
 def _resolve_bandwidth(x: np.ndarray, kernel: KernelSpec) -> float:
     if kernel.bandwidth_rule == "fixed":
         return float(kernel.bandwidth)
@@ -130,11 +136,7 @@ def _resolve_bandwidth(x: np.ndarray, kernel: KernelSpec) -> float:
 def gram(sample, kernel: KernelSpec) -> np.ndarray:
     """Kernel matrix of a sample; symmetric with exact unit diagonal."""
     x = _as_sample(sample)
-    if kernel.kind == "scalar_rbf" and x.shape[1] != 1:
-        raise DimensionError(
-            f"scalar kernel expects a single column, got {x.shape[1]}; use a group kernel"
-        )
-    if kernel.standardize:
+    if kernel.standardize_groups and x.shape[1] > 1:
         std = x.std(axis=0)
         if np.any(std == 0.0):
             raise DegeneracyError("cannot standardize a constant column")
@@ -146,81 +148,45 @@ def gram(sample, kernel: KernelSpec) -> np.ndarray:
     return k
 
 
-def _center(k: np.ndarray) -> np.ndarray:
-    """H K H with H = I - (1/n) * ones, computed without forming H."""
-    row = k.mean(axis=0)
-    return k - row[None, :] - row[:, None] + row.mean()
+def _weighted_center(kx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A = (w w^T) o (Kx - (Kx w) 1^T - 1 (Kx w)^T + w^T Kx w).
 
-
-def _hsic_from_grams(kx: np.ndarray, ky: np.ndarray) -> float:
-    n = kx.shape[0]
-    return float(np.sum(_center(kx) * ky)) / (n * n)
-
-
-def _weighted_terms(kx: np.ndarray, w: np.ndarray):
-    """Precomputations reused across permutations of the weighted statistic."""
+    The estimate for an output Gram matrix Ky is vdot(A, Ky); permuting
+    the outputs permutes Ky, so A is built once per test.
+    """
     kxw = kx @ w
-    return kx * np.outer(w, w), float(w @ kxw), w * kxw
+    return np.outer(w, w) * (kx - kxw[:, None] - kxw[None, :] + float(w @ kxw))
 
 
-def _hsic_weighted_from_grams(kx: np.ndarray, ky: np.ndarray, w: np.ndarray) -> float:
-    kx_ww, kx_quad, w_kxw = _weighted_terms(kx, w)
-    kyw = ky @ w
-    t1 = float(np.sum(kx_ww * ky))
-    t2 = kx_quad * float(w @ kyw)
-    t3 = float(np.sum(w_kxw * kyw))
-    return t1 + t2 - 2.0 * t3
+def _permutation_stats(a: np.ndarray, ky: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Statistic vdot(A, Ky[p][:, p]) for each permutation p of the outputs.
+
+    Permuting the outputs only permutes rows and columns of their Gram
+    matrix, so the bandwidth and both Gram matrices are computed once.
+    """
+    return np.array([np.vdot(a, np.take(np.take(ky, p, axis=0), p, axis=1)) for p in perms])
+
+
+def _measure(inputs, outputs, kx: KernelSpec, ky: KernelSpec, weights) -> HsicResult:
+    x, y = _paired_samples(inputs, outputs)
+    n = x.shape[0]
+    w = _weights(weights, n)
+    value = float(np.vdot(_weighted_center(gram(x, kx), w), gram(y, ky)))
+    return HsicResult(hsic_value=value, statistic=n * value, n=n)
 
 
 def hsic_v(x_sample, y_sample, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
     """V-statistic estimate (1/n^2) tr(K_x H K_y H) from one joint sample."""
-    x = _as_sample(x_sample)
-    y = _as_sample(y_sample)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    value = _hsic_from_grams(gram(x, kx), gram(y, ky))
-    return HsicResult(hsic_value=value, statistic=x.shape[0] * value, n=x.shape[0])
+    return _measure(x_sample, y_sample, kx, ky, None)
 
 
 def hsic_rq(design: Design, outputs, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
     """Weighted dependence estimate for a quantization design.
 
-    With cell probabilities p the three expectation terms become double
-    sums weighted by p_i p_j; uniform weights reduce this exactly to the
-    V-statistic.
+    The design's cell probabilities are the row weights; they must sum to
+    one. Uniform weights give the V-statistic.
     """
-    w = design.weights
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ParameterError("design weights must sum to 1 for the weighted estimate")
-    y = _as_sample(outputs)
-    if y.shape[0] != design.n:
-        raise DimensionError("outputs are not aligned with the design rows")
-    value = _hsic_weighted_from_grams(gram(design.points, kx), gram(y, ky), w)
-    return HsicResult(hsic_value=value, statistic=design.n * value, n=design.n)
-
-
-def _permutation_stats(
-    ky: np.ndarray, perms: np.ndarray, kx: np.ndarray, w: np.ndarray | None
-) -> np.ndarray:
-    """Statistic for each permutation of the outputs, inputs held fixed.
-
-    Permuting the outputs only permutes rows and columns of their Gram
-    matrix, so the bandwidth and both Gram matrices are computed once.
-    """
-    n = ky.shape[0]
-    stats = np.empty(perms.shape[0])
-    if w is None:
-        kxc = _center(kx)
-        for b, p in enumerate(perms):
-            ky_p = np.take(np.take(ky, p, axis=0), p, axis=1)
-            stats[b] = np.vdot(kxc, ky_p) / (n * n)
-    else:
-        kx_ww, kx_quad, w_kxw = _weighted_terms(kx, w)
-        for b, p in enumerate(perms):
-            ky_p = np.take(np.take(ky, p, axis=0), p, axis=1)
-            kyw = ky_p @ w
-            stats[b] = np.vdot(kx_ww, ky_p) + kx_quad * (kyw @ w) - 2.0 * (w_kxw @ kyw)
-    return stats
+    return _measure(design.points, outputs, kx, ky, design.weights)
 
 
 def independence_test(
@@ -238,30 +204,23 @@ def independence_test(
 
     The observed statistic is n times the dependence measure; the null
     sample recomputes it with the outputs permuted uniformly at random,
-    keeping any weights attached to the input rows. The p-value is the
-    tie-inclusive (1 + #{null >= observed}) / (B + 1), and the null
-    hypothesis of independence is rejected when it falls below ``alpha``.
+    keeping any weights attached to the input rows (``None`` means
+    uniform). The p-value is the tie-inclusive
+    (1 + #{null >= observed}) / (B + 1), and the null hypothesis of
+    independence is rejected when it falls below ``alpha``.
     """
     if permutations < 100:
         raise ConfigError(f"permutations must be >= 100, got {permutations}")
-    x = _as_sample(inputs)
-    y = _as_sample(outputs)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
+    x, y = _paired_samples(inputs, outputs)
     n = x.shape[0]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if weights.shape[0] != n:
-            raise DimensionError("weights are not aligned with the input rows")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ParameterError("weights must sum to 1 for the weighted test")
-    kx_m = gram(x, kx)
+    w = _weights(weights, n)
+    a = _weighted_center(gram(x, kx), w)
     ky_m = gram(y, ky)
     # the observed statistic goes through the identity permutation so ties
     # with the null sample are exact (identical arithmetic)
-    observed = float(_permutation_stats(ky_m, np.arange(n)[None, :], kx_m, weights)[0])
+    observed = float(_permutation_stats(a, ky_m, np.arange(n)[None, :])[0])
     perms = np.vstack([rng.permutation(n) for _ in range(permutations)])
-    null = _permutation_stats(ky_m, perms, kx_m, weights)
+    null = _permutation_stats(a, ky_m, perms)
     p_value = (1.0 + int(np.sum(null >= observed))) / (permutations + 1.0)
     return HsicResult(
         hsic_value=observed,
@@ -279,34 +238,22 @@ def screen(
     outputs,
     groups,
     *,
-    group_kernels=None,
-    output_kernel: KernelSpec | None = None,
+    kernel: KernelSpec = KernelSpec(),
     permutations: int,
     alpha: float = 0.05,
     rng: np.random.Generator,
 ) -> list[ScreenResult]:
     """Independence test of each input group against the shared output.
 
-    ``groups`` is a sequence of (name, column-index list) pairs; kernels
-    default to a scalar RBF for single columns and a standardized group
-    RBF for blocks. Design weights stay attached to the input rows
-    (normalized to sum to one); for uniform-weight designs this is exactly
-    the unweighted test.
+    ``groups`` is a sequence of (name, column-index list) pairs; ``kernel``
+    applies to every group and to the output. Design weights stay attached
+    to the input rows (normalized to sum to one); for uniform-weight
+    designs this is exactly the unweighted test.
     """
-    groups = list(groups)
-    if group_kernels is None:
-        group_kernels = [
-            KernelSpec.scalar() if len(cols) == 1 else KernelSpec.group()
-            for _, cols in groups
-        ]
-    if output_kernel is None:
-        output_kernel = KernelSpec.scalar()
-    if len(group_kernels) != len(groups):
-        raise DimensionError("one kernel per group is required")
     y = _as_sample(outputs)
     w = design.weights / float(design.weights.sum())
     results = []
-    for (name, cols), kernel in zip(groups, group_kernels):
+    for name, cols in groups:
         cols = list(cols)
         if not cols:
             raise ParameterError(f"group {name!r} selects no columns")
@@ -316,7 +263,7 @@ def screen(
             design.points[:, cols],
             y,
             kernel,
-            output_kernel,
+            kernel,
             permutations=permutations,
             alpha=alpha,
             rng=rng,

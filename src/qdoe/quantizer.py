@@ -60,7 +60,9 @@ class Quantizer:
 
     Invariants: probabilities are cell counts divided by the pool size and
     sum to one; every pool point is assigned to its nearest centroid (ties
-    to the lowest index); every cell is non-empty.
+    to the lowest index); every cell is non-empty. Construction checks all
+    of them but the nearest-centroid one, which needs the pool, and raises
+    ParameterError on a violation.
     """
 
     centroids: np.ndarray
@@ -68,6 +70,20 @@ class Quantizer:
     pool_assignment: np.ndarray
     distortion: float
     distortion_history: tuple[float, ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        k = self.n_cells
+        assignment = self.pool_assignment
+        if (self.centroids.ndim != 2 or self.probabilities.shape != (k,)
+                or assignment.ndim != 1 or assignment.size == 0):
+            raise ParameterError("centroids, probabilities and pool assignment disagree in shape")
+        if assignment.min() < 0 or assignment.max() >= k:
+            raise ParameterError(f"pool assignments must lie in [0, {k})")
+        counts = np.bincount(assignment, minlength=k)
+        if np.any(counts == 0):
+            raise ParameterError(f"{int(np.sum(counts == 0))} of {k} cells hold no pool point")
+        if not np.array_equal(self.probabilities, counts / assignment.shape[0]):
+            raise ParameterError("cell probabilities differ from the pool assignment counts")
 
     @property
     def n_cells(self) -> int:
@@ -117,7 +133,7 @@ def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.
     for _ in range(1, n_cells):
         cumulative = np.cumsum(d2)
         if cumulative[-1] <= 0.0:
-            raise ParameterError("fewer distinct pool points than requested cells")
+            raise ConfigError("fewer distinct pool points than requested cells")
         idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
         chosen.append(min(idx, m - 1))
         d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
@@ -208,12 +224,8 @@ def lloyd(
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     points = pool.points
-    if n_cells > pool.m or (
-        n_cells > 1 and n_cells > np.unique(points, axis=0).shape[0]
-    ):
-        raise ConfigError(
-            f"requested {n_cells} cells but the pool holds fewer distinct points"
-        )
+    if n_cells > pool.m:
+        raise ConfigError(f"requested {n_cells} cells but the pool holds {pool.m} points")
     best = None
     for _ in range(restarts):
         candidate = _lloyd_once(points, n_cells, rng, max_iter, rel_tol)
@@ -262,8 +274,6 @@ def sample_cell(
     if pool.m != quantizer.pool_size:
         raise DimensionError("pool does not match the quantizer's assignment vector")
     members = quantizer.cell_members(cell)
-    if members.size == 0:
-        raise RuntimeError(f"cell {cell} is empty; lloyd() guarantees non-empty cells")
     return pool.points[members[int(rng.integers(members.size))]].copy()
 
 

@@ -22,9 +22,9 @@ import numpy as np
 from .config import ExperimentConfig
 from .copula import EmpiricalMarginal, fit_gaussian_copula, gaussian_copula, conditional_inverse
 from .designs import Design, lhs_with_marginals, lhsd, mc_design, q2lhs_design, qlhs_design, rq_design
-from .errors import ConfigError
+from .errors import ConfigError, QdoeError
 from .estimators import replicate
-from .hsic import KernelSpec, screen
+from .hsic import screen
 from .models import InputGroup, ModelSpec, build_model
 from .quantizer import CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer
 
@@ -175,7 +175,10 @@ def _quantize_group(group, n, cfg, rng, shared, key):
     if shared is not None and key in shared:
         return shared[key]
     if group.name in cfg.quantizer_files:
-        quantizer = load_quantizer(cfg.quantizer_files[group.name])
+        try:
+            quantizer = load_quantizer(cfg.quantizer_files[group.name])
+        except (OSError, QdoeError) as exc:
+            raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
         if group.kind != "pool":
             raise ConfigError(
                 f"quantizer_files[{group.name!r}] requires a fixed pool group "
@@ -404,16 +407,6 @@ def _default_hsic_groups(columns, groups) -> list[tuple[str, list[int]]]:
     return out
 
 
-def _kernel_for(cols, cfg: ExperimentConfig) -> KernelSpec:
-    rule = cfg.kernels.bandwidth_rule
-    if rule == "fixed":
-        return (KernelSpec.scalar(bandwidth=cfg.kernels.bandwidth) if len(cols) == 1
-                else KernelSpec.group(cfg.kernels.standardize_groups, bandwidth=cfg.kernels.bandwidth))
-    if len(cols) == 1:
-        return KernelSpec.scalar(rule=rule)
-    return KernelSpec.group(cfg.kernels.standardize_groups, rule=rule)
-
-
 def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     """Screening: one independence test per input group, one CSV per size.
 
@@ -438,13 +431,11 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
                 named.append(("+".join(entry), [roles.index(c) for c in entry]))
         else:
             named = _default_hsic_groups(roles, groups)
-        kernels = [_kernel_for(cols, cfg) for _, cols in named]
         results = screen(
             design,
             outputs,
             named,
-            group_kernels=kernels,
-            output_kernel=_kernel_for([0], cfg),
+            kernel=cfg.kernels,
             permutations=cfg.test.permutations,
             alpha=cfg.test.alpha,
             rng=rng,

@@ -23,7 +23,7 @@ from qdoe import (
     hsic_v,
     independence_test,
 )
-from qdoe.config import ExperimentConfig, KernelSettings, LloydSettings, SignificanceSettings
+from qdoe.config import parse_config
 from qdoe.designs import lhs, lhs_with_marginals, qlhs_design, rq_design
 from qdoe.estimators import replicate
 from qdoe.hsic import screen
@@ -35,14 +35,9 @@ STRIDE = 1_000_000
 
 
 def mk_cfg(pool_size=2000, max_iter=60, rel_tol=1e-7, restarts=1):
-    return ExperimentConfig(
-        seed=0, scheme=None, n=(), repetitions=None, pool_size=pool_size,
-        lloyd=LloydSettings(max_iter=max_iter, rel_tol=rel_tol, restarts=restarts),
-        model_name=None, model_params={}, columns=None, groups=None,
-        kernels=KernelSettings(), test=SignificanceSettings(), hsic_groups=None,
-        output_dir=".", shared_quantizer=False, quantizer_files={},
-        n_cells=None, group=None,
-    )
+    return parse_config({"version": 1, "seed": 0, "pool_size": pool_size,
+                         "lloyd": {"max_iter": max_iter, "rel_tol": rel_tol,
+                                   "restarts": restarts}})
 
 
 def sweep(model, scheme, sizes, repetitions, base_seed, cfg):
@@ -222,8 +217,8 @@ def test_criterion_5_flood_model():
 
 def test_criterion_6_hsic_oracle_equivalence():
     rng = np.random.default_rng(2024)
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     max_trace_diff = 0.0
     max_weight_diff = 0.0
     for _ in range(50):
@@ -250,8 +245,8 @@ def test_criterion_6_hsic_oracle_equivalence():
 
 
 def test_criterion_7_test_level_and_power():
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     data_rng = np.random.default_rng(777)
     rejections = 0
     for rep in range(500):

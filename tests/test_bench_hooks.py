@@ -53,3 +53,9 @@ def test_layer_spans_are_recorded(tmp_path, monkeypatch):
     evaluations = [s for s in estimate_spans if s.name == "models.evaluate"]
     assert len(evaluations) == 2
     assert all(s.counts["rows"] == 5 for s in evaluations)
+    # one screen, one permutation test per screened group of synthetic_screen
+    hsic_spans = tracer.spans[len(estimate_spans):]
+    assert sum(s.name == "hsic.screen" for s in hsic_spans) == 1
+    tests = [s for s in hsic_spans if s.name == "hsic.independence_test"]
+    assert len(tests) == 6
+    assert all(s.counts["permutations"] == 100 for s in tests)

@@ -237,6 +237,27 @@ def test_quantizer_files_round_trip_through_sampling(tmp_path):
     assert out_rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path):
+    pool_csv = tmp_path / "pool.csv"
+    rows = np.random.default_rng(0).standard_normal(60)
+    pool_csv.write_text("x\n" + "\n".join(repr(float(v)) for v in rows) + "\n")
+    inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
+                          "pool_csv": str(pool_csv)}]}
+    qcfg, _ = write_config(tmp_path, name="q.json", inputs=inputs, n_cells=5,
+                           output_dir=str(tmp_path / "art"))
+    assert main(["quantize", "--config", str(qcfg)]) == 0
+    artifact = tmp_path / "art" / "quantizer_g_n5.csv"
+    lines = artifact.read_text().splitlines()
+    first = lines.index("assignments") + 1
+    lines[first:] = ["0"] * (len(lines) - first)  # every pool point in cell 0
+    artifact.write_text("\n".join(lines) + "\n")
+    scfg, _ = write_config(tmp_path, name="s.json", scheme="rq", n=5, inputs=inputs,
+                           quantizer_files={"g": str(artifact)},
+                           output_dir=str(tmp_path / "out"))
+    assert main(["sample", "--config", str(scfg)]) == 2
+    assert not (tmp_path / "out" / "design_rq_n5.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate command
 
@@ -360,6 +381,20 @@ def test_hsic_explicit_groups(tmp_path):
     lines = (tmp_path / "out" / "screening_mc_synthetic_screen_n60.csv").read_text().splitlines()
     names = [l.split(",")[0] for l in lines if not l.startswith("#")][1:]
     assert names == ["x1+x2", "w1+w2+w3"]
+
+
+@pytest.mark.parametrize("kernels", [
+    {"bandwidth_rule": "bogus"},
+    {"bandwidth_rule": "fixed"},
+    {"bandwidth_rule": "fixed", "bandwidth": 0},
+])
+def test_hsic_invalid_kernels_return_2_and_write_nothing(tmp_path, kernels):
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=50, kernels=kernels, test={"permutations": 100},
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["hsic", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path):

@@ -14,6 +14,7 @@ from qdoe import (
     independence_test,
     screen,
 )
+from qdoe.hsic import _permutation_stats, _weighted_center
 
 
 def brute_force_hsic(kx, ky):
@@ -41,38 +42,35 @@ def brute_force_weighted(kx, ky, w):
 
 
 def test_gram_diagonal_is_exactly_one():
-    k = gram(np.random.default_rng(0).standard_normal(20), KernelSpec.scalar())
+    k = gram(np.random.default_rng(0).standard_normal(20), KernelSpec())
     assert np.all(np.diag(k) == 1.0)
     assert np.allclose(k, k.T)
     assert np.all((k > 0) & (k <= 1))
 
 
 def test_gram_identical_rows_give_unit_entry():
-    k = gram(np.array([1.3, 1.3, 2.0]), KernelSpec.scalar(bandwidth=1.0))
+    k = gram(np.array([1.3, 1.3, 2.0]), KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
     assert k[0, 1] == 1.0
 
 
 def test_gram_plug_in_value():
     theta = 0.7
-    k = gram(np.array([0.0, theta * np.sqrt(2.0)]), KernelSpec.scalar(bandwidth=theta))
+    k = gram(np.array([0.0, theta * np.sqrt(2.0)]),
+             KernelSpec(bandwidth_rule="fixed", bandwidth=theta))
     assert k[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-
-def test_gram_scalar_kernel_rejects_matrix_sample():
-    with pytest.raises(DimensionError):
-        gram(np.zeros((5, 2)), KernelSpec.scalar(bandwidth=1.0))
 
 
 def test_gram_degenerate_sample():
     with pytest.raises(DegeneracyError):
-        gram(np.ones(5), KernelSpec.scalar())
+        gram(np.ones(5), KernelSpec())
     with pytest.raises(DegeneracyError):
-        gram(np.ones(5), KernelSpec.scalar(rule="median"))
+        gram(np.ones(5), KernelSpec(bandwidth_rule="median"))
 
 
 def test_hsic_constant_output_is_zero():
     x = np.random.default_rng(1).standard_normal(30)
-    res = hsic_v(x, np.full(30, 3.0), KernelSpec.scalar(), KernelSpec.scalar(bandwidth=1.0))
+    res = hsic_v(x, np.full(30, 3.0), KernelSpec(),
+                 KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
     assert abs(res.hsic_value) < 1e-12
     assert res.statistic == pytest.approx(30 * res.hsic_value)
 
@@ -84,14 +82,15 @@ def test_hsic_two_point_symbolic_formula():
     y = np.array([0.0, 1.7])
     a = float(np.exp(-(0.8**2) / 2))
     b = float(np.exp(-(1.7**2) / 2))
-    res = hsic_v(x, y, KernelSpec.scalar(bandwidth=theta), KernelSpec.scalar(bandwidth=theta))
+    kernel = KernelSpec(bandwidth_rule="fixed", bandwidth=theta)
+    res = hsic_v(x, y, kernel, kernel)
     assert res.hsic_value == pytest.approx((1 - a) * (1 - b) / 4, abs=1e-14)
 
 
 def test_trace_form_equals_brute_force_on_random_samples():
     rng = np.random.default_rng(2)
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     for _ in range(50):
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
@@ -103,8 +102,8 @@ def test_trace_form_equals_brute_force_on_random_samples():
 
 def test_weighted_reduces_to_v_statistic_with_uniform_weights():
     rng = np.random.default_rng(3)
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     for _ in range(50):
         x = rng.standard_normal(12)
         y = rng.standard_normal(12)
@@ -118,8 +117,8 @@ def test_weighted_three_point_matches_triple_loop():
     x = np.array([0.1, 1.2, -0.7])
     y = np.array([2.0, 0.5, 1.1])
     w = np.array([0.5, 0.3, 0.2])
-    kx = KernelSpec.scalar(bandwidth=0.9)
-    ky = KernelSpec.scalar(bandwidth=1.4)
+    kx = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
+    ky = KernelSpec(bandwidth_rule="fixed", bandwidth=1.4)
     design = Design(x[:, None], w, "rq", ("x",))
     oracle = brute_force_weighted(gram(x, kx), gram(y, ky), w)
     assert hsic_rq(design, y, kx, ky).hsic_value == pytest.approx(oracle, abs=1e-14)
@@ -128,7 +127,8 @@ def test_weighted_three_point_matches_triple_loop():
 def test_weighted_constant_output_is_zero():
     x = np.array([0.1, 1.2, -0.7])
     design = Design(x[:, None], np.array([0.5, 0.3, 0.2]), "rq", ("x",))
-    res = hsic_rq(design, np.full(3, 1.0), KernelSpec.scalar(), KernelSpec.scalar(bandwidth=1.0))
+    res = hsic_rq(design, np.full(3, 1.0), KernelSpec(),
+                  KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
     assert abs(res.hsic_value) < 1e-12
 
 
@@ -136,15 +136,15 @@ def test_weighted_rejects_unnormalized_weights():
     design = Design(np.zeros((3, 1)) + [[0.0], [1.0], [2.0]], np.array([0.5, 0.3, 0.1]),
                     "q2lhs", ("x",))
     with pytest.raises(ParameterError):
-        hsic_rq(design, np.arange(3.0), KernelSpec.scalar(), KernelSpec.scalar())
+        hsic_rq(design, np.arange(3.0), KernelSpec(), KernelSpec())
 
 
 def test_strong_dependence_beats_permutation_null():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(50)
     y = x.copy()
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     observed = hsic_v(x, y, kx, ky).hsic_value
     null = np.array(
         [hsic_v(x, rng.permutation(y), kx, ky).hsic_value for _ in range(200)]
@@ -156,8 +156,8 @@ def test_joint_permutation_leaves_hsic_unchanged():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(25)
     y = x**2 + rng.standard_normal(25)
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     base = hsic_v(x, y, kx, ky).hsic_value
     perm = rng.permutation(25)
     assert abs(hsic_v(x[perm], y[perm], kx, ky).hsic_value - base) < 1e-12
@@ -166,14 +166,14 @@ def test_joint_permutation_leaves_hsic_unchanged():
 def test_independence_test_floor_on_permutations():
     x = np.arange(10.0)
     with pytest.raises(ConfigError):
-        independence_test(x, x, KernelSpec.scalar(), KernelSpec.scalar(),
+        independence_test(x, x, KernelSpec(), KernelSpec(),
                           permutations=50, rng=np.random.default_rng(0))
 
 
 def test_independence_test_constant_outputs_gives_p_one():
     x = np.random.default_rng(6).standard_normal(20)
     res = independence_test(
-        x, np.full(20, 2.0), KernelSpec.scalar(), KernelSpec.scalar(bandwidth=1.0),
+        x, np.full(20, 2.0), KernelSpec(), KernelSpec(bandwidth_rule="fixed", bandwidth=1.0),
         permutations=100, rng=np.random.default_rng(1),
     )
     assert res.p_value == 1.0
@@ -183,7 +183,7 @@ def test_independence_test_constant_outputs_gives_p_one():
 def test_independence_test_perfect_dependence():
     x = np.random.default_rng(7).standard_normal(50)
     res = independence_test(
-        x, x, KernelSpec.scalar(), KernelSpec.scalar(),
+        x, x, KernelSpec(), KernelSpec(),
         permutations=500, rng=np.random.default_rng(2),
     )
     assert res.p_value < 0.01
@@ -195,13 +195,34 @@ def test_weighted_test_with_uniform_weights_matches_unweighted():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(40)
     y = x + rng.standard_normal(40)
-    kx = KernelSpec.scalar()
-    ky = KernelSpec.scalar()
+    kx = KernelSpec()
+    ky = KernelSpec()
     a = independence_test(x, y, kx, ky, permutations=200, rng=np.random.default_rng(3))
     b = independence_test(x, y, kx, ky, permutations=200, rng=np.random.default_rng(3),
                           weights=np.full(40, 1 / 40))
     assert a.p_value == b.p_value
     assert a.hsic_value == pytest.approx(b.hsic_value, abs=1e-12)
+
+
+def test_weighted_test_matches_triple_loop_under_permutation():
+    # the three-point weights [0.5, 0.3, 0.2] repeated over 12 rows
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(12)
+    y = x + rng.standard_normal(12)
+    w = np.tile([0.5, 0.3, 0.2], 4) / 4
+    kx = KernelSpec()
+    ky = KernelSpec()
+    gx, gy = gram(x, kx), gram(y, ky)
+    res = independence_test(x, y, kx, ky, permutations=100, rng=np.random.default_rng(14),
+                            weights=w)
+    assert abs(res.hsic_value - brute_force_weighted(gx, gy, w)) < 1e-12
+
+    draws = np.random.default_rng(14)  # replays the test's permutations
+    perms = np.vstack([draws.permutation(12) for _ in range(100)])
+    oracle = np.array([brute_force_weighted(gx, gy[p][:, p], w) for p in perms])
+    null = _permutation_stats(_weighted_center(gx, w), gy, perms[:5])
+    assert np.max(np.abs(null - oracle[:5])) < 1e-12
+    assert res.p_value == (1 + np.sum(oracle >= res.hsic_value)) / 101
 
 
 def test_screen_single_group_equals_direct_test():
@@ -210,7 +231,7 @@ def test_screen_single_group_equals_direct_test():
     outputs = points[:, 0] + 0.3 * rng.standard_normal(60)
     design = Design(points, np.full(60, 1 / 60), "mc", ("a", "b"))
     direct = independence_test(
-        points, outputs, KernelSpec.group(), KernelSpec.scalar(),
+        points, outputs, KernelSpec(), KernelSpec(),
         permutations=200, rng=np.random.default_rng(4),
         weights=np.full(60, 1 / 60),
     )
@@ -257,10 +278,10 @@ def test_group_standardization_rebalances_scales():
     perturbed = sample.copy()
     perturbed[:, 0] = 1e-5 * rng.standard_normal(40)
 
-    raw_a = gram(sample, KernelSpec.group(standardize=False, rule="median"))
-    raw_b = gram(perturbed, KernelSpec.group(standardize=False, rule="median"))
-    std_a = gram(sample, KernelSpec.group(standardize=True))
-    std_b = gram(perturbed, KernelSpec.group(standardize=True))
+    raw_a = gram(sample, KernelSpec(bandwidth_rule="median", standardize_groups=False))
+    raw_b = gram(perturbed, KernelSpec(bandwidth_rule="median", standardize_groups=False))
+    std_a = gram(sample, KernelSpec(standardize_groups=True))
+    std_b = gram(perturbed, KernelSpec(standardize_groups=True))
 
     assert np.max(np.abs(raw_a - raw_b)) < 1e-9  # small column invisible
     assert np.max(np.abs(std_a - std_b)) > 1e-2  # now it contributes

@@ -7,6 +7,7 @@ from qdoe import (
     CandidatePool,
     ConfigError,
     DimensionError,
+    ParameterError,
     assign,
     distortion,
     lloyd,
@@ -171,6 +172,22 @@ def test_quantizer_save_load_round_trip(tmp_path, four_point_pool, rng):
     assert np.array_equal(loaded.centroids, q.centroids)
     assert np.array_equal(loaded.pool_assignment, q.pool_assignment)
     assert loaded.distortion == q.distortion
+
+
+def test_tampered_quantizer_file_is_rejected(tmp_path, rng):
+    pool = CandidatePool(np.random.default_rng(11).standard_normal((40, 1)))
+    path = tmp_path / "quantizer.csv"
+    save_quantizer(lloyd(pool, 5, rng), path)
+    lines = path.read_text().splitlines()
+    first_p = lines.index("probabilities") + 1
+    first_a = lines.index("assignments") + 1
+    for tampered, reason in (
+        (lines[:first_p] + ["0.9"] + lines[first_p + 1:], "differ from the pool assignment"),
+        (lines[:first_a] + ["0"] * (len(lines) - first_a), "4 of 5 cells hold no pool point"),
+    ):
+        path.write_text("\n".join(tampered) + "\n")
+        with pytest.raises(ParameterError, match=reason):
+            load_quantizer(path)
 
 
 def test_pool_save_load_round_trip(tmp_path):
