@@ -60,9 +60,11 @@ class Quantizer:
 
     Invariants: probabilities are cell counts divided by the pool size and
     sum to one; every pool point is assigned to its nearest centroid (ties
-    to the lowest index); every cell is non-empty. Construction checks all
-    of them but the nearest-centroid one, which needs the pool, and raises
-    ParameterError on a violation.
+    to the lowest index); every cell is non-empty. Construction checks the
+    shapes, the assignment range and the non-empty cells, which sampling
+    relies on; :meth:`check_probabilities` checks the probabilities, so a
+    file whose probabilities were edited still loads for inspection. Both
+    raise ParameterError on a violation.
     """
 
     centroids: np.ndarray
@@ -82,7 +84,11 @@ class Quantizer:
         counts = np.bincount(assignment, minlength=k)
         if np.any(counts == 0):
             raise ParameterError(f"{int(np.sum(counts == 0))} of {k} cells hold no pool point")
-        if not np.array_equal(self.probabilities, counts / assignment.shape[0]):
+
+    def check_probabilities(self) -> None:
+        """Raise ParameterError unless probabilities are the cell counts over the pool size."""
+        counts = np.bincount(self.pool_assignment, minlength=self.n_cells)
+        if not np.array_equal(self.probabilities, counts / self.pool_size):
             raise ParameterError("cell probabilities differ from the pool assignment counts")
 
     @property
@@ -299,13 +305,36 @@ def save_quantizer(quantizer: Quantizer, path, header_comments=()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_lines(path, lines, convert, width=None) -> list:
+    """Convert each (line number, text) pair; a line that does not parse, or
+    whose row length differs from ``width``, is a ParameterError naming it."""
+    values = []
+    for lineno, text in lines:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or (width is not None and len(value) != width):
+            raise ParameterError(f"{path}, line {lineno}: cannot read {text!r}")
+        values.append(value)
+    return values
+
+
+def _float_row(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def load_quantizer(path) -> Quantizer:
-    """Reload a quantizer written by :func:`save_quantizer`."""
-    sections: dict[str, list[str]] = {}
+    """Reload a quantizer written by :func:`save_quantizer`.
+
+    Construction checks apply; the probabilities are returned as written
+    (see :meth:`Quantizer.check_probabilities`).
+    """
+    sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     meta = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -321,18 +350,24 @@ def load_quantizer(path) -> Quantizer:
                 continue
             if current is None:
                 raise ParameterError(f"unexpected content before first section in {path}")
-            sections[current].append(line)
+            sections[current].append((lineno, line))
     missing = {"centroids", "probabilities", "assignments"} - set(sections)
     if missing:
         raise ParameterError(f"quantizer file {path} missing sections {sorted(missing)}")
-    centroids = np.array([[float(v) for v in row.split(",")] for row in sections["centroids"]])
-    probabilities = np.array([float(v) for v in sections["probabilities"]])
-    assignment = np.array([int(v) for v in sections["assignments"]], dtype=np.int64)
+    rows = sections["centroids"]
+    width = len(rows[0][1].split(",")) if rows else None
+    centroids = np.array(_parse_lines(path, rows, _float_row, width))
+    probabilities = np.array(_parse_lines(path, sections["probabilities"], float), dtype=float)
+    assignment = np.array(_parse_lines(path, sections["assignments"], int), dtype=np.int64)
+    try:
+        distortion_value = float(meta.get("distortion", "nan"))
+    except ValueError:
+        raise ParameterError(f"{path}: distortion {meta['distortion']!r} is not a number") from None
     return Quantizer(
         centroids=centroids,
         probabilities=probabilities,
         pool_assignment=assignment,
-        distortion=float(meta.get("distortion", "nan")),
+        distortion=distortion_value,
     )
 
 
@@ -352,16 +387,16 @@ def save_pool(pool: CandidatePool, path, column_names=None, header_comments=()) 
 def load_pool(path) -> tuple[CandidatePool, list[str]]:
     """Reload a pool CSV; returns the pool and its column names."""
     names = None
-    rows = []
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if names is None:
                 names = [c.strip() for c in line.split(",")]
                 continue
-            rows.append([float(v) for v in line.split(",")])
-    if names is None or not rows:
+            lines.append((lineno, line))
+    if names is None or not lines:
         raise ParameterError(f"pool file {path} holds no data")
-    return CandidatePool(np.array(rows)), names
+    return CandidatePool(np.array(_parse_lines(path, lines, _float_row, len(names)))), names

@@ -177,6 +177,7 @@ def _quantize_group(group, n, cfg, rng, shared, key):
     if group.name in cfg.quantizer_files:
         try:
             quantizer = load_quantizer(cfg.quantizer_files[group.name])
+            quantizer.check_probabilities()
         except (OSError, QdoeError) as exc:
             raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
         if group.kind != "pool":

@@ -237,7 +237,12 @@ def test_quantizer_files_round_trip_through_sampling(tmp_path):
     assert out_rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path):
+@pytest.mark.parametrize("section, edit", [
+    ("assignments", lambda rest: ["0"] * len(rest)),  # every pool point in cell 0
+    ("probabilities", lambda rest: ["0.9"] + rest[1:]),
+    ("probabilities", lambda rest: ["abc"] + rest[1:]),
+], ids=["empty cells", "edited probability", "non-numeric line"])
+def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path, section, edit):
     pool_csv = tmp_path / "pool.csv"
     rows = np.random.default_rng(0).standard_normal(60)
     pool_csv.write_text("x\n" + "\n".join(repr(float(v)) for v in rows) + "\n")
@@ -248,14 +253,26 @@ def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path):
     assert main(["quantize", "--config", str(qcfg)]) == 0
     artifact = tmp_path / "art" / "quantizer_g_n5.csv"
     lines = artifact.read_text().splitlines()
-    first = lines.index("assignments") + 1
-    lines[first:] = ["0"] * (len(lines) - first)  # every pool point in cell 0
+    first = lines.index(section) + 1
+    lines[first:] = edit(lines[first:])
     artifact.write_text("\n".join(lines) + "\n")
     scfg, _ = write_config(tmp_path, name="s.json", scheme="rq", n=5, inputs=inputs,
                            quantizer_files={"g": str(artifact)},
                            output_dir=str(tmp_path / "out"))
     assert main(["sample", "--config", str(scfg)]) == 2
     assert not (tmp_path / "out" / "design_rq_n5.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["abc", "0.5,1.0"], ids=["non-numeric", "extra column"])
+def test_malformed_pool_csv_fails_and_writes_nothing(tmp_path, line):
+    pool_csv = tmp_path / "pool.csv"
+    pool_csv.write_text(f"x\n0.0\n0.1\n{line}\n10.1\n")
+    inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
+                          "pool_csv": str(pool_csv)}]}
+    path, _ = write_config(tmp_path, scheme="mc", n=2, inputs=inputs,
+                           output_dir=str(tmp_path / "out"))
+    assert main(["sample", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,16 @@ def test_tampered_quantizer_file_is_rejected(tmp_path, rng):
     for tampered, reason in (
         (lines[:first_p] + ["0.9"] + lines[first_p + 1:], "differ from the pool assignment"),
         (lines[:first_a] + ["0"] * (len(lines) - first_a), "4 of 5 cells hold no pool point"),
+        (lines[:first_p] + ["abc"] + lines[first_p + 1:], f"line {first_p + 1}: cannot read 'abc'"),
     ):
         path.write_text("\n".join(tampered) + "\n")
         with pytest.raises(ParameterError, match=reason):
-            load_quantizer(path)
+            load_quantizer(path).check_probabilities()
+
+
+def test_quantizer_check_probabilities_accepts_lloyd_output(rng):
+    pool = CandidatePool(np.random.default_rng(12).standard_normal((60, 2)))
+    lloyd(pool, 6, rng).check_probabilities()
 
 
 def test_pool_save_load_round_trip(tmp_path):
@@ -197,3 +203,11 @@ def test_pool_save_load_round_trip(tmp_path):
     loaded, names = load_pool(path)
     assert names == ["a", "b", "c"]
     assert np.array_equal(loaded.points, pool.points)
+
+
+def test_pool_file_with_an_unreadable_line_is_rejected(tmp_path):
+    path = tmp_path / "pool.csv"
+    for line in ("1.0,abc", "1.0"):
+        path.write_text(f"# qdoe-pool v1\na,b\n0.0,0.5\n{line}\n")
+        with pytest.raises(ParameterError, match=f"line 4: cannot read {line!r}"):
+            load_pool(path)
