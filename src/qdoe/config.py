@@ -101,6 +101,11 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
+def _as_bool(value, path: str) -> bool:
+    _expect(isinstance(value, bool), path, "expected true or false")
+    return value
+
+
 def _parse_group(raw: dict, path: str) -> InputGroup:
     _expect(isinstance(raw, dict), path, "group must be a mapping")
     _check_keys(raw, ("name", "kind", "columns", "marginals", "correlation", "pool_csv"), path)
@@ -241,7 +246,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             bandwidth_rule=kern_raw.get("bandwidth_rule", "std"),
             bandwidth=(None if kern_raw.get("bandwidth") is None
                        else _as_number(kern_raw["bandwidth"], "config.kernels.bandwidth")),
-            standardize_groups=bool(kern_raw.get("standardize_groups", True)),
+            standardize_groups=_as_bool(kern_raw.get("standardize_groups", True),
+                                        "config.kernels.standardize_groups"),
         )
     except ParameterError as exc:
         raise ConfigError(f"config.kernels: {exc}") from exc
@@ -267,6 +273,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     quantizer_files = raw.get("quantizer_files", {})
     _expect(isinstance(quantizer_files, dict), "config.quantizer_files", "expected a mapping")
+    # a stored assignment indexes the rows of a fixed pool, so only pool groups qualify
+    pool_groups = {g.name for g in groups or () if g.kind == "pool"}
+    for name, file in quantizer_files.items():
+        _expect(name in pool_groups, f"config.quantizer_files.{name}",
+                "names no declared pool group")
+        _expect(isinstance(file, str), f"config.quantizer_files.{name}", "expected a path string")
+
+    output_dir = raw.get("output_dir", ".")
+    _expect(isinstance(output_dir, str), "config.output_dir", "expected a path string")
 
     n_cells = raw.get("n_cells")
     if n_cells is not None:
@@ -286,8 +301,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         kernels=kernels,
         test=test,
         hsic_groups=hsic_groups,
-        output_dir=raw.get("output_dir", "."),
-        shared_quantizer=bool(raw.get("shared_quantizer", False)),
+        output_dir=output_dir,
+        shared_quantizer=_as_bool(raw.get("shared_quantizer", False), "config.shared_quantizer"),
         quantizer_files=dict(quantizer_files),
         n_cells=n_cells,
         group=raw.get("group"),

@@ -149,10 +149,6 @@ class EmpiricalMarginal:
             raise ParameterError("empirical marginal sample contains non-finite values")
         object.__setattr__(self, "sorted_values", values)
 
-    @classmethod
-    def from_sample(cls, values) -> "EmpiricalMarginal":
-        return cls(values)
-
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u > 1.0)) or np.any(np.isnan(u)):

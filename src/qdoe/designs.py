@@ -6,7 +6,8 @@ Five stratified schemes plus plain Monte Carlo:
 ``lhs``     one point per equal-probability interval in every coordinate
 ``lhsd``    LHS pushed through a Gaussian copula's conditional inverses
 ``rq``      one point per Voronoi cell of a quantized dependent group,
-            weighted by the cell probabilities
+            drawn uniformly among the cell's pool points and weighted
+            by the cell probability
 ``qlhs``    an rq block for the dependent group joined to an LHS block
             for the independent inputs through a random permutation
 ``q2lhs``   two rq blocks joined through a random permutation, weighted
@@ -28,7 +29,7 @@ import numpy as np
 
 from .copula import GaussianCopula, conditional_inverse
 from .errors import ConfigError, DimensionError, ParameterError
-from .quantizer import CandidatePool, Quantizer, sample_cell
+from .quantizer import CandidatePool, Quantizer
 
 __all__ = [
     "Design",
@@ -53,7 +54,6 @@ class Design:
     weights: np.ndarray
     scheme: str
     column_roles: tuple[str, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -94,9 +94,9 @@ class Design:
             fh.write("\n".join(lines) + "\n")
 
 
-def _roles(column_roles, d: int, prefix: str = "x") -> tuple[str, ...]:
+def _roles(column_roles, d: int) -> tuple[str, ...]:
     if column_roles is None:
-        return tuple(f"{prefix}{j}" for j in range(d))
+        return tuple(f"x{j}" for j in range(d))
     roles = tuple(column_roles)
     if len(roles) != d:
         raise DimensionError(f"expected {d} column roles, got {len(roles)}")
@@ -109,7 +109,6 @@ def lhs(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """Latin hypercube on the unit cube.
 
@@ -123,7 +122,7 @@ def lhs(
     points = np.empty((n, d))
     for j in range(d):
         points[:, j] = (rng.permutation(n) + jitter[:, j]) / n
-    return Design(points, np.full(n, 1.0 / n), "lhs", _roles(column_roles, d), seed)
+    return Design(points, np.full(n, 1.0 / n), "lhs", _roles(column_roles, d))
 
 
 def lhs_with_marginals(
@@ -132,7 +131,6 @@ def lhs_with_marginals(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """LHS transported to arbitrary marginals by the quantile transform."""
     marginals = list(marginals)
@@ -140,7 +138,7 @@ def lhs_with_marginals(
     points = np.column_stack(
         [marg.quantile(base.points[:, j]) for j, marg in enumerate(marginals)]
     )
-    return Design(points, base.weights, "lhs", _roles(column_roles, len(marginals)), seed)
+    return Design(points, base.weights, "lhs", _roles(column_roles, len(marginals)))
 
 
 def lhsd(
@@ -150,7 +148,6 @@ def lhsd(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """LHS for dependent inputs through a Gaussian copula.
 
@@ -170,7 +167,7 @@ def lhsd(
     points = np.column_stack(
         [marg.quantile(dependent[:, j]) for j, marg in enumerate(marginals)]
     )
-    return Design(points, base.weights, "lhsd", _roles(column_roles, copula.d), seed)
+    return Design(points, base.weights, "lhsd", _roles(column_roles, copula.d))
 
 
 def rq_design(
@@ -179,23 +176,24 @@ def rq_design(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """Random quantization design: one conditional draw per Voronoi cell.
 
-    Row i is sampled from the pool restricted to cell i and carries that
-    cell's probability as its weight, so every cell contributes exactly
-    one row and the weights sum to one.
+    Row i is drawn uniformly among the pool points of cell i and carries
+    that cell's probability as its weight, so every cell contributes
+    exactly one row and the weights sum to one. All cells are drawn by one
+    ``rng.integers(counts)`` call, which consumes the generator exactly as
+    one scalar ``rng.integers(counts[i])`` per cell in cell order would.
     """
-    points = np.vstack(
-        [sample_cell(quantizer, pool, i, rng) for i in range(quantizer.n_cells)]
-    )
+    if pool.m != quantizer.pool_size:
+        raise DimensionError("pool does not match the quantizer's assignment vector")
+    order, offsets, counts = quantizer.cells
+    rows = order[offsets + rng.integers(counts)]
     return Design(
-        points,
+        pool.points[rows],
         quantizer.probabilities.copy(),
         "rq",
         _roles(column_roles, quantizer.d),
-        seed,
     )
 
 
@@ -206,7 +204,6 @@ def qlhs_design(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """Quantization-based LHS: rq block joined to an LHS block.
 
@@ -224,7 +221,7 @@ def qlhs_design(
     pi = rng.permutation(dep.n)
     points = np.hstack([dep.points, indep.points[pi]])
     d = quantizer.d + len(indep_marginals)
-    return Design(points, dep.weights, "qlhs", _roles(column_roles, d), seed)
+    return Design(points, dep.weights, "qlhs", _roles(column_roles, d))
 
 
 def q2lhs_design(
@@ -235,7 +232,6 @@ def q2lhs_design(
     rng: np.random.Generator,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """Double-quantization design for two independent dependent groups.
 
@@ -255,16 +251,15 @@ def q2lhs_design(
     points = np.hstack([dep_x.points, dep_y.points[pi]])
     weights = quantizer_x.probabilities * quantizer_y.probabilities[pi]
     d = quantizer_x.d + quantizer_y.d
-    return Design(points, weights, "q2lhs", _roles(column_roles, d), seed)
+    return Design(points, weights, "q2lhs", _roles(column_roles, d))
 
 
 def mc_design(
     points,
     *,
     column_roles=None,
-    seed: int | None = None,
 ) -> Design:
     """Wrap independently sampled rows as a uniform-weight Monte Carlo design."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
-    return Design(points, np.full(n, 1.0 / n), "mc", _roles(column_roles, d), seed)
+    return Design(points, np.full(n, 1.0 / n), "mc", _roles(column_roles, d))

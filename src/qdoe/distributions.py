@@ -35,6 +35,12 @@ def _check_u(u):
     return u
 
 
+def _require_finite(law: str, **params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{law} requires a finite {name}, got {value}")
+
+
 def _maybe_scalar(x, template):
     """Return a python float when the caller passed a scalar."""
     if np.ndim(template) == 0:
@@ -66,6 +72,7 @@ class Uniform(Distribution):
     b: float
 
     def __post_init__(self):
+        _require_finite("uniform", a=self.a, b=self.b)
         if not self.a < self.b:
             raise ParameterError(f"uniform requires a < b, got [{self.a}, {self.b}]")
 
@@ -87,6 +94,7 @@ class Normal(Distribution):
     sigma: float
 
     def __post_init__(self):
+        _require_finite("normal", mu=self.mu, sigma=self.sigma)
         if not self.sigma > 0:
             raise ParameterError(f"normal requires sigma > 0, got {self.sigma}")
 
@@ -110,6 +118,7 @@ class LogNormal(Distribution):
     sigma: float
 
     def __post_init__(self):
+        _require_finite("lognormal", mu=self.mu, sigma=self.sigma)
         if not self.sigma > 0:
             raise ParameterError(f"lognormal requires sigma > 0, got {self.sigma}")
 
@@ -136,6 +145,7 @@ class Triangular(Distribution):
     b: float
 
     def __post_init__(self):
+        _require_finite("triangular", a=self.a, c=self.c, b=self.b)
         if not (self.a <= self.c <= self.b and self.a < self.b):
             raise ParameterError(
                 f"triangular requires a <= c <= b and a < b, got ({self.a}, {self.c}, {self.b})"
@@ -176,6 +186,7 @@ class Gumbel(Distribution):
     beta: float
 
     def __post_init__(self):
+        _require_finite("gumbel", mu=self.mu, beta=self.beta)
         if not self.beta > 0:
             raise ParameterError(f"gumbel requires beta > 0, got {self.beta}")
 
@@ -271,8 +282,8 @@ def distribution_from_config(spec: dict) -> Distribution:
         hi = spec.get("hi")
         return Truncated(
             inner,
-            -math.inf if lo is None else float(lo),
-            math.inf if hi is None else float(hi),
+            -math.inf if lo is None else _number(spec, "lo", kind),
+            math.inf if hi is None else _number(spec, "hi", kind),
         )
     if kind not in _SIMPLE_TYPES:
         raise ConfigError(f"unknown distribution type {kind!r}")
@@ -283,4 +294,11 @@ def distribution_from_config(spec: dict) -> Distribution:
     missing = [f for f in fields if f not in spec]
     if missing:
         raise ConfigError(f"{kind} distribution missing parameters {missing}")
-    return cls(*(float(spec[f]) for f in fields))
+    return cls(*(_number(spec, f, kind) for f in fields))
+
+
+def _number(spec: dict, key: str, kind: str) -> float:
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{kind} distribution parameter {key!r} must be a number, got {value!r}")
+    return float(value)

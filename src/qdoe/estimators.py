@@ -1,9 +1,11 @@
 """Weighted expectation estimators over design rows.
 
 Every scheme uses one rule: given the model outputs f(x_i) on the design
-rows, the estimate is sum_i w_i f(x_i) / sum_i w_i. Uniform schemes carry
-w_i = 1/n, rq and qlhs the cell probabilities, and q2lhs products of cell
-probabilities (whose total is not one, hence the normalization).
+rows, :func:`estimate` returns the float sum_i w_i f(x_i) / sum_i w_i.
+Uniform schemes carry w_i = 1/n, rq and qlhs the cell probabilities, and
+q2lhs products of cell probabilities (whose total is not one, hence the
+normalization). :func:`replicate` repeats design construction and
+estimation on derived seeds and summarizes the estimates.
 """
 
 from __future__ import annotations
@@ -17,18 +19,10 @@ import numpy as np
 from .designs import Design
 from .errors import ConfigError, DimensionError, EvaluationError
 
-__all__ = ["EstimateResult", "ReplicateSummary", "estimate", "replicate"]
+__all__ = ["ReplicateSummary", "estimate", "replicate"]
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    value: float
-    scheme: str
-    n: int
-    seed: int | None = None
-
-
-def estimate(design: Design, values) -> EstimateResult:
+def estimate(design: Design, values) -> float:
     """Estimate E[f] from the model outputs ``values`` on the design rows.
 
     A non-finite value aborts with the index of the first offending row.
@@ -48,8 +42,7 @@ def estimate(design: Design, values) -> EstimateResult:
     total = float(w.sum())
     if total < 1e-300:
         raise EvaluationError(f"{design.scheme} weights are degenerate (sum below 1e-300)")
-    value = float(w @ values) / total
-    return EstimateResult(value=value, scheme=design.scheme, n=design.n, seed=design.seed)
+    return float(w @ values) / total
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,7 @@ def replicate(
 
     def one(r: int) -> tuple[float, str, int]:
         design = build_design(np.random.default_rng(base_seed + r))
-        result = estimate(design, evaluate(design))
-        return result.value, result.scheme, result.n
+        return estimate(design, evaluate(design)), design.scheme, design.n
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -97,7 +89,7 @@ def replicate(
     else:
         outcomes = [one(r) for r in range(repetitions)]
     estimates = np.array([v for v, _, _ in outcomes])
-    scheme, n = outcomes[0][1], outcomes[0][2]
+    _, scheme, n = outcomes[0]
     return ReplicateSummary(
         scheme=scheme,
         n=n,

@@ -397,8 +397,15 @@ def _vg_group(params) -> InputGroup:
     )
 
 
+def _number_param(params, key: str, default: float) -> float:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"model parameter {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _model_vg_theta(params) -> ModelSpec:
-    h = float(params.get("h", 1.0))
+    h = _number_param(params, "h", 1.0)
 
     def evaluate(rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -414,7 +421,7 @@ def _model_vg_theta(params) -> ModelSpec:
 
 
 def _model_vg_conductivity(params) -> ModelSpec:
-    h = float(params.get("h", 1e-3))
+    h = _number_param(params, "h", 1e-3)
 
     def evaluate(rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -432,7 +439,7 @@ def _model_vg_conductivity(params) -> ModelSpec:
 def _model_synthetic_screen(params) -> ModelSpec:
     """Screening benchmark: three active inputs, two inert ones and one
     influential dependent three-column group."""
-    rho = float(params.get("rho", 0.5))
+    rho = _number_param(params, "rho", 0.5)
     corr = np.full((3, 3), rho)
     np.fill_diagonal(corr, 1.0)
     group = InputGroup(

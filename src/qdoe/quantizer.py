@@ -4,7 +4,7 @@ The target distribution is represented by a large sample (the candidate
 pool). Lloyd's fixed-point iteration (k-means) produces centroids, and the
 Voronoi cell of each centroid becomes one stratum: its probability is the
 fraction of pool points it captures, and conditional sampling inside a cell
-draws uniformly among the captured pool points.
+draws uniformly among the captured pool points (see :attr:`Quantizer.cells`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "lloyd",
     "assign",
     "distortion",
-    "sample_cell",
     "save_quantizer",
     "load_quantizer",
     "save_pool",
@@ -104,17 +103,16 @@ class Quantizer:
         return self.pool_assignment.shape[0]
 
     @cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pool indices grouped by cell: (sorted index array, offsets, counts)."""
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pool indices grouped by cell: (sorted index array, offsets, counts).
+
+        The members of cell i, in pool order, are
+        ``order[offsets[i] : offsets[i] + counts[i]]``.
+        """
         order = np.argsort(self.pool_assignment, kind="stable")
         counts = np.bincount(self.pool_assignment, minlength=self.n_cells)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         return order, offsets, counts
-
-    def cell_members(self, cell: int) -> np.ndarray:
-        """Indices of pool points assigned to ``cell``."""
-        order, offsets, counts = self._cells
-        return order[offsets[cell] : offsets[cell] + counts[cell]]
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,22 +263,6 @@ def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:
         raise DimensionError(f"pool dimension {pool.d} != quantizer dimension {quantizer.d}")
     _, sq = _nearest(pool.points, quantizer.centroids)
     return float(sq.mean())
-
-
-def sample_cell(
-    quantizer: Quantizer, pool: CandidatePool, cell: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One draw from the pool restricted to ``cell``, uniformly at random.
-
-    This is the empirical version of sampling the input distribution
-    conditioned on the Voronoi cell.
-    """
-    if not 0 <= cell < quantizer.n_cells:
-        raise ParameterError(f"cell index {cell} out of range [0, {quantizer.n_cells})")
-    if pool.m != quantizer.pool_size:
-        raise DimensionError("pool does not match the quantizer's assignment vector")
-    members = quantizer.cell_members(cell)
-    return pool.points[members[int(rng.integers(members.size))]].copy()
 
 
 def _format_row(values) -> str:

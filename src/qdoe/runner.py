@@ -95,59 +95,23 @@ def _dependent_groups(groups) -> list[InputGroup]:
     return [g for g in groups if g.dependent]
 
 
-def _independent_columns(columns, groups) -> tuple[list[str], list]:
-    names, marginals = [], []
-    for group in groups:
-        if not group.dependent:
-            names.extend(group.columns)
-            marginals.extend(group.marginals)
-    order = [c for c in columns if c in names]
-    reordered = [marginals[names.index(c)] for c in order]
-    return order, reordered
+def _marginals(columns, groups, pool_size: int, rng: np.random.Generator):
+    """Per-column marginals in ``columns`` order plus the ``(group, block)``
+    pairs drawn for them.
 
-
-def _column_marginals(columns, groups, pool_size: int, rng: np.random.Generator) -> list:
-    """Per-column marginals for a plain LHS: analytic when declared,
-    empirical (from a fresh pool draw) for simulator-only groups."""
-    by_name = {}
-    for group in groups:
-        if group.marginals is not None:
-            for c, marg in zip(group.columns, group.marginals):
-                by_name[c] = marg
-        else:
-            block = group_pool(group, pool_size, rng).points
-            for j, c in enumerate(group.columns):
-                by_name[c] = EmpiricalMarginal(block[:, j])
-    return [by_name[c] for c in columns]
-
-
-def _joint_copula_and_marginals(columns, groups, pool_size: int, rng: np.random.Generator):
-    """Joint Gaussian copula over all columns plus per-column marginals.
-
-    Declared correlations are placed block-wise (independent groups give
-    identity blocks); simulator-only groups are fitted from a fresh pool
-    draw with empirical marginals.
+    Independent and copula groups declare their marginals; generator and pool
+    groups get empirical marginals from a fresh pool draw, in group order.
     """
-    d = len(columns)
-    corr = np.eye(d)
-    marginals: dict[str, object] = {}
-    positions = {c: j for j, c in enumerate(columns)}
+    by_name, drawn = {}, []
     for group in groups:
-        idx = np.array([positions[c] for c in group.columns])
-        if group.kind == "copula":
-            corr[np.ix_(idx, idx)] = group.correlation
-            for c, marg in zip(group.columns, group.marginals):
-                marginals[c] = marg
-        elif group.kind == "independent":
-            for c, marg in zip(group.columns, group.marginals):
-                marginals[c] = marg
+        if group.kind in ("independent", "copula"):
+            marginals = group.marginals
         else:
             block = group_pool(group, pool_size, rng).points
-            fitted = fit_gaussian_copula(block)
-            corr[np.ix_(idx, idx)] = fitted.correlation
-            for j, c in enumerate(group.columns):
-                marginals[c] = EmpiricalMarginal(block[:, j])
-    return gaussian_copula(corr), [marginals[c] for c in columns]
+            drawn.append((group, block))
+            marginals = [EmpiricalMarginal(column) for column in block.T]
+        by_name.update(zip(group.columns, marginals))
+    return [by_name[c] for c in columns], drawn
 
 
 @dataclass(frozen=True)
@@ -180,11 +144,6 @@ def _quantize_group(group, n, cfg, rng, shared, key):
             quantizer.check_probabilities()
         except (OSError, QdoeError) as exc:
             raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
-        if group.kind != "pool":
-            raise ConfigError(
-                f"quantizer_files[{group.name!r}] requires a fixed pool group "
-                "(the stored assignment must match the pool rows)"
-            )
         pool = CandidatePool(group.pool_points)
         if quantizer.pool_size != pool.m:
             raise ConfigError(
@@ -210,7 +169,6 @@ def build_design(
     rng: np.random.Generator,
     *,
     shared: dict | None = None,
-    seed: int | None = None,
 ) -> DesignBundle:
     """Construct one design of the requested scheme and size."""
     quantizers: dict[str, Quantizer] = {}
@@ -222,33 +180,44 @@ def build_design(
         return pair
 
     if scheme == "mc":
-        design = mc_design(sample_joint(columns, groups, n, rng), column_roles=columns, seed=seed)
+        design = mc_design(sample_joint(columns, groups, n, rng), column_roles=columns)
     elif scheme == "lhs":
-        marginals = _column_marginals(columns, groups, cfg.pool_size, rng)
-        design = lhs_with_marginals(n, marginals, rng, column_roles=columns, seed=seed)
+        marginals, _ = _marginals(columns, groups, cfg.pool_size, rng)
+        design = lhs_with_marginals(n, marginals, rng, column_roles=columns)
     elif scheme == "lhsd":
-        copula, marginals = _joint_copula_and_marginals(columns, groups, cfg.pool_size, rng)
-        design = lhsd(n, copula, marginals, rng, column_roles=columns, seed=seed)
+        # one Gaussian copula over all columns: declared correlations for copula
+        # groups, fitted ones for drawn groups, identity blocks elsewhere
+        marginals, drawn = _marginals(columns, groups, cfg.pool_size, rng)
+        blocks = [(g, g.correlation) for g in groups if g.kind == "copula"]
+        blocks += [(g, fit_gaussian_copula(block).correlation) for g, block in drawn]
+        corr = np.eye(len(columns))
+        for group, block_corr in blocks:
+            idx = [columns.index(c) for c in group.columns]
+            corr[np.ix_(idx, idx)] = block_corr
+        design = lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
     elif scheme == "rq":
         # a single fixed pool is quantized as-is; anything else through joint draws
         joint = groups[0] if len(groups) == 1 and groups[0].kind == "pool" else InputGroup(
             _JOINT, tuple(columns), "generator", generator=partial(sample_joint, columns, groups))
         quantizer, pool = quantized(joint, _JOINT)
-        design = rq_design(quantizer, pool, rng, column_roles=columns, seed=seed)
+        design = rq_design(quantizer, pool, rng, column_roles=columns)
     elif scheme == "qlhs":
         dependent = _dependent_groups(groups)
         if len(dependent) != 1:
             raise ConfigError(
                 f"qlhs requires exactly one dependent input group, found {len(dependent)}"
             )
-        indep_names, indep_marginals = _independent_columns(columns, groups)
+        independent = [g for g in groups if not g.dependent]
+        indep_names = [c for c in columns if any(c in g.columns for g in independent)]
         if not indep_names:
             raise ConfigError("qlhs requires at least one independent input; use rq instead")
+        # independent groups declare their marginals, so this draws nothing
+        indep_marginals, _ = _marginals(indep_names, independent, cfg.pool_size, rng)
         dep = dependent[0]
         quantizer, pool = quantized(dep)
         design = qlhs_design(
             quantizer, pool, indep_marginals, rng,
-            column_roles=tuple(dep.columns) + tuple(indep_names), seed=seed,
+            column_roles=tuple(dep.columns) + tuple(indep_names),
         )
     elif scheme == "q2lhs":
         dependent = _dependent_groups(groups)
@@ -264,7 +233,7 @@ def build_design(
         qb, pb = quantized(gb)
         design = q2lhs_design(
             qa, pa, qb, pb, rng,
-            column_roles=tuple(ga.columns) + tuple(gb.columns), seed=seed,
+            column_roles=tuple(ga.columns) + tuple(gb.columns),
         )
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -320,8 +289,7 @@ def run_sample(cfg: ExperimentConfig) -> list[Path]:
     scheme = cfg.scheme
     paths = []
     for n, seed in _sweep(cfg):
-        bundle = build_design(cfg, columns, groups, scheme, n,
-                              np.random.default_rng(seed), seed=seed)
+        bundle = build_design(cfg, columns, groups, scheme, n, np.random.default_rng(seed))
         path = out_dir / f"design_{scheme}_n{n}.csv"
         extra = [f"scheme={scheme} n={n}"]
         for name, quantizer in bundle.quantizers.items():
@@ -419,7 +387,7 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     paths = []
     for n, seed in _sweep(cfg):
         rng = np.random.default_rng(seed)
-        bundle = build_design(cfg, columns, groups, scheme, n, rng, seed=seed)
+        bundle = build_design(cfg, columns, groups, scheme, n, rng)
         design = bundle.design
         outputs = evaluate_design(model, design)
         roles = design.column_roles

@@ -93,6 +93,26 @@ def test_nested_non_finite_constant_returns_2_and_writes_nothing(tmp_path, const
     assert not (tmp_path / "out" / "design_mc_n4.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"shared_quantizer": "false"},
+    {"shared_quantizer": 0},
+    {"kernels": {"standardize_groups": "false"}},
+    {"output_dir": 5},
+    {"model": {"name": "vg_theta", "params": {"h": "abc"}}},
+    {"model": {"name": "synthetic_screen", "params": {"rho": "x"}}},
+], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
+        "vg_theta h text", "synthetic_screen rho text"])
+def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                 overrides):
+    monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
+    raw = {"scheme": "mc", "n": 4, "output_dir": "out", **overrides}
+    if "model" not in raw:
+        raw["inputs"] = UNIT_SQUARE_INPUTS
+    path, _ = write_config(tmp_path, **raw)
+    assert main(["sample", "--config", str(path)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_model_resolves_columns():
     cfg = parse_config({"version": 1, "seed": 1, "model": {"name": "flood"}})
     assert cfg.columns == ("Q", "Ks", "Zv", "Zm", "Hd", "Cb", "L", "B")
@@ -235,6 +255,26 @@ def test_quantizer_files_round_trip_through_sampling(tmp_path):
     header, out_rows = read_rows(tmp_path / "out" / "design_rq_n5.csv")
     assert out_rows.shape == (5, 2)
     assert out_rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model, quantizer_files", [
+    ({"name": "flood"}, {"chanel": "nope.csv"}),
+    ({"name": "flood"}, {"channel": "nope.csv"}),  # a copula group has no fixed pool
+    (None, {"g": 3}),
+], ids=["misspelled group", "not a pool group", "path not a string"])
+def test_bad_quantizer_files_entry_returns_2_and_writes_nothing(tmp_path, model,
+                                                                quantizer_files):
+    pool_csv = tmp_path / "pool.csv"
+    pool_csv.write_text("x\n0.0\n0.1\n10.0\n10.1\n")
+    inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
+                          "pool_csv": str(pool_csv)}]}
+    source = {"model": model} if model else {"inputs": inputs}
+    path, _ = write_config(tmp_path, scheme="rq", n=2, pool_size=200,
+                           lloyd={"restarts": 1, "max_iter": 10},
+                           quantizer_files=quantizer_files,
+                           output_dir=str(tmp_path / "out"), **source)
+    assert main(["sample", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section, edit", [

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdoe import (
     CandidatePool,
     ConfigError,
+    DimensionError,
     Normal,
     Uniform,
     assign,
@@ -105,6 +107,45 @@ def test_rq_rows_close_over_their_cells(rng):
     design = rq_design(q, pool, rng)
     for i, row in enumerate(design.points):
         assert assign(row, q) == i
+
+
+def per_cell_loop(quantizer, rng):
+    """Pool rows of an rq design drawn one cell at a time: the reference for
+    ``rq_design``'s single vector draw."""
+    rows = []
+    for i in range(quantizer.n_cells):
+        members = np.flatnonzero(quantizer.pool_assignment == i)
+        rows.append(members[rng.integers(members.size)])
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 80), d=st.integers(1, 3), cells=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_rq_design_matches_the_per_cell_loop(m, d, cells, seed):
+    pool = CandidatePool(np.random.default_rng(seed).standard_normal((m, d)))
+    q = lloyd(pool, min(cells, m), np.random.default_rng(seed), restarts=1, max_iter=10)
+    rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    design = rq_design(q, pool, rng)
+    assert np.array_equal(design.points, pool.points[per_cell_loop(q, reference_rng)])
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    for i, row in enumerate(design.points):
+        assert assign(row, q) == i
+
+
+def test_rq_draws_uniformly_within_a_cell(four_point_pool):
+    q = lloyd(four_point_pool, 2, np.random.default_rng(1))
+    lower = int(np.argmin(q.centroids.ravel()))
+    rng = np.random.default_rng(2)
+    draws = np.array([rq_design(q, four_point_pool, rng).points[lower, 0] for _ in range(10_000)])
+    freq = np.mean(draws == 0.0)
+    assert abs(freq - 0.5) < 0.02
+
+
+def test_rq_rejects_a_pool_of_another_size(four_point_pool, rng):
+    q = lloyd(four_point_pool, 2, rng)
+    with pytest.raises(DimensionError):
+        rq_design(q, CandidatePool(four_point_pool.points[:3]), rng)
 
 
 def test_rq_two_cells_picks_one_point_per_cluster(four_point_pool, rng):
@@ -210,7 +251,7 @@ def test_seed_determinism_bit_identical(builder, four_point_pool):
 
 
 def test_design_csv_export(tmp_path):
-    design = lhs(3, 2, np.random.default_rng(13), column_roles=("a", "b"), seed=13)
+    design = lhs(3, 2, np.random.default_rng(13), column_roles=("a", "b"))
     path = tmp_path / "design.csv"
     design.to_csv(path, header_comments=("config_hash=deadbeef seed=13",))
     lines = path.read_text().splitlines()

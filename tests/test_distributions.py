@@ -126,6 +126,32 @@ def test_invalid_parameters_raise():
         Truncated(Uniform(0, 1), 5, 6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Normal(math.nan, 1),
+    lambda: Normal(0, math.inf),
+    lambda: Gumbel(math.nan, 1),
+    lambda: Gumbel(0, math.inf),
+    lambda: LogNormal(0, math.inf),
+    lambda: LogNormal(-math.inf, 1),
+    lambda: Uniform(-math.inf, 0),
+    lambda: Uniform(0, math.nan),
+    lambda: Triangular(0, math.nan, 1),
+    lambda: Triangular(-math.inf, 0, 1),
+    lambda: Truncated(Normal(0, 1), math.nan, 1),
+    lambda: Truncated(Normal(0, 1), 0, math.nan),
+], ids=["normal mu nan", "normal sigma inf", "gumbel mu nan", "gumbel beta inf",
+        "lognormal sigma inf", "lognormal mu -inf", "uniform a -inf", "uniform b nan",
+        "triangular c nan", "triangular a -inf", "truncated lo nan", "truncated hi nan"])
+def test_non_finite_parameters_raise(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_truncation_bounds_may_be_infinite():
+    dist = Truncated(Normal(0, 1), -math.inf, math.inf)
+    assert dist.quantile(0.5) == 0.0
+
+
 def test_quantile_domain_errors():
     with pytest.raises(DomainError):
         Normal(0, 1).quantile(1.5)
@@ -158,3 +184,15 @@ def test_config_parsing_rejects_unknown_keys():
         distribution_from_config({"type": "gaussian", "mu": 0, "sigma": 1})
     with pytest.raises(ConfigError):
         distribution_from_config({"type": "normal", "mu": 0})
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "normal", "mu": "abc", "sigma": 1},
+    {"type": "normal", "mu": "0", "sigma": 1},
+    {"type": "normal", "mu": [0], "sigma": 1},
+    {"type": "uniform", "a": 0, "b": True},
+    {"type": "truncated", "inner": {"type": "normal", "mu": 0, "sigma": 1}, "lo": "x"},
+], ids=["text", "numeric text", "list", "bool", "truncation bound"])
+def test_config_parsing_rejects_non_numbers(spec):
+    with pytest.raises(ConfigError, match="must be a number"):
+        distribution_from_config(spec)

@@ -13,7 +13,6 @@ from qdoe import (
     lloyd,
     load_pool,
     load_quantizer,
-    sample_cell,
     save_pool,
     save_quantizer,
 )
@@ -96,32 +95,6 @@ def test_too_many_cells_is_a_configuration_error(rng):
     pool = CandidatePool(np.array([[0.0], [0.0], [1.0]]))
     with pytest.raises(ConfigError):
         lloyd(pool, 3, rng)  # only two distinct points
-
-
-def test_sample_cell_singleton_returns_the_point(rng):
-    pool = CandidatePool(np.array([[0.0], [1.0], [5.0]]))
-    q = lloyd(pool, 3, rng)
-    for cell in range(3):
-        point = sample_cell(q, pool, cell, rng)
-        assert assign(point, q) == cell
-        assert any(np.array_equal(point, row) for row in pool.points)
-
-
-def test_sample_cell_uniform_frequencies(four_point_pool):
-    q = lloyd(four_point_pool, 2, np.random.default_rng(1))
-    lower = int(np.argmin(q.centroids.ravel()))
-    rng = np.random.default_rng(2)
-    draws = np.array([sample_cell(q, four_point_pool, lower, rng)[0] for _ in range(10_000)])
-    freq = np.mean(draws == 0.0)
-    assert abs(freq - 0.5) < 0.02
-
-
-def test_sample_cell_closure(rng):
-    pool = CandidatePool(np.random.default_rng(8).standard_normal((500, 2)))
-    q = lloyd(pool, 12, rng)
-    for cell in range(q.n_cells):
-        point = sample_cell(q, pool, cell, rng)
-        assert assign(point, q) == cell
 
 
 def test_distortion_history_is_nonincreasing(rng):
