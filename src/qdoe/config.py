@@ -20,8 +20,7 @@ import numpy as np
 from .distributions import distribution_from_config
 from .errors import ConfigError, ParameterError, QdoeError
 from .hsic import KernelSpec
-from .models import InputGroup, build_model
-from .quantizer import load_pool
+from .models import InputGroup, build_model, load_config_pool
 
 __all__ = [
     "LloydSettings",
@@ -133,10 +132,7 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
                 f"{path}.correlation", "matrix shape must match the column count")
     if kind == "pool":
         _expect("pool_csv" in raw, path, "pool groups require a pool_csv path")
-        try:
-            pool, _ = load_pool(raw["pool_csv"])
-        except (OSError, QdoeError) as exc:
-            raise ConfigError(f"{path}.pool_csv: cannot load pool ({exc})") from exc
+        pool = load_config_pool(raw["pool_csv"], f"{path}.pool_csv")
         _expect(pool.d == len(columns), f"{path}.pool_csv",
                 f"pool has {pool.d} columns, group declares {len(columns)}")
         pool_points = pool.points

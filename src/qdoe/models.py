@@ -9,8 +9,10 @@ build pools, copulas and designs for any sampling scheme.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -18,8 +20,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import beta as beta_dist
 
 from .distributions import Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
-from .errors import ConfigError, DimensionError, DomainError, ParameterError
-from .quantizer import CandidatePool
+from .errors import ConfigError, DimensionError, DomainError, ParameterError, QdoeError
+from .quantizer import CandidatePool, load_pool
 
 __all__ = [
     "InputGroup",
@@ -30,10 +32,13 @@ __all__ = [
     "vg_pool",
     "vg_pool_from_sample",
     "build_model",
+    "load_config_pool",
     "MODEL_NAMES",
     "VG_COLUMNS",
     "VG_LATENT_CORRELATION",
 ]
+
+log = logging.getLogger("qdoe")
 
 
 @dataclass(frozen=True)
@@ -90,35 +95,10 @@ class ModelSpec:
     columns: tuple[str, ...]
     groups: tuple[InputGroup, ...]
     evaluate: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
         return len(self.columns)
-
-
-# ---------------------------------------------------------------------------
-# analytic toy functions
-
-def _toy(name: str, arity: int, fn: Callable[[np.ndarray], np.ndarray]):
-    """Vectorized evaluator of one toy over (m, arity) rows."""
-
-    def evaluate(rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != arity:
-            raise DimensionError(f"toy {name} expects {arity} inputs, got {rows.shape[1]}")
-        return fn(rows)
-
-    return evaluate
-
-
-_TOYS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "square": _toy("square", 1, lambda x: x[:, 0] ** 2),
-    "x1x2": _toy("x1x2", 2, lambda x: x[:, 0] * x[:, 1]),
-    "x2y": _toy("x2y", 2, lambda x: x[:, 0] ** 2 * x[:, 1]),
-    "x1px2_sq_y": _toy("x1px2_sq_y", 3, lambda x: (x[:, 0] + x[:, 1]) ** 2 * x[:, 2]),
-    "xy2py2": _toy("xy2py2", 2, lambda x: x[:, 0] * x[:, 1] ** 2 + x[:, 1] ** 2),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -279,84 +259,66 @@ def vg_pool_from_sample(rows) -> tuple[CandidatePool, int]:
     return CandidatePool(rows[mask]), rejected
 
 
+
+
 # ---------------------------------------------------------------------------
 # model registry
 
-def _singleton_copula_group(name: str, marginal: Distribution) -> InputGroup:
-    return InputGroup(
-        name=name,
-        columns=(name,),
-        kind="copula",
-        marginals=(marginal,),
-        correlation=np.array([[1.0]]),
-    )
+def load_config_pool(value, where: str) -> CandidatePool:
+    """Read the pool CSV a config names at ``where``.
+
+    A path that is not a string, or a file that cannot be read, is a
+    ConfigError naming ``where``.
+    """
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a path string, got {value!r}")
+    try:
+        pool, _ = load_pool(value)
+    except (OSError, QdoeError) as exc:
+        raise ConfigError(f"{where}: cannot load pool ({exc})") from exc
+    return pool
 
 
-def _gauss_pair_group(name, columns, rho) -> InputGroup:
-    return InputGroup(
-        name=name,
-        columns=tuple(columns),
-        kind="copula",
-        marginals=(Normal(0.0, 1.0), Normal(0.0, 1.0)),
-        correlation=np.array([[1.0, rho], [rho, 1.0]]),
-    )
+def _copula(name: str, columns, marginals, rho: float = 0.0) -> InputGroup:
+    """Gaussian-copula group whose columns share the pairwise correlation ``rho``."""
+    corr = np.full((len(columns), len(columns)), rho)
+    np.fill_diagonal(corr, 1.0)
+    corr.flags.writeable = False  # toy groups are shared by every build
+    return InputGroup(name, tuple(columns), "copula", marginals=tuple(marginals), correlation=corr)
 
 
-def _model_square(params) -> ModelSpec:
-    return ModelSpec(
-        name="square",
-        columns=("x",),
-        groups=(_singleton_copula_group("x", Normal(0.0, 1.0)),),
-        evaluate=_TOYS["square"],
-    )
+_N01 = Normal(0.0, 1.0)
+_U01 = Uniform(0.0, 1.0)
+_X_PAIR = _copula("x", ["x1", "x2"], [_N01, _N01], 0.8)
+_Y_UNIFORM = InputGroup("y", ("y",), "independent", marginals=(_U01,))
+
+# name: (input groups, formula over rows ordered like the group columns)
+_TOYS = {
+    "square": ((_copula("x", ["x"], [_N01]),), lambda x: x[:, 0] ** 2),
+    "x1x2": ((_X_PAIR,), lambda x: x[:, 0] * x[:, 1]),
+    "x2y": ((_copula("x", ["x"], [_N01]), _Y_UNIFORM), lambda x: x[:, 0] ** 2 * x[:, 1]),
+    "x1px2_sq_y": ((_X_PAIR, _Y_UNIFORM), lambda x: (x[:, 0] + x[:, 1]) ** 2 * x[:, 2]),
+    "xy2py2": (
+        (_copula("x", ["x"], [LogNormal(0.0, 1.0)]), _copula("y", ["y"], [_N01])),
+        lambda x: x[:, 0] * x[:, 1] ** 2 + x[:, 1] ** 2,
+    ),
+}
 
 
-def _model_x1x2(params) -> ModelSpec:
-    return ModelSpec(
-        name="x1x2",
-        columns=("x1", "x2"),
-        groups=(_gauss_pair_group("x", ("x1", "x2"), 0.8),),
-        evaluate=_TOYS["x1x2"],
-    )
+def _toy_model(name: str) -> ModelSpec:
+    groups, formula = _TOYS[name]
+    columns = tuple(c for g in groups for c in g.columns)
+
+    def evaluate(rows):
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != len(columns):
+            raise DimensionError(f"toy {name} expects {len(columns)} inputs, got {rows.shape[1]}")
+        return formula(rows)
+
+    return ModelSpec(name, columns, groups, evaluate)
 
 
-def _model_x2y(params) -> ModelSpec:
-    return ModelSpec(
-        name="x2y",
-        columns=("x", "y"),
-        groups=(
-            _singleton_copula_group("x", Normal(0.0, 1.0)),
-            InputGroup("y", ("y",), "independent", marginals=(Uniform(0.0, 1.0),)),
-        ),
-        evaluate=_TOYS["x2y"],
-    )
-
-
-def _model_x1px2_sq_y(params) -> ModelSpec:
-    return ModelSpec(
-        name="x1px2_sq_y",
-        columns=("x1", "x2", "y"),
-        groups=(
-            _gauss_pair_group("x", ("x1", "x2"), 0.8),
-            InputGroup("y", ("y",), "independent", marginals=(Uniform(0.0, 1.0),)),
-        ),
-        evaluate=_TOYS["x1px2_sq_y"],
-    )
-
-
-def _model_xy2py2(params) -> ModelSpec:
-    return ModelSpec(
-        name="xy2py2",
-        columns=("x", "y"),
-        groups=(
-            _singleton_copula_group("x", LogNormal(0.0, 1.0)),
-            _singleton_copula_group("y", Normal(0.0, 1.0)),
-        ),
-        evaluate=_TOYS["xy2py2"],
-    )
-
-
-def _model_flood(params) -> ModelSpec:
+def _flood_model(name: str) -> ModelSpec:
     channel = InputGroup(
         name="channel",
         columns=FLOOD_CHANNEL_COLUMNS,
@@ -370,90 +332,39 @@ def _model_flood(params) -> ModelSpec:
         kind="independent",
         marginals=(FLOOD_MARGINALS["Hd"], FLOOD_MARGINALS["Cb"]),
     )
-    return ModelSpec(
-        name="flood",
-        columns=FLOOD_COLUMNS,
-        groups=(channel, structures),
-        evaluate=flood_evaluate,
-    )
+    return ModelSpec(name, FLOOD_COLUMNS, (channel, structures), flood_evaluate)
 
 
-def _vg_group(params) -> InputGroup:
-    pool_csv = params.get("pool_csv")
-    if pool_csv is not None:
-        from .quantizer import load_pool
-
-        pool, _ = load_pool(pool_csv)
-        pool, rejected = vg_pool_from_sample(pool.points)
+def _vg_model(retention, name: str, *, inputs: int, h: float,
+              pool_csv: CandidatePool | None) -> ModelSpec:
+    """``retention(h, ...)`` of the first ``inputs`` retention parameters of
+    each row; the rows come from ``vg_pool``, or from the pool read from
+    ``pool_csv`` when the config names one."""
+    if pool_csv is None:
+        group = InputGroup(
+            "vg", VG_COLUMNS, "generator", generator=lambda m, rng: vg_pool(m, rng).points
+        )
+    else:
+        pool, rejected = vg_pool_from_sample(pool_csv.points)
         if rejected:
-            import logging
-
-            logging.getLogger("qdoe").warning(
-                "dropped %d physically invalid retention rows from %s", rejected, pool_csv
-            )
-        return InputGroup("vg", VG_COLUMNS, "pool", pool_points=pool.points)
-    return InputGroup(
-        "vg", VG_COLUMNS, "generator", generator=lambda m, rng: vg_pool(m, rng).points
-    )
-
-
-def _number_param(params, key: str, default: float) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ParameterError(f"model parameter {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _model_vg_theta(params) -> ModelSpec:
-    h = _number_param(params, "h", 1.0)
+            log.warning("dropped %d physically invalid retention rows from pool_csv", rejected)
+        group = InputGroup("vg", VG_COLUMNS, "pool", pool_points=pool.points)
 
     def evaluate(rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return vg_theta(h, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+        return retention(h, *rows.T[:inputs])
 
-    return ModelSpec(
-        name="vg_theta",
-        columns=VG_COLUMNS,
-        groups=(_vg_group(params),),
-        evaluate=evaluate,
-        params={"h": h},
-    )
+    return ModelSpec(name, VG_COLUMNS, (group,), evaluate)
 
 
-def _model_vg_conductivity(params) -> ModelSpec:
-    h = _number_param(params, "h", 1e-3)
-
-    def evaluate(rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return vg_conductivity(h, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4])
-
-    return ModelSpec(
-        name="vg_conductivity",
-        columns=VG_COLUMNS,
-        groups=(_vg_group(params),),
-        evaluate=evaluate,
-        params={"h": h},
-    )
-
-
-def _model_synthetic_screen(params) -> ModelSpec:
+def _synthetic_screen_model(name: str, *, rho: float) -> ModelSpec:
     """Screening benchmark: three active inputs, two inert ones and one
     influential dependent three-column group."""
-    rho = _number_param(params, "rho", 0.5)
-    corr = np.full((3, 3), rho)
-    np.fill_diagonal(corr, 1.0)
-    group = InputGroup(
-        name="w",
-        columns=("w1", "w2", "w3"),
-        kind="copula",
-        marginals=(Normal(0.0, 1.0),) * 3,
-        correlation=corr,
-    )
     singles = InputGroup(
         name="x",
         columns=("x1", "x2", "x3", "x4", "x5"),
         kind="independent",
-        marginals=(Uniform(0.0, 1.0),) * 5,
+        marginals=(_U01,) * 5,
     )
 
     def evaluate(rows):
@@ -464,31 +375,44 @@ def _model_synthetic_screen(params) -> ModelSpec:
         return 3.0 * x1 + 4.0 * x2**2 + 1.5 * np.sin(2.0 * np.pi * x3) + 0.6 * w.sum(axis=1)
 
     return ModelSpec(
-        name="synthetic_screen",
-        columns=("x1", "x2", "x3", "x4", "x5", "w1", "w2", "w3"),
-        groups=(singles, group),
-        evaluate=evaluate,
-        params={"rho": rho},
+        name,
+        ("x1", "x2", "x3", "x4", "x5", "w1", "w2", "w3"),
+        (singles, _copula("w", ("w1", "w2", "w3"), (_N01,) * 3, rho)),
+        evaluate,
     )
 
 
-_MODEL_BUILDERS = {
-    "square": _model_square,
-    "x1x2": _model_x1x2,
-    "x2y": _model_x2y,
-    "x1px2_sq_y": _model_x1px2_sq_y,
-    "xy2py2": _model_xy2py2,
-    "flood": _model_flood,
-    "vg_theta": _model_vg_theta,
-    "vg_conductivity": _model_vg_conductivity,
-    "synthetic_screen": _model_synthetic_screen,
+# name: (builder, accepted params with their defaults)
+_MODELS = {
+    **{name: (_toy_model, {}) for name in _TOYS},
+    "flood": (_flood_model, {}),
+    "vg_theta": (partial(_vg_model, vg_theta, inputs=4), {"h": 1.0, "pool_csv": None}),
+    "vg_conductivity": (partial(_vg_model, vg_conductivity, inputs=5), {"h": 1e-3, "pool_csv": None}),
+    "synthetic_screen": (_synthetic_screen_model, {"rho": 0.5}),
 }
 
-MODEL_NAMES = tuple(sorted(_MODEL_BUILDERS))
+MODEL_NAMES = tuple(sorted(_MODELS))
 
 
 def build_model(name: str, params: dict | None = None) -> ModelSpec:
-    """Instantiate a registered benchmark model."""
-    if name not in _MODEL_BUILDERS:
+    """Instantiate a registered benchmark model.
+
+    ``pool_csv`` must name a readable pool file and every other param must
+    be a finite number; a param the model does not accept is a ConfigError.
+    """
+    if name not in _MODELS:
         raise ConfigError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
-    return _MODEL_BUILDERS[name](params or {})
+    builder, defaults = _MODELS[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"model {name!r} takes no params {unknown}; accepted: {sorted(defaults)}")
+    return builder(name, **{**defaults, **{key: _param(key, value) for key, value in params.items()}})
+
+
+def _param(key: str, value):
+    if key == "pool_csv":
+        return load_config_pool(value, "params.pool_csv")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"model parameter {key!r} must be a finite number, got {value!r}")
+    return float(value)

@@ -100,14 +100,23 @@ def test_nested_non_finite_constant_returns_2_and_writes_nothing(tmp_path, const
     {"output_dir": 5},
     {"model": {"name": "vg_theta", "params": {"h": "abc"}}},
     {"model": {"name": "synthetic_screen", "params": {"rho": "x"}}},
+    {"inputs": {"groups": [{"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": 0}]}},
+    {"inputs": {"groups": [{"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": 987}]}},
+    {"model": {"name": "vg_theta", "params": {"pool_csv": 0}}},
+    {"model": {"name": "vg_theta", "params": {"pool_csv": 987}}},
+    {"model": {"name": "vg_conductivity", "params": {"pool_csv": "missing.csv"}}},
+    {"model": {"name": "vg_theta", "params": {"hh": 5}}},
+    {"model": {"name": "flood", "params": {"rho": 0.9}}},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
-        "vg_theta h text", "synthetic_screen rho text"])
+        "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
+        "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
+        "vg pool_csv missing file", "vg_theta unknown param", "flood unknown param"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
     raw = {"scheme": "mc", "n": 4, "output_dir": "out", **overrides}
     if "model" not in raw:
-        raw["inputs"] = UNIT_SQUARE_INPUTS
+        raw.setdefault("inputs", UNIT_SQUARE_INPUTS)
     path, _ = write_config(tmp_path, **raw)
     assert main(["sample", "--config", str(path)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qdoe import (
     CandidatePool,
     ConfigError,
     DimensionError,
     ParameterError,
+    Quantizer,
     assign,
     distortion,
     lloyd,
@@ -136,15 +139,31 @@ def test_centroids_pairwise_distinct(rng):
     assert np.unique(q.centroids, axis=0).shape[0] == q.n_cells
 
 
-def test_quantizer_save_load_round_trip(tmp_path, four_point_pool, rng):
-    q = lloyd(four_point_pool, 2, rng)
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# finite float64 values; hypothesis draws -0.0, subnormals and extreme exponents
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MATRICES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=8), elements=_FINITE)
+_EDGE_MATRIX = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308]])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(centroids=_EDGE_MATRIX, distortion=-0.0)
+@given(centroids=_MATRICES, distortion=_FINITE)
+def test_quantizer_save_load_round_trip(tmp_path, centroids, distortion):
+    k = centroids.shape[0]
+    q = Quantizer(centroids=centroids, probabilities=centroids[:, 0].copy(),
+                  pool_assignment=np.arange(k, dtype=np.int64), distortion=distortion)
     path = tmp_path / "quantizer.csv"
     save_quantizer(q, path, header_comments=("origin=test",))
     loaded = load_quantizer(path)
-    assert np.array_equal(loaded.probabilities, q.probabilities)
-    assert np.array_equal(loaded.centroids, q.centroids)
+    assert _same_bits(loaded.centroids, q.centroids)
+    assert _same_bits(loaded.probabilities, q.probabilities)
     assert np.array_equal(loaded.pool_assignment, q.pool_assignment)
-    assert loaded.distortion == q.distortion
+    assert _same_bits(np.float64(loaded.distortion), np.float64(distortion))
 
 
 def test_tampered_quantizer_file_is_rejected(tmp_path, rng):
@@ -169,13 +188,18 @@ def test_quantizer_check_probabilities_accepts_lloyd_output(rng):
     lloyd(pool, 6, rng).check_probabilities()
 
 
-def test_pool_save_load_round_trip(tmp_path):
-    pool = CandidatePool(np.random.default_rng(10).standard_normal((50, 3)))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(points=_EDGE_MATRIX)
+@given(points=_MATRICES)
+def test_pool_save_load_round_trip(tmp_path, points):
+    pool = CandidatePool(points)
+    names = [f"c{j}" for j in range(pool.d)]
     path = tmp_path / "pool.csv"
-    save_pool(pool, path, column_names=("a", "b", "c"))
-    loaded, names = load_pool(path)
-    assert names == ["a", "b", "c"]
-    assert np.array_equal(loaded.points, pool.points)
+    save_pool(pool, path, column_names=names)
+    loaded, loaded_names = load_pool(path)
+    assert loaded_names == names
+    assert _same_bits(loaded.points, points)
 
 
 def test_pool_file_with_an_unreadable_line_is_rejected(tmp_path):
