@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .errors import DegeneracyError, DomainError, ParameterError
 
@@ -69,6 +68,23 @@ def identity_copula(d: int) -> GaussianCopula:
     return GaussianCopula(correlation=eye, cholesky=eye.copy())
 
 
+def _average_ranks(column: np.ndarray) -> np.ndarray:
+    """1-based ranks of a NaN-free column, ties sharing their mean rank.
+
+    Tie group g spans sorted positions start[g]..start[g + 1] - 1, so its
+    mean 1-based rank is the half-integer (start[g] + start[g + 1] + 1) / 2,
+    computed in integers and exact in float64.
+    """
+    order = np.argsort(column, kind="stable")
+    xs = column[order]
+    new_group = np.concatenate(([True], xs[1:] != xs[:-1]))
+    dense = np.cumsum(new_group)
+    start = np.append(np.flatnonzero(new_group), xs.size)
+    ranks = np.empty(xs.size)
+    ranks[order] = 0.5 * (start[dense] + start[dense - 1] + 1)
+    return ranks
+
+
 def fit_gaussian_copula(data) -> GaussianCopula:
     """Fit a Gaussian copula to a sample by the normal-scores correlation.
 
@@ -84,10 +100,15 @@ def fit_gaussian_copula(data) -> GaussianCopula:
     m, d = data.shape
     if m < d + 1:
         raise ParameterError(f"need at least d + 1 = {d + 1} rows to fit, got {m}")
+    if np.isnan(data).any():
+        raise ParameterError("data to fit a copula to contains NaN")
     for j in range(d):
         if np.ptp(data[:, j]) == 0.0:
             raise DegeneracyError(f"column {j} is constant; its marginal is degenerate")
-    scores = ndtri((np.apply_along_axis(rankdata, 0, data) - 0.5) / m)
+    # ranks are stacked column-major: corrcoef rounds differently on a
+    # row-major copy, and the fitted correlations are part of every lhsd design
+    ranks = np.array([_average_ranks(column) for column in data.T]).T
+    scores = ndtri((ranks - 0.5) / m)
     if d == 1:
         return gaussian_copula(np.array([[1.0]]))
     corr = np.corrcoef(scores, rowvar=False)

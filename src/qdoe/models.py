@@ -16,8 +16,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ndtr, ndtri
 
 from .distributions import Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
 from .errors import ConfigError, DimensionError, DomainError, ParameterError, QdoeError
@@ -201,8 +200,8 @@ VG_LATENT_CORRELATION = np.array(
 def _vg_marginal_transform(u: np.ndarray) -> np.ndarray:
     """Map uniform columns to physically plausible retention parameters."""
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    theta_r = 0.01 + 0.10 * beta_dist.ppf(u[:, 0], 2.0, 2.0)
-    theta_s = 0.30 + 0.20 * beta_dist.ppf(u[:, 1], 2.0, 2.0)
+    theta_r = 0.01 + 0.10 * betaincinv(2.0, 2.0, u[:, 0])
+    theta_s = 0.30 + 0.20 * betaincinv(2.0, 2.0, u[:, 1])
     alpha = np.exp(math.log(2.0) + 0.6 * z[:, 2])
     n = 1.0 + np.exp(math.log(0.45) + 0.40 * z[:, 3])
     k_sat = np.exp(math.log(1e-5) + 1.0 * z[:, 4])

@@ -115,32 +115,51 @@ class Quantizer:
         return order, offsets, counts
 
 
+# Rows per cdist block in _nearest: bounds its distance matrix to
+# _NEAREST_ROWS x n_cells floats (6.5 MB at 100 cells) whatever the pool size.
+_NEAREST_ROWS = 8192
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances; argmin ties break low."""
+    m = points.shape[0]
+    if m > _NEAREST_ROWS:
+        blocks = [_nearest(points[start:start + _NEAREST_ROWS], centroids)
+                  for start in range(0, m, _NEAREST_ROWS)]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
     sq = cdist(points, centroids, "sqeuclidean")
     labels = np.argmin(sq, axis=1)
-    return labels, sq[np.arange(points.shape[0]), labels]
+    return labels, sq[np.arange(m), labels]
 
 
 def _cell_means(points: np.ndarray, labels: np.ndarray, n_cells: int) -> np.ndarray:
-    sums = np.zeros((n_cells, points.shape[1]))
-    np.add.at(sums, labels, points)
+    sums = np.column_stack(
+        [np.bincount(labels, weights=column, minlength=n_cells) for column in points.T]
+    )
     counts = np.bincount(labels, minlength=n_cells).astype(float)
     return sums / counts[:, None]
 
 
 def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted seeding; never selects a duplicate of a chosen seed."""
+    """Distance-weighted seeding; never selects a duplicate of a chosen seed.
+
+    Squared distances go through buffers shaped and laid out like ``points``,
+    so every step sums each row in the same order.
+    """
     m = points.shape[0]
     chosen = [int(rng.integers(m))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    diff = np.empty_like(points)
+    d2 = np.square(np.subtract(points, points[chosen[0]], out=diff), out=diff).sum(axis=1)
+    new_d2 = np.empty_like(d2)
+    cumulative = np.empty_like(d2)
     for _ in range(1, n_cells):
-        cumulative = np.cumsum(d2)
+        d2.cumsum(out=cumulative)
         if cumulative[-1] <= 0.0:
             raise ConfigError("fewer distinct pool points than requested cells")
-        idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+        idx = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
         chosen.append(min(idx, m - 1))
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        np.square(np.subtract(points, points[idx], out=diff), out=diff)
+        np.minimum(d2, diff.sum(axis=1, out=new_d2), out=d2)
     return points[chosen].copy()
 
 

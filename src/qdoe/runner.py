@@ -448,7 +448,7 @@ def run_quantize(cfg: ExperimentConfig) -> list[Path]:
         header_comments=_meta_lines(
             cfg,
             [f"group={target.name} restarts={cfg.lloyd.restarts} "
-             f"iterations={len(quantizer.distortion_history)}"],
+             f"iterations={len(quantizer.distortion_history) - 1}"],
         ),
     )
     paths = [path]

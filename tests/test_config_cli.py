@@ -212,6 +212,18 @@ def test_quantize_known_pool_and_reload(tmp_path):
     assert np.array_equal(reread.probabilities, quantizer.probabilities)
 
 
+def test_quantize_header_counts_lloyd_updates(tmp_path):
+    # three updates on a 2000-point pool into 20 cells stop at the cap, far
+    # from a fixed point; the initial distortion is not an update
+    path, _ = write_config(
+        tmp_path, model={"name": "flood"}, group="channel", n_cells=20, pool_size=2000,
+        lloyd={"max_iter": 3, "rel_tol": 0, "restarts": 1}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["quantize", "--config", str(path)]) == 0
+    header = (tmp_path / "out" / "quantizer_channel_n20.csv").read_text().splitlines()
+    assert "# group=channel restarts=1 iterations=3" in header
+
+
 def test_quantize_too_many_cells_fails(tmp_path):
     pool_csv = tmp_path / "pool.csv"
     pool_csv.write_text("x\n0.0\n0.1\n10.0\n10.1\n")
@@ -485,6 +497,31 @@ def test_console_script_entry_point(tmp_path):
         [sys.executable, "-m", "qdoe.cli", "sample"], capture_output=True, text=True
     )
     assert missing.returncode == 2  # argparse usage error
+
+
+_IMPORT_GRAPH_CHILD = """
+import sys
+import qdoe.cli
+code = qdoe.cli.main(["sample", "--config", sys.argv[1]])
+assert code == 0, code
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+"""
+
+
+def test_commands_do_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs more to import than the rest of qdoe together; lhsd on
+    # vg_theta reaches both of its former uses (ranks and the Beta(2, 2) quantile)
+    import subprocess
+    import sys
+
+    path, _ = write_config(
+        tmp_path, scheme="lhsd", n=5, pool_size=500,
+        model={"name": "vg_theta"}, output_dir=str(tmp_path / "out"),
+    )
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_CHILD, str(path)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "design_lhsd_n5.csv").exists()
 
 
 def test_numerical_error_returns_3(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import kstest, multivariate_normal
+from scipy.stats import kstest, multivariate_normal, rankdata
 
 from qdoe import (
     DegeneracyError,
@@ -14,6 +16,7 @@ from qdoe import (
     gaussian_copula,
     identity_copula,
 )
+from qdoe.copula import _average_ranks
 
 
 def test_copula_validation():
@@ -102,6 +105,36 @@ def test_fit_repairs_perfectly_collinear_columns():
     assert np.all(np.diag(cop.correlation) == 1.0)
     assert np.linalg.eigvalsh(cop.correlation).min() > 0
     assert cop.correlation[0, 1] > 0.99
+
+
+# few distinct values force ties; -0.0 and 0.0 compare equal and form one group
+_TIED_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1e-300, 3.0, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@example(column=np.array([0.0, -0.0, 1.0, -0.0, 0.0]))
+@example(column=np.round(np.random.default_rng(6).standard_normal(100_000), 2))
+@given(column=arrays(np.float64, st.integers(1, 60), elements=_TIED_VALUES))
+def test_average_ranks_equal_rankdata(column):
+    ranks = _average_ranks(column)
+    expected = rankdata(column)
+    assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
+
+
+def test_fit_matches_rankdata_normal_scores_bit_for_bit():
+    # the correlation every lhsd design of a drawn group is built from
+    chol = np.linalg.cholesky(np.full((5, 5), 0.4) + 0.6 * np.eye(5))
+    data = np.random.default_rng(0).standard_normal((3000, 5)) @ chol.T
+    scores = ndtri((np.apply_along_axis(rankdata, 0, data) - 0.5) / 3000)
+    expected = np.corrcoef(scores, rowvar=False)
+    assert fit_gaussian_copula(data).correlation.tobytes() == expected.tobytes()
+
+
+def test_fit_rejects_nan():
+    data = np.random.default_rng(7).standard_normal((50, 3))
+    data[3, 1] = np.nan
+    with pytest.raises(ParameterError, match="NaN"):
+        fit_gaussian_copula(data)
 
 
 def test_fit_rejects_constant_column():

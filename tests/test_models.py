@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import betaincinv
+from scipy.stats import beta
 
 from qdoe import ConfigError, DimensionError, DomainError, ParameterError
 from qdoe.models import (
@@ -125,6 +127,13 @@ def test_vg_pool_rows_are_physically_valid():
     tr, ts, alpha, n, ksat = pool.points.T
     assert np.all(tr >= 0) and np.all(tr < ts)
     assert np.all(alpha > 0) and np.all(n > 1) and np.all(ksat > 0)
+
+
+def test_beta_2_2_quantile_is_betaincinv_bit_for_bit():
+    # the retention generator's Beta(2, 2) quantile, without scipy.stats
+    u = np.concatenate([np.random.default_rng(8).random(100_000),
+                        [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]])
+    assert betaincinv(2.0, 2.0, u).tobytes() == beta.ppf(u, 2.0, 2.0).tobytes()
 
 
 def test_vg_pool_has_nondegenerate_correlations():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.spatial.distance import cdist
 
 from qdoe import (
     CandidatePool,
@@ -19,6 +20,8 @@ from qdoe import (
     save_pool,
     save_quantizer,
 )
+import qdoe.quantizer as quantizer_module
+from qdoe.quantizer import _cell_means, _kmeanspp, _nearest
 
 
 def exhaustive_two_cell_oracle(points_1d):
@@ -137,6 +140,54 @@ def test_centroids_pairwise_distinct(rng):
     pool = CandidatePool(np.random.default_rng(9).standard_normal((600, 2)))
     q = lloyd(pool, 20, rng)
     assert np.unique(q.centroids, axis=0).shape[0] == q.n_cells
+
+
+# The arithmetic the quantizer core replaced: one full distance matrix,
+# np.add.at cell sums and a fresh (M, d) temporary per seeding step. The core
+# must reproduce it bit for bit.
+def _reference_nearest(points, centroids):
+    sq = cdist(points, centroids, "sqeuclidean")
+    labels = np.argmin(sq, axis=1)
+    return labels, sq[np.arange(points.shape[0]), labels]
+
+
+def _reference_cell_means(points, labels, n_cells):
+    sums = np.zeros((n_cells, points.shape[1]))
+    np.add.at(sums, labels, points)
+    return sums / np.bincount(labels, minlength=n_cells).astype(float)[:, None]
+
+
+def _reference_kmeanspp(points, n_cells, rng):
+    m = points.shape[0]
+    chosen = [int(rng.integers(m))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, n_cells):
+        cumulative = np.cumsum(d2)
+        idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+        chosen.append(min(idx, m - 1))
+        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_seeding_and_cell_means_match_reference_arithmetic(d, order):
+    points = np.asarray(np.random.default_rng(d).standard_normal((3000, d)), order=order)
+    seeds = _kmeanspp(points, 40, np.random.default_rng(11))
+    assert _same_bits(seeds, _reference_kmeanspp(points, 40, np.random.default_rng(11)))
+    labels, _ = _reference_nearest(points, seeds)
+    assert _same_bits(_cell_means(points, labels, 40), _reference_cell_means(points, labels, 40))
+
+
+@pytest.mark.parametrize("rows", [8192, 999, 7])
+def test_nearest_in_row_blocks_matches_full_matrix(monkeypatch, rows):
+    points = np.random.default_rng(12).standard_normal((20_000, 6))
+    centroids = points[:100].copy()
+    ref_labels, ref_sq = _reference_nearest(points, centroids)
+    monkeypatch.setattr(quantizer_module, "_NEAREST_ROWS", rows)
+    labels, sq = _nearest(points, centroids)
+    assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
+    assert float(sq.mean()) == float(ref_sq.mean())
 
 
 def _same_bits(a, b):
