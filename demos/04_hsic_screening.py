@@ -4,8 +4,11 @@ The synthetic benchmark has three active independent inputs, two inert ones
 and a correlated three-column group that enters the response. A 400-point
 quantization-based LHS design is evaluated once, and every input (the
 dependent group counted as a single block input with a standardized group
-kernel) gets a permutation independence test. Inert inputs should be
-accepted as independent; everything else rejected.
+kernel) gets a permutation independence test. All inputs are tested on one
+shared set of output permutations, so each p-value is a valid permutation
+p-value while the p-values of different inputs are dependent (common random
+numbers). Inert inputs should be accepted as independent; everything else
+rejected.
 """
 
 import numpy as np

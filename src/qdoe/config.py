@@ -251,7 +251,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     test_raw = raw.get("test", {})
     _check_keys(test_raw, ("permutations", "alpha"), "config.test")
     test = SignificanceSettings(
-        permutations=_as_int(test_raw.get("permutations", 500), "config.test.permutations", minimum=1),
+        permutations=_as_int(test_raw.get("permutations", 500), "config.test.permutations",
+                              minimum=100),
         alpha=_as_number(test_raw.get("alpha", 0.05), "config.test.alpha"),
     )
     _expect(0.0 < test.alpha < 1.0, "config.test.alpha", "must lie strictly inside (0, 1)")
@@ -264,6 +265,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for i, entry in enumerate(hg):
             _expect(isinstance(entry, list) and entry, f"config.hsic_groups[{i}]",
                     "expected a non-empty list of column names")
+            unknown = [c for c in entry if c not in (columns or ())]
+            _expect(not unknown, f"config.hsic_groups[{i}]", f"unknown columns {unknown}")
             parsed.append(tuple(entry))
         hsic_groups = tuple(parsed)
 

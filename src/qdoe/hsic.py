@@ -15,6 +15,7 @@ statistic to the permutation null.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "independence_test",
     "screen",
 ]
+
+log = logging.getLogger("qdoe")
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,8 @@ def gram(sample, kernel: KernelSpec) -> np.ndarray:
             raise DegeneracyError("cannot standardize a constant column")
         x = (x - x.mean(axis=0)) / std
     theta = _resolve_bandwidth(x, kernel)
+    log.info("kernel bandwidth %r (%s rule) on %d column(s)", theta, kernel.bandwidth_rule,
+             x.shape[1])
     sq = squareform(pdist(x, "sqeuclidean"))
     k = np.exp(-sq / (2.0 * theta * theta))
     np.fill_diagonal(k, 1.0)
@@ -158,13 +163,36 @@ def _weighted_center(kx: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.outer(w, w) * (kx - kxw[:, None] - kxw[None, :] + float(w @ kxw))
 
 
-def _permutation_stats(a: np.ndarray, ky: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Statistic vdot(A, Ky[p][:, p]) for each permutation p of the outputs.
+def _permutation_test(
+    centered: list[np.ndarray], ky: np.ndarray, *, permutations: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation tests of several inputs against one output on one permutation set.
 
-    Permuting the outputs only permutes rows and columns of their Gram
-    matrix, so the bandwidth and both Gram matrices are computed once.
+    ``centered`` holds one weighted-centered input Gram matrix A_g per
+    input. Returns the statistics vdot(A_g, Ky[p][:, p]), one row per
+    permutation p and one column per input, and each input's tie-inclusive
+    p-value (1 + #{null >= observed}) / (B + 1). Row 0 is the identity
+    permutation, so the observed statistics share the null's arithmetic and
+    ties are exact; rows 1..B are the B uniform permutations drawn from
+    ``rng``. Permuting the outputs only permutes rows and columns of Ky, so
+    each permuted Ky is gathered once and serves every input.
     """
-    return np.array([np.vdot(a, np.take(np.take(ky, p, axis=0), p, axis=1)) for p in perms])
+    if permutations < 100:
+        raise ConfigError(f"permutations must be >= 100, got {permutations}")
+    n = ky.shape[0]
+    perms = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(permutations)])
+    stats = np.empty((permutations + 1, len(centered)))
+    # The gathers write into two reused buffers, as fresh n-by-n arrays cost
+    # more in page faults than the gather itself. Every p is a permutation of
+    # range(n), so mode="clip" clips nothing; it only spares take the extra
+    # buffered copy that mode="raise" makes when given ``out``.
+    rows, permuted = np.empty((n, n)), np.empty((n, n))
+    for row, p in zip(stats, perms):
+        np.take(np.take(ky, p, axis=0, out=rows, mode="clip"), p, axis=1, out=permuted,
+                mode="clip")
+        row[:] = [np.vdot(a, permuted) for a in centered]
+    p_values = (1.0 + np.sum(stats[1:] >= stats[0], axis=0)) / (permutations + 1.0)
+    return stats, p_values
 
 
 def _measure(inputs, outputs, kx: KernelSpec, ky: KernelSpec, weights) -> HsicResult:
@@ -209,19 +237,13 @@ def independence_test(
     (1 + #{null >= observed}) / (B + 1), and the null hypothesis of
     independence is rejected when it falls below ``alpha``.
     """
-    if permutations < 100:
-        raise ConfigError(f"permutations must be >= 100, got {permutations}")
     x, y = _paired_samples(inputs, outputs)
     n = x.shape[0]
     w = _weights(weights, n)
-    a = _weighted_center(gram(x, kx), w)
-    ky_m = gram(y, ky)
-    # the observed statistic goes through the identity permutation so ties
-    # with the null sample are exact (identical arithmetic)
-    observed = float(_permutation_stats(a, ky_m, np.arange(n)[None, :])[0])
-    perms = np.vstack([rng.permutation(n) for _ in range(permutations)])
-    null = _permutation_stats(a, ky_m, perms)
-    p_value = (1.0 + int(np.sum(null >= observed))) / (permutations + 1.0)
+    stats, p_values = _permutation_test(
+        [_weighted_center(gram(x, kx), w)], gram(y, ky), permutations=permutations, rng=rng
+    )
+    observed, p_value = float(stats[0, 0]), float(p_values[0])
     return HsicResult(
         hsic_value=observed,
         statistic=n * observed,
@@ -249,32 +271,31 @@ def screen(
     applies to every group and to the output. Design weights stay attached
     to the input rows (normalized to sum to one); for uniform-weight
     designs this is exactly the unweighted test.
+
+    The output Gram matrix is built once, and every group is tested on the
+    same B permutations drawn from ``rng``: each permuted output Gram
+    matrix is gathered once and serves all groups. Each group's p-value is
+    a valid permutation p-value, but the p-values of different groups are
+    dependent (common random numbers). Every group's result equals
+    ``independence_test`` of its block on a generator in the state of
+    ``rng``. The weighted-centered input Gram matrices of all groups are
+    held at once: G n-by-n float arrays for G groups.
     """
-    y = _as_sample(outputs)
-    w = design.weights / float(design.weights.sum())
-    results = []
+    x, y = _paired_samples(design.points, outputs)
+    blocks = []
     for name, cols in groups:
         cols = list(cols)
         if not cols:
             raise ParameterError(f"group {name!r} selects no columns")
         if min(cols) < 0 or max(cols) >= design.d:
             raise DimensionError(f"group {name!r} references columns outside the design")
-        outcome = independence_test(
-            design.points[:, cols],
-            y,
-            kernel,
-            kernel,
-            permutations=permutations,
-            alpha=alpha,
-            rng=rng,
-            weights=w,
-        )
-        results.append(
-            ScreenResult(
-                name=name,
-                hsic_value=outcome.hsic_value,
-                p_value=outcome.p_value,
-                reject=outcome.reject,
-            )
-        )
-    return results
+        blocks.append((name, x[:, cols]))
+    w = design.weights / float(design.weights.sum())
+    ky = gram(y, kernel)
+    centered = [_weighted_center(gram(block, kernel), w) for _, block in blocks]
+    stats, p_values = _permutation_test(centered, ky, permutations=permutations, rng=rng)
+    return [
+        ScreenResult(name=name, hsic_value=float(value), p_value=float(p_value),
+                     reject=bool(p_value < alpha))
+        for (name, _), value, p_value in zip(blocks, stats[0], p_values)
+    ]

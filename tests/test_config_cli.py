@@ -424,10 +424,21 @@ def test_shared_quantizer_rq_checks_the_quantizer_file(tmp_path):
 
 def test_hsic_permutation_floor_rejected(tmp_path):
     path, _ = write_config(
-        tmp_path, scheme="mc", n=50, test={"permutations": 50},
+        tmp_path, scheme="mc", n=50, test={"permutations": 99},
         model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
     )
     assert main(["hsic", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_hsic_unknown_group_column_rejected(tmp_path):
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=50, test={"permutations": 100},
+        hsic_groups=[["x1"], ["x2", "nope"]],
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["hsic", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_hsic_writes_screening_table(tmp_path):

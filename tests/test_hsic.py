@@ -14,7 +14,7 @@ from qdoe import (
     independence_test,
     screen,
 )
-from qdoe.hsic import _permutation_stats, _weighted_center
+from qdoe.hsic import _permutation_test, _weighted_center
 
 
 def brute_force_hsic(kx, ky):
@@ -220,8 +220,9 @@ def test_weighted_test_matches_triple_loop_under_permutation():
     draws = np.random.default_rng(14)  # replays the test's permutations
     perms = np.vstack([draws.permutation(12) for _ in range(100)])
     oracle = np.array([brute_force_weighted(gx, gy[p][:, p], w) for p in perms])
-    null = _permutation_stats(_weighted_center(gx, w), gy, perms[:5])
-    assert np.max(np.abs(null - oracle[:5])) < 1e-12
+    stats, _ = _permutation_test([_weighted_center(gx, w)], gy, permutations=100,
+                                 rng=np.random.default_rng(14))
+    assert np.max(np.abs(stats[1:6, 0] - oracle[:5])) < 1e-12
     assert res.p_value == (1 + np.sum(oracle >= res.hsic_value)) / 101
 
 
@@ -241,6 +242,40 @@ def test_screen_single_group_equals_direct_test():
     )[0]
     assert via_screen.p_value == direct.p_value
     assert via_screen.decision == ("dependent" if direct.reject else "independent")
+
+
+def test_screen_groups_share_one_permutation_set():
+    # every group is tested on the same permutations, so each screen result
+    # is the direct test of its block on a fresh generator with the same seed
+    rng = np.random.default_rng(15)
+    points = rng.standard_normal((30, 4))
+    outputs = points[:, 0] + points[:, 1] * points[:, 2] + 0.5 * rng.standard_normal(30)
+    w = rng.uniform(0.5, 1.5, 30)
+    w /= w.sum()
+    design = Design(points, w, "rq", ("a", "b", "c", "d"))
+    groups = [("a", [0]), ("b+c", [1, 2]), ("d", [3]), ("all", [0, 1, 2, 3])]
+    results = screen(design, outputs, groups, permutations=150,
+                     rng=np.random.default_rng(16))
+    for (name, cols), res in zip(groups, results):
+        direct = independence_test(points[:, cols], outputs, KernelSpec(), KernelSpec(),
+                                   permutations=150, rng=np.random.default_rng(16),
+                                   weights=design.weights / design.weights.sum())
+        assert res.name == name
+        assert res.hsic_value == direct.hsic_value
+        assert res.p_value == direct.p_value
+        assert res.reject is direct.reject
+
+
+def test_screen_logs_every_chosen_bandwidth(caplog):
+    rng = np.random.default_rng(17)
+    points = rng.standard_normal((20, 3))
+    design = Design(points, np.full(20, 1 / 20), "mc", ("a", "b", "c"))
+    with caplog.at_level("INFO", logger="qdoe"):
+        screen(design, points.sum(axis=1), [("a", [0]), ("b", [1]), ("c", [2])],
+               permutations=100, rng=np.random.default_rng(18))
+    bandwidths = [r for r in caplog.records if "bandwidth" in r.getMessage()]
+    assert len(bandwidths) == 4
+    assert all(r.levelname == "INFO" and "std rule" in r.getMessage() for r in bandwidths)
 
 
 def test_screen_separates_active_and_inert_columns():
