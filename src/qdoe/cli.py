@@ -39,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker threads for repetition loops (default: available parallelism)",
+            help="worker processes for estimate repetitions, forked from this one; serial "
+                 "where fork is unavailable; workers log through the handlers they inherit "
+                 "(default: available parallelism)",
         )
         cmd.add_argument(
             "--shared-quantizer",

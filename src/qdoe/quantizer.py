@@ -141,15 +141,11 @@ def _cell_means(points: np.ndarray, labels: np.ndarray, n_cells: int) -> np.ndar
 
 
 def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted seeding; never selects a duplicate of a chosen seed.
-
-    Squared distances go through buffers shaped and laid out like ``points``,
-    so every step sums each row in the same order.
-    """
+    """Distance-weighted seeding; never selects a duplicate of a chosen seed."""
     m = points.shape[0]
+    squared_distances = _squared_distances_to(points)
     chosen = [int(rng.integers(m))]
-    diff = np.empty_like(points)
-    d2 = np.square(np.subtract(points, points[chosen[0]], out=diff), out=diff).sum(axis=1)
+    d2 = squared_distances(chosen[0], np.empty(m))
     new_d2 = np.empty_like(d2)
     cumulative = np.empty_like(d2)
     for _ in range(1, n_cells):
@@ -158,9 +154,39 @@ def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.
             raise ConfigError("fewer distinct pool points than requested cells")
         idx = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
         chosen.append(min(idx, m - 1))
-        np.square(np.subtract(points, points[idx], out=diff), out=diff)
-        np.minimum(d2, diff.sum(axis=1, out=new_d2), out=d2)
+        np.minimum(d2, squared_distances(idx, new_d2), out=d2)
     return points[chosen].copy()
+
+
+def _squared_distances_to(points: np.ndarray):
+    """``f(i, out)``: squared distances of every point to point i, into ``out``.
+
+    They equal ``np.sum((points - points[i]) ** 2, axis=1)`` bit for bit.
+    numpy sums the rows of an (M, d) buffer laid out like ``points``
+    sequentially when d < 8 or the buffer is F-ordered; those sums are taken
+    on a (d, M) C-contiguous copy, a few whole-pool vector operations per
+    call. C-ordered rows with d >= 8 are summed pairwise, so they keep the
+    row sums themselves.
+    """
+    d = points.shape[1]
+    rows = np.empty_like(points)
+    if d >= 8 and rows.flags.c_contiguous:
+
+        def row_sums(i: int, out: np.ndarray) -> np.ndarray:
+            np.square(np.subtract(points, points[i], out=rows), out=rows)
+            return rows.sum(axis=1, out=out)
+
+        return row_sums
+    cols = np.ascontiguousarray(points.T)
+    diff = np.empty_like(cols)
+
+    def column_sums(i: int, out: np.ndarray) -> np.ndarray:
+        if d == 1:  # nothing to sum
+            return np.square(np.subtract(cols[0], cols[0, i], out=out), out=out)
+        np.square(np.subtract(cols, cols[:, i, None], out=diff), out=diff)
+        return np.add.reduce(diff, axis=0, out=out)
+
+    return column_sums
 
 
 def _repair_empty_cells(points, centroids, labels, sq):

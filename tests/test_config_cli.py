@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -367,15 +368,38 @@ def test_estimate_writes_repetitions_and_summary(tmp_path):
 
 
 def test_estimate_end_to_end_determinism(tmp_path):
+    for repetitions in (6, 2):  # 2 < 3 workers: the pool is capped at the repetitions
+        path, _ = write_config(
+            tmp_path, scheme="qlhs", n=6, repetitions=repetitions, pool_size=300,
+            lloyd={"restarts": 1, "max_iter": 25, "rel_tol": 1e-6},
+            model={"name": "x2y"}, output_dir=str(tmp_path / "out"),
+        )
+        outputs = [tmp_path / "out" / name
+                   for name in ("estimates_qlhs_x2y_n6.csv", "summary_qlhs_x2y.json")]
+        runs = []
+        for threads in ("1", "2", "3"):
+            assert main(["estimate", "--config", str(path), "--threads", threads]) == 0
+            runs.append([out.read_bytes() for out in outputs])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_estimate_error_inside_a_repetition_exits_2_without_output(tmp_path):
+    # the fixed 60-row pool cannot hold 100 cells: each repetition's Lloyd fit
+    # raises a ConfigError inside a worker process
+    from qdoe.models import vg_pool
+    from qdoe.quantizer import save_pool
+
+    pool_csv = tmp_path / "vg_pool.csv"
+    save_pool(vg_pool(60, np.random.default_rng(0)), pool_csv,
+              column_names=("theta_r", "theta_s", "alpha", "n", "k_sat"))
     path, _ = write_config(
-        tmp_path, scheme="qlhs", n=6, repetitions=6, pool_size=300,
-        lloyd={"restarts": 1, "max_iter": 25, "rel_tol": 1e-6},
-        model={"name": "x2y"}, output_dir=str(tmp_path / "out"),
+        tmp_path, scheme="rq", n=100, repetitions=4,
+        model={"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}},
+        output_dir=str(tmp_path / "out"),
     )
-    assert main(["estimate", "--config", str(path), "--threads", "2"]) == 0
-    first = (tmp_path / "out" / "estimates_qlhs_x2y_n6.csv").read_bytes()
-    assert main(["estimate", "--config", str(path), "--threads", "1"]) == 0
-    assert (tmp_path / "out" / "estimates_qlhs_x2y_n6.csv").read_bytes() == first
+    assert main(["estimate", "--config", str(path), "--threads", "2"]) == 2
+    assert list(tmp_path.glob("out/estimates_*.csv")) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):

@@ -89,9 +89,12 @@ def test_replicate_threads_match_serial(four_point_pool):
         return rq_design(q, four_point_pool, rng)
 
     f = lambda d: d.points[:, 0] ** 2
-    serial = replicate(builder, f, 32, 5, threads=1)
-    threaded = replicate(builder, f, 32, 5, threads=4)
-    assert np.array_equal(serial.estimates, threaded.estimates)
+    for repetitions in (32, 2):  # 2 < 3 workers: the pool is capped at the repetitions
+        serial = replicate(builder, f, repetitions, 5, threads=1)
+        for threads in (2, 3):
+            parallel = replicate(builder, f, repetitions, 5, threads=threads)
+            assert parallel.estimates.tobytes() == serial.estimates.tobytes()
+            assert (parallel.scheme, parallel.n) == (serial.scheme, serial.n)
 
 
 def test_rq_variance_identity_with_fixed_quantizer():

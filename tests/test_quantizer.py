@@ -21,7 +21,7 @@ from qdoe import (
     save_quantizer,
 )
 import qdoe.quantizer as quantizer_module
-from qdoe.quantizer import _cell_means, _kmeanspp, _nearest
+from qdoe.quantizer import _cell_means, _kmeanspp, _nearest, _squared_distances_to
 
 
 def exhaustive_two_cell_oracle(points_1d):
@@ -169,12 +169,20 @@ def _reference_kmeanspp(points, n_cells, rng):
     return points[chosen].copy()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
-@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
 def test_seeding_and_cell_means_match_reference_arithmetic(d, order):
-    points = np.asarray(np.random.default_rng(d).standard_normal((3000, d)), order=order)
+    if order == "strided":  # every other row and column of a C-ordered array
+        points = np.random.default_rng(d).standard_normal((6000, 2 * d))[::2, ::2]
+    else:
+        points = np.asarray(np.random.default_rng(d).standard_normal((3000, d)), order=order)
     seeds = _kmeanspp(points, 40, np.random.default_rng(11))
     assert _same_bits(seeds, _reference_kmeanspp(points, 40, np.random.default_rng(11)))
+    # an ulp in a distance rarely moves a seed, so compare the distances too
+    squared_distances = _squared_distances_to(points)
+    for i in (0, 1, 1234, points.shape[0] - 1):
+        reference = np.sum((points - points[i]) ** 2, axis=1)
+        assert _same_bits(squared_distances(i, np.empty(points.shape[0])), reference)
     labels, _ = _reference_nearest(points, seeds)
     assert _same_bits(_cell_means(points, labels, 40), _reference_cell_means(points, labels, 40))
 
