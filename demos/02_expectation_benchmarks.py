@@ -35,10 +35,7 @@ BENCHMARKS = [
 
 def run(model_name, scheme, n, seed):
     model = build_model(model_name)
-
-    def builder(rng):
-        return build_design(CFG, model.columns, model.groups, scheme, n, rng).design
-
+    builder = partial(build_design, CFG, model.columns, model.groups, scheme, n)
     return replicate(builder, partial(evaluate_design, model), REPETITIONS, seed)
 
 

@@ -37,9 +37,7 @@ print("scheme " + "".join(f" | n={n}: mean     var    " for n in SIZES))
 for s, scheme in enumerate(("mc", "lhsd", "qlhs")):
     cells = []
     for k, n in enumerate(SIZES):
-        def builder(rng, _n=n, _scheme=scheme):
-            return build_design(CFG, model.columns, model.groups, _scheme, _n, rng).design
-
+        builder = partial(build_design, CFG, model.columns, model.groups, scheme, n)
         summary = replicate(builder, partial(evaluate_design, model), REPETITIONS,
                             50_000_000 * (s + 1) + 1_000_000 * k)
         cells.append(f" | {summary.mean:8.4f} {summary.variance:8.2e}")

@@ -16,7 +16,7 @@ import numpy as np
 from qdoe.config import parse_config
 from qdoe.hsic import screen
 from qdoe.models import build_model
-from qdoe.runner import build_design, evaluate_design
+from qdoe.runner import build_design, evaluate_design, quantize_groups
 
 N = 400
 PERMUTATIONS = 499
@@ -30,11 +30,12 @@ print("Response: y = 3*x1 + 4*x2^2 + 1.5*sin(2*pi*x3) + 0.6*(w1 + w2 + w3)")
 print("Active: x1, x2, x3 and the correlated group w. Inert: x4, x5.\n")
 
 rng = np.random.default_rng(20240814)
-bundle = build_design(cfg, model.columns, model.groups, "qlhs", N, rng)
-design = bundle.design
+quantized = quantize_groups(cfg, model.columns, model.groups, "qlhs", N, rng)
+design = build_design(cfg, model.columns, model.groups, "qlhs", N, rng, quantized=quantized)
 outputs = evaluate_design(model, design)
+quantizer, _ = quantized["w"]
 print(f"Design: qlhs with {N} rows; dependent block quantized into {N} cells "
-      f"(pool {cfg.pool_size}, distortion {bundle.quantizers['w'].distortion:.4f}).\n")
+      f"(pool {cfg.pool_size}, distortion {quantizer.distortion:.4f}).\n")
 
 roles = design.column_roles
 groups = [(c, [roles.index(c)]) for c in ("x1", "x2", "x3", "x4", "x5")]

@@ -34,7 +34,7 @@ model = build_model("vg_theta", {"h": 1.0})
 
 print("1. Physical plausibility of the sampled parameter sets (n = 10 rows)")
 for scheme in ("rq", "lhs"):
-    design = build_design(cfg, model.columns, model.groups, scheme, 10, rng).design
+    design = build_design(cfg, model.columns, model.groups, scheme, 10, rng)
     rows = design.points
     violations = int(np.sum(rows[:, 0] >= rows[:, 1]))
     spread = rows[:, 1] - rows[:, 0]
@@ -52,9 +52,7 @@ print("   scheme " + "".join(f" | n={n}: mean    var   " for n in (10, 50)))
 for s, scheme in enumerate(("mc", "lhsd", "rq")):
     cells = []
     for k, n in enumerate((10, 50)):
-        def builder(r, _n=n, _scheme=scheme):
-            return build_design(cfg, model.columns, model.groups, _scheme, _n, r).design
-
+        builder = partial(build_design, cfg, model.columns, model.groups, scheme, n)
         summary = replicate(builder, partial(evaluate_design, model), 200,
                             70_000_000 * (s + 1) + 1_000_000 * k)
         cells.append(f" | {summary.mean:7.5f} {summary.variance:8.2e}")
@@ -66,7 +64,7 @@ grid = np.logspace(-4, 2, 9)
 curves = []
 for rep in range(200):
     r = np.random.default_rng(90_000_000 + rep)
-    design = build_design(cfg, model.columns, model.groups, "rq", 10, r).design
+    design = build_design(cfg, model.columns, model.groups, "rq", 10, r)
     weights = design.weights
     curve = [float(weights @ vg_theta(h, *design.points[:, :4].T)) for h in grid]
     curves.append(curve)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -33,7 +32,7 @@ __all__ = [
     "sample_joint",
     "group_pool",
     "build_design",
-    "DesignBundle",
+    "quantize_groups",
     "evaluate_design",
     "run_sample",
     "run_estimate",
@@ -44,7 +43,7 @@ __all__ = [
 log = logging.getLogger("qdoe")
 
 _SWEEP_SEED_STRIDE = 1_000_000
-# bundle key of the joint block an rq design quantizes
+# key of the joint block an rq design quantizes
 _JOINT = "__joint__"
 
 
@@ -91,10 +90,6 @@ def group_pool(group: InputGroup, pool_size: int, rng: np.random.Generator) -> C
     return CandidatePool(sample_group(group, pool_size, rng))
 
 
-def _dependent_groups(groups) -> list[InputGroup]:
-    return [g for g in groups if g.dependent]
-
-
 def _marginals(columns, groups, pool_size: int, rng: np.random.Generator):
     """Per-column marginals in ``columns`` order plus the ``(group, block)``
     pairs drawn for them.
@@ -114,13 +109,36 @@ def _marginals(columns, groups, pool_size: int, rng: np.random.Generator):
     return [by_name[c] for c in columns], drawn
 
 
-@dataclass(frozen=True)
-class DesignBundle:
-    """A design plus the quantization artifacts behind it, when any."""
+def _quantized_groups(scheme: str, columns, groups) -> list[tuple[str, InputGroup]]:
+    """``(key, group)`` of each block ``scheme`` Voronoi-quantizes, in fit order.
 
-    design: Design
-    quantizers: dict[str, Quantizer]
-    pools: dict[str, CandidatePool]
+    Checks the input structure the scheme needs. rq quantizes a single fixed
+    pool as-is and anything else through joint draws; qlhs quantizes its one
+    dependent group, q2lhs its two.
+    """
+    if scheme in ("mc", "lhs", "lhsd"):
+        return []
+    if scheme == "rq":
+        joint = groups[0] if len(groups) == 1 and groups[0].kind == "pool" else InputGroup(
+            _JOINT, tuple(columns), "generator", generator=partial(sample_joint, columns, groups))
+        return [(_JOINT, joint)]
+    dependent = [g for g in groups if g.dependent]
+    leftover = [c for g in groups if not g.dependent for c in g.columns]
+    if scheme == "qlhs":
+        if len(dependent) != 1:
+            raise ConfigError(
+                f"qlhs requires exactly one dependent input group, found {len(dependent)}")
+        if not leftover:
+            raise ConfigError("qlhs requires at least one independent input; use rq instead")
+    elif scheme == "q2lhs":
+        if len(dependent) != 2:
+            raise ConfigError(
+                f"q2lhs requires exactly two dependent input groups, found {len(dependent)}")
+        if leftover:
+            raise ConfigError(f"q2lhs cannot place independent columns {leftover}")
+    else:
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    return [(g.name, g) for g in dependent]
 
 
 def _fit(cfg: ExperimentConfig, pool: CandidatePool, n: int, rng) -> Quantizer:
@@ -129,62 +147,61 @@ def _fit(cfg: ExperimentConfig, pool: CandidatePool, n: int, rng) -> Quantizer:
                  restarts=cfg.lloyd.restarts)
 
 
-def _quantize_group(group, n, cfg, rng, shared, key):
-    """(quantizer, pool) of one quantized block.
+def _load(cfg: ExperimentConfig, group: InputGroup, n: int) -> Quantizer:
+    """The ``quantizer_files`` entry of a fixed pool group, checked against
+    its pool and the design size."""
+    try:
+        quantizer = load_quantizer(cfg.quantizer_files[group.name])
+        quantizer.check_probabilities()
+    except (OSError, QdoeError) as exc:
+        raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
+    if quantizer.pool_size != len(group.pool_points):
+        raise ConfigError(f"quantizer file for group {group.name!r} was built on "
+                          f"{quantizer.pool_size} pool rows, the pool has {len(group.pool_points)}")
+    if quantizer.n_cells != n:
+        raise ConfigError(f"quantizer file for group {group.name!r} has {quantizer.n_cells} "
+                          f"cells, the design requires {n}")
+    return quantizer
 
-    The pair stored in ``shared`` under ``key`` wins; otherwise a fixed pool
-    group listed in ``quantizer_files`` loads its file, and anything else is
-    fitted on a fresh pool.
+
+def quantize_groups(
+    cfg: ExperimentConfig, columns, groups, scheme: str, n: int, rng: np.random.Generator
+) -> dict[str, tuple[Quantizer, CandidatePool]]:
+    """``(quantizer, pool)`` of each block ``scheme`` quantizes into n cells.
+
+    A fixed pool group listed in ``quantizer_files`` loads its file; any other
+    block is fitted on a fresh pool, in the scheme's fit order.
     """
-    if shared is not None and key in shared:
-        return shared[key]
-    if group.name in cfg.quantizer_files:
-        try:
-            quantizer = load_quantizer(cfg.quantizer_files[group.name])
-            quantizer.check_probabilities()
-        except (OSError, QdoeError) as exc:
-            raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
-        pool = CandidatePool(group.pool_points)
-        if quantizer.pool_size != pool.m:
-            raise ConfigError(
-                f"quantizer file for group {group.name!r} was built on "
-                f"{quantizer.pool_size} pool rows, the pool has {pool.m}"
-            )
-        if quantizer.n_cells != n:
-            raise ConfigError(
-                f"quantizer file for group {group.name!r} has {quantizer.n_cells} "
-                f"cells, the design requires {n}"
-            )
-        return quantizer, pool
-    pool = group_pool(group, cfg.pool_size, rng)
-    return _fit(cfg, pool, n, rng), pool
+    out = {}
+    for key, group in _quantized_groups(scheme, columns, groups):
+        if group.name in cfg.quantizer_files:
+            source, pool = "file", CandidatePool(group.pool_points)
+            quantizer = _load(cfg, group, n)
+        else:
+            source, pool = "fit", group_pool(group, cfg.pool_size, rng)
+            quantizer = _fit(cfg, pool, n, rng)
+        updates = max(len(quantizer.distortion_history) - 1, 0)
+        log.info("quantizer %s: %s n_cells=%d lloyd_updates=%d capped=%s", key, source, n,
+                 updates, updates >= cfg.lloyd.max_iter)
+        out[key] = quantizer, pool
+    return out
 
 
-def build_design(
-    cfg: ExperimentConfig,
-    columns,
-    groups,
-    scheme: str,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    shared: dict | None = None,
-) -> DesignBundle:
-    """Construct one design of the requested scheme and size."""
-    quantizers: dict[str, Quantizer] = {}
-    pools: dict[str, CandidatePool] = {}
+def build_design(cfg: ExperimentConfig, columns, groups, scheme: str, n: int,
+                 rng: np.random.Generator, *, quantized: dict | None = None) -> Design:
+    """Construct one design of the requested scheme and size.
 
-    def quantized(group, key=None):
-        key = key or group.name
-        quantizers[key], pools[key] = pair = _quantize_group(group, n, cfg, rng, shared, key)
-        return pair
-
+    ``quantized`` holds the blocks as :func:`quantize_groups` returns them;
+    without it they are quantized here, on ``rng``, first.
+    """
+    if quantized is None:
+        quantized = quantize_groups(cfg, columns, groups, scheme, n, rng)
     if scheme == "mc":
-        design = mc_design(sample_joint(columns, groups, n, rng), column_roles=columns)
-    elif scheme == "lhs":
+        return mc_design(sample_joint(columns, groups, n, rng), column_roles=columns)
+    if scheme == "lhs":
         marginals, _ = _marginals(columns, groups, cfg.pool_size, rng)
-        design = lhs_with_marginals(n, marginals, rng, column_roles=columns)
-    elif scheme == "lhsd":
+        return lhs_with_marginals(n, marginals, rng, column_roles=columns)
+    if scheme == "lhsd":
         # one Gaussian copula over all columns: declared correlations for copula
         # groups, fitted ones for drawn groups, identity blocks elsewhere
         marginals, drawn = _marginals(columns, groups, cfg.pool_size, rng)
@@ -194,50 +211,18 @@ def build_design(
         for group, block_corr in blocks:
             idx = [columns.index(c) for c in group.columns]
             corr[np.ix_(idx, idx)] = block_corr
-        design = lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
-    elif scheme == "rq":
-        # a single fixed pool is quantized as-is; anything else through joint draws
-        joint = groups[0] if len(groups) == 1 and groups[0].kind == "pool" else InputGroup(
-            _JOINT, tuple(columns), "generator", generator=partial(sample_joint, columns, groups))
-        quantizer, pool = quantized(joint, _JOINT)
-        design = rq_design(quantizer, pool, rng, column_roles=columns)
-    elif scheme == "qlhs":
-        dependent = _dependent_groups(groups)
-        if len(dependent) != 1:
-            raise ConfigError(
-                f"qlhs requires exactly one dependent input group, found {len(dependent)}"
-            )
-        independent = [g for g in groups if not g.dependent]
-        indep_names = [c for c in columns if any(c in g.columns for g in independent)]
-        if not indep_names:
-            raise ConfigError("qlhs requires at least one independent input; use rq instead")
-        # independent groups declare their marginals, so this draws nothing
-        indep_marginals, _ = _marginals(indep_names, independent, cfg.pool_size, rng)
-        dep = dependent[0]
-        quantizer, pool = quantized(dep)
-        design = qlhs_design(
-            quantizer, pool, indep_marginals, rng,
-            column_roles=tuple(dep.columns) + tuple(indep_names),
-        )
-    elif scheme == "q2lhs":
-        dependent = _dependent_groups(groups)
-        if len(dependent) != 2:
-            raise ConfigError(
-                f"q2lhs requires exactly two dependent input groups, found {len(dependent)}"
-            )
-        leftover = [c for g in groups if not g.dependent for c in g.columns]
-        if leftover:
-            raise ConfigError(f"q2lhs cannot place independent columns {leftover}")
-        ga, gb = dependent
-        qa, pa = quantized(ga)
-        qb, pb = quantized(gb)
-        design = q2lhs_design(
-            qa, pa, qb, pb, rng,
-            column_roles=tuple(ga.columns) + tuple(gb.columns),
-        )
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return DesignBundle(design=design, quantizers=quantizers, pools=pools)
+        return lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
+    if scheme == "rq":
+        return rq_design(*quantized[_JOINT], rng, column_roles=columns)
+    dependent = [g for g in groups if g.dependent]
+    if scheme == "qlhs":
+        declared = {c: m for g in groups if not g.dependent for c, m in zip(g.columns, g.marginals)}
+        indep_names = [c for c in columns if c in declared]
+        return qlhs_design(*quantized[dependent[0].name], [declared[c] for c in indep_names], rng,
+                           column_roles=tuple(dependent[0].columns) + tuple(indep_names))
+    ga, gb = dependent
+    return q2lhs_design(*quantized[ga.name], *quantized[gb.name], rng,
+                        column_roles=tuple(ga.columns) + tuple(gb.columns))
 
 
 def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:
@@ -246,27 +231,55 @@ def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:
     return np.asarray(model.evaluate(design.points[:, idx]), dtype=float)
 
 
+def _quantize_target(cfg: ExperimentConfig, groups) -> InputGroup:
+    """The dependent group ``quantize`` fits: ``config.group``, or the only one."""
+    dependent = [g for g in groups if g.dependent]
+    if cfg.group is not None:
+        matches = [g for g in dependent if g.name == cfg.group]
+        if not matches:
+            raise ConfigError(f"config.group: no dependent group named {cfg.group!r}")
+        return matches[0]
+    if len(dependent) != 1:
+        raise ConfigError("config.group is required when the inputs declare several dependent groups")
+    return dependent[0]
+
+
 def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: bool = False):
     """Shared set-up of the CLI commands: check the config keys ``command``
-    requires, resolve its inputs and create the output directory.
+    requires and the blocks it quantizes, resolve its inputs and create the
+    output directory.
 
-    Returns ``(columns, groups, model, out_dir)``; ``model`` is None for
-    inline inputs.
+    Every check runs before the directory is made, so a config that cannot
+    run writes nothing. Returns ``(columns, groups, model, out_dir)``;
+    ``model`` is None for inline inputs.
     """
     for attr in required:
         value = getattr(cfg, attr)
         if value is None or (attr == "n" and not value):
             raise ConfigError(f"command {command!r} requires config key {attr!r}")
+    if "repetitions" in required and cfg.repetitions < 2:
+        raise ConfigError(f"config.repetitions: must be >= 2, got {cfg.repetitions}")
     model = None
     if cfg.model_name is not None:
         model = build_model(cfg.model_name, cfg.model_params)
-    if cfg.columns is None or cfg.groups is None:
+    columns, groups = cfg.columns, cfg.groups
+    if columns is None or groups is None:
         raise ConfigError("config declares neither a model nor inline inputs")
     if needs_model and model is None:
         raise ConfigError(f"command {command!r} requires a model with an evaluator")
+    if command == "quantize":
+        target = _quantize_target(cfg, groups)
+        blocks, cells = [(target.name, target)], cfg.n_cells
+    else:
+        blocks, cells = _quantized_groups(cfg.scheme, columns, groups), max(cfg.n)
+    for key, group in blocks:
+        rows = cfg.pool_size if group.kind != "pool" else len(group.pool_points)
+        if cells > rows:
+            raise ConfigError(f"block {key!r}: requested {cells} cells but its pool holds "
+                              f"{rows} points")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.columns, cfg.groups, model, out_dir
+    return columns, groups, model, out_dir
 
 
 def _sweep(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -289,15 +302,16 @@ def run_sample(cfg: ExperimentConfig) -> list[Path]:
     scheme = cfg.scheme
     paths = []
     for n, seed in _sweep(cfg):
-        bundle = build_design(cfg, columns, groups, scheme, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        quantized = quantize_groups(cfg, columns, groups, scheme, n, rng)
+        design = build_design(cfg, columns, groups, scheme, n, rng, quantized=quantized)
         path = out_dir / f"design_{scheme}_n{n}.csv"
         extra = [f"scheme={scheme} n={n}"]
-        for name, quantizer in bundle.quantizers.items():
+        summary = f"sample: scheme={scheme} n={n} d={design.d} -> {path}"
+        for name, (quantizer, _) in quantized.items():
             extra.append(f"quantizer={name} distortion={quantizer.distortion!r}")
-        bundle.design.to_csv(path, header_comments=_meta_lines(cfg, extra))
-        summary = f"sample: scheme={scheme} n={n} d={bundle.design.d} -> {path}"
-        for name, quantizer in bundle.quantizers.items():
             summary += f" [distortion({name})={quantizer.distortion:.6g}]"
+        design.to_csv(path, header_comments=_meta_lines(cfg, extra))
         print(summary)
         paths.append(path)
     return paths
@@ -308,27 +322,21 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 
     Writes one repetition CSV per size plus a single JSON summary with
     mean, variance and the 2.5/97.5 percentiles per size. In shared-quantizer
-    mode the quantizers of one extra design, built on seed ``[seed, 1]``, serve
-    every repetition of that size.
+    mode the blocks of each size are quantized once, on seed ``[seed, 1]``,
+    and serve every repetition of that size.
     """
     columns, groups, model, out_dir = _start(
         cfg, "estimate", "scheme", "n", "repetitions", needs_model=True)
     scheme, repetitions = cfg.scheme, cfg.repetitions
-    if repetitions < 2:
-        raise ConfigError(f"config.repetitions: must be >= 2, got {repetitions}")
     evaluate = partial(evaluate_design, model)
     paths = []
     entries = []
     for n, base_seed in _sweep(cfg):
-        shared = None
+        quantized = None
         if cfg.shared_quantizer:
-            first = build_design(cfg, columns, groups, scheme, n,
-                                 np.random.default_rng([cfg.seed, 1]))
-            shared = {key: (q, first.pools[key]) for key, q in first.quantizers.items()}
-
-        def builder(rng, _n=n, _shared=shared):
-            return build_design(cfg, columns, groups, scheme, _n, rng, shared=_shared).design
-
+            quantized = quantize_groups(cfg, columns, groups, scheme, n,
+                                        np.random.default_rng([cfg.seed, 1]))
+        builder = partial(build_design, cfg, columns, groups, scheme, n, quantized=quantized)
         started = time.monotonic()
         summary = replicate(builder, evaluate, repetitions, base_seed, threads=threads)
         elapsed = time.monotonic() - started
@@ -387,8 +395,7 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     paths = []
     for n, seed in _sweep(cfg):
         rng = np.random.default_rng(seed)
-        bundle = build_design(cfg, columns, groups, scheme, n, rng)
-        design = bundle.design
+        design = build_design(cfg, columns, groups, scheme, n, rng)
         outputs = evaluate_design(model, design)
         roles = design.column_roles
         if cfg.hsic_groups is not None:
@@ -426,18 +433,7 @@ def run_quantize(cfg: ExperimentConfig) -> list[Path]:
     """Quantize one dependent group's pool and persist the artifact."""
     _, groups, _, out_dir = _start(cfg, "quantize", "n_cells")
     n_cells = cfg.n_cells
-    dependent = _dependent_groups(groups)
-    if cfg.group is not None:
-        matches = [g for g in dependent if g.name == cfg.group]
-        if not matches:
-            raise ConfigError(f"config.group: no dependent group named {cfg.group!r}")
-        target = matches[0]
-    elif len(dependent) == 1:
-        target = dependent[0]
-    else:
-        raise ConfigError(
-            "config.group is required when the inputs declare several dependent groups"
-        )
+    target = _quantize_target(cfg, groups)
     rng = np.random.default_rng(cfg.seed)
     pool = group_pool(target, cfg.pool_size, rng)
     quantizer = _fit(cfg, pool, n_cells, rng)

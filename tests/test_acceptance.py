@@ -44,9 +44,7 @@ def sweep(model, scheme, sizes, repetitions, base_seed, cfg):
     """Replicated estimation per design size with strided seeds."""
     out = {}
     for k, n in enumerate(sizes):
-        def builder(rng, _n=n):
-            return build_design(cfg, model.columns, model.groups, scheme, _n, rng).design
-
+        builder = partial(build_design, cfg, model.columns, model.groups, scheme, n)
         out[n] = replicate(builder, partial(evaluate_design, model), repetitions,
                            base_seed + STRIDE * k)
     return out
@@ -278,8 +276,7 @@ def test_criterion_8_screening_ground_truth():
     replications = 100
     for rep in range(replications):
         rng = np.random.default_rng(600_000_000 + rep)
-        bundle = build_design(cfg, model.columns, model.groups, "qlhs", 400, rng)
-        design = bundle.design
+        design = build_design(cfg, model.columns, model.groups, "qlhs", 400, rng)
         roles = design.column_roles
         outputs = evaluate_design(model, design)
         groups = [(c, [roles.index(c)]) for c in ("x1", "x2", "x3", "x4", "x5")]
@@ -347,10 +344,8 @@ def test_criterion_9_structural_invariants():
     # seed determinism, bit identical
     model = build_model("x2y")
     cfg = mk_cfg(pool_size=500, max_iter=25)
-    a = build_design(cfg, model.columns, model.groups, "qlhs", 12,
-                     np.random.default_rng(99)).design
-    b = build_design(cfg, model.columns, model.groups, "qlhs", 12,
-                     np.random.default_rng(99)).design
+    a = build_design(cfg, model.columns, model.groups, "qlhs", 12, np.random.default_rng(99))
+    b = build_design(cfg, model.columns, model.groups, "qlhs", 12, np.random.default_rng(99))
     checks.append(("identical seeds give bit-identical designs",
                    bool(np.array_equal(a.points, b.points)
                         and np.array_equal(a.weights, b.weights))))

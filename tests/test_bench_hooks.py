@@ -64,3 +64,26 @@ def test_layer_spans_are_recorded(tmp_path, monkeypatch):
     assert hsic_names["hsic.screen"] == 1
     assert hsic_names["hsic.gram"] == 7
     assert hsic_names["hsic.independence_test"] == 0
+
+
+def test_shared_quantizer_spans(tmp_path, monkeypatch):
+    # shared mode quantizes once per size and builds only the repetitions'
+    # designs: no extra design, no extra pool draw
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    spans.install_layers(tracer, qdoe)
+    for scheme in ("qlhs", "lhs"):
+        (tmp_path / scheme).mkdir()
+    try:
+        run_command(tmp_path / "qlhs", "estimate", scheme="qlhs", n=[5], repetitions=3,
+                    pool_size=200, lloyd={"restarts": 1, "max_iter": 20},
+                    model={"name": "flood"}, shared_quantizer=True)
+        qlhs_names = Counter(s.name for s in tracer.spans)
+        run_command(tmp_path / "lhs", "estimate", scheme="lhs", n=[5], repetitions=3,
+                    pool_size=200, model={"name": "vg_theta"}, shared_quantizer=True)
+    finally:
+        tracer.uninstall()
+    assert qlhs_names["runner.build_design"] == 3
+    assert qlhs_names["quantizer.lloyd"] == 1
+    lhs_names = Counter(s.name for s in tracer.spans) - qlhs_names
+    assert lhs_names["runner.group_pool"] == 3

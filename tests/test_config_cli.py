@@ -190,7 +190,8 @@ def test_sample_invalid_config_returns_2_and_writes_nothing(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     assert main(["sample", "--config", str(path)]) == 2
-    assert not (tmp_path / "out" / "design_q2lhs_n4.csv").exists()
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,7 @@ def test_quantize_too_many_cells_fails(tmp_path):
     path, _ = write_config(tmp_path, inputs=inputs, n_cells=5,
                            output_dir=str(tmp_path / "out"))
     assert main(["quantize", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_q2lhs_mismatched_quantizer_files_fail(tmp_path):
@@ -346,6 +348,7 @@ def test_estimate_zero_repetitions_rejected(tmp_path):
         model={"name": "square"}, output_dir=str(tmp_path / "out"),
     )
     assert main(["estimate", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_writes_repetitions_and_summary(tmp_path):
@@ -383,21 +386,42 @@ def test_estimate_end_to_end_determinism(tmp_path):
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def test_estimate_error_inside_a_repetition_exits_2_without_output(tmp_path):
-    # the fixed 60-row pool cannot hold 100 cells: each repetition's Lloyd fit
-    # raises a ConfigError inside a worker process
+def write_vg_pool(path, rows, constant_theta_r=False):
+    from qdoe import CandidatePool
     from qdoe.models import vg_pool
     from qdoe.quantizer import save_pool
 
-    pool_csv = tmp_path / "vg_pool.csv"
-    save_pool(vg_pool(60, np.random.default_rng(0)), pool_csv,
+    points = vg_pool(rows, np.random.default_rng(0)).points
+    if constant_theta_r:
+        points[:, 0] = 0.01
+    save_pool(CandidatePool(points), path,
               column_names=("theta_r", "theta_s", "alpha", "n", "k_sat"))
+
+
+def test_impossible_estimate_fails_before_forking_or_writing(tmp_path):
+    # the fixed 60-row pool cannot hold 100 cells, which the command sees
+    # before it makes the output directory or starts a worker
+    write_vg_pool(tmp_path / "vg_pool.csv", 60)
     path, _ = write_config(
         tmp_path, scheme="rq", n=100, repetitions=4,
-        model={"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}},
+        model={"name": "vg_theta", "params": {"pool_csv": str(tmp_path / "vg_pool.csv")}},
         output_dir=str(tmp_path / "out"),
     )
     assert main(["estimate", "--config", str(path), "--threads", "2"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_error_inside_a_repetition_exits_3_without_output(tmp_path):
+    # a constant theta_r column has a degenerate marginal: only the lhsd
+    # copula fit inside each repetition sees it, in a worker process
+    write_vg_pool(tmp_path / "vg_pool.csv", 60, constant_theta_r=True)
+    path, _ = write_config(
+        tmp_path, scheme="lhsd", n=10, repetitions=4,
+        model={"name": "vg_theta", "params": {"pool_csv": str(tmp_path / "vg_pool.csv")}},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["estimate", "--config", str(path), "--threads", "2"]) == 3
     assert list(tmp_path.glob("out/estimates_*.csv")) == []
     assert multiprocessing.active_children() == []
 
@@ -422,12 +446,8 @@ def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):
 def test_shared_quantizer_rq_checks_the_quantizer_file(tmp_path):
     # the fixed pool and its quantizer file resolve as in the unshared mode,
     # so a 7-cell file cannot serve a 5-point design in either mode
-    from qdoe.models import vg_pool
-    from qdoe.quantizer import save_pool
-
     pool_csv = tmp_path / "vg_pool.csv"
-    save_pool(vg_pool(60, np.random.default_rng(0)), pool_csv,
-              column_names=("theta_r", "theta_s", "alpha", "n", "k_sat"))
+    write_vg_pool(pool_csv, 60)
     model = {"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}}
     qcfg, _ = write_config(tmp_path, name="q.json", model=model, n_cells=7,
                            lloyd={"restarts": 1, "max_iter": 25},
