@@ -16,7 +16,7 @@ import numpy as np
 from qdoe.config import parse_config
 from qdoe.hsic import screen
 from qdoe.models import build_model
-from qdoe.runner import build_design, evaluate_design, quantize_groups
+from qdoe.runner import build_design, evaluate_design, quantize_groups, scheme_blocks
 
 N = 400
 PERMUTATIONS = 499
@@ -30,10 +30,10 @@ print("Response: y = 3*x1 + 4*x2^2 + 1.5*sin(2*pi*x3) + 0.6*(w1 + w2 + w3)")
 print("Active: x1, x2, x3 and the correlated group w. Inert: x4, x5.\n")
 
 rng = np.random.default_rng(20240814)
-quantized = quantize_groups(cfg, model.columns, model.groups, "qlhs", N, rng)
-design = build_design(cfg, model.columns, model.groups, "qlhs", N, rng, quantized=quantized)
+blocks = quantize_groups(cfg, scheme_blocks("qlhs", model.columns, model.groups), N, rng)
+design = build_design(cfg, model.columns, model.groups, "qlhs", N, rng, blocks=blocks)
 outputs = evaluate_design(model, design)
-quantizer, _ = quantized["w"]
+quantizer = blocks["w"].quantizer
 print(f"Design: qlhs with {N} rows; dependent block quantized into {N} cells "
       f"(pool {cfg.pool_size}, distortion {quantizer.distortion:.4f}).\n")
 

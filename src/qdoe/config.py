@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import distribution_from_config
 from .errors import ConfigError, ParameterError, QdoeError
 from .hsic import KernelSpec
-from .models import InputGroup, build_model, load_config_pool
+from .models import InputGroup, load_config_pool
 
 __all__ = [
     "LloydSettings",
@@ -49,7 +49,12 @@ class SignificanceSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, validated experiment description."""
+    """Parsed experiment description, checked against the schema.
+
+    ``columns`` and ``groups`` hold inline inputs only. A model is built (and
+    its ``pool_csv`` read) when a command starts, in ``qdoe.runner``, which
+    also runs the checks that need the resolved inputs.
+    """
 
     seed: int
     scheme: str | None
@@ -215,12 +220,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         model_name = model_raw["name"]
         model_params = model_raw.get("params", {})
         _expect(isinstance(model_params, dict), "config.model.params", "expected a mapping")
-        try:
-            spec = build_model(model_name, model_params)
-        except QdoeError as exc:
-            raise ConfigError(f"config.model: {exc}") from exc
-        columns = spec.columns
-        groups = spec.groups
     if "inputs" in raw:
         _expect(model_name is None, "config.inputs", "declare either a model or inline inputs")
         inputs_raw = raw["inputs"]
@@ -261,22 +260,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if raw.get("hsic_groups") is not None:
         hg = raw["hsic_groups"]
         _expect(isinstance(hg, list) and hg, "config.hsic_groups", "expected a non-empty list")
-        parsed = []
         for i, entry in enumerate(hg):
             _expect(isinstance(entry, list) and entry, f"config.hsic_groups[{i}]",
                     "expected a non-empty list of column names")
-            unknown = [c for c in entry if c not in (columns or ())]
-            _expect(not unknown, f"config.hsic_groups[{i}]", f"unknown columns {unknown}")
-            parsed.append(tuple(entry))
-        hsic_groups = tuple(parsed)
+        hsic_groups = tuple(tuple(entry) for entry in hg)
 
     quantizer_files = raw.get("quantizer_files", {})
     _expect(isinstance(quantizer_files, dict), "config.quantizer_files", "expected a mapping")
-    # a stored assignment indexes the rows of a fixed pool, so only pool groups qualify
-    pool_groups = {g.name for g in groups or () if g.kind == "pool"}
     for name, file in quantizer_files.items():
-        _expect(name in pool_groups, f"config.quantizer_files.{name}",
-                "names no declared pool group")
         _expect(isinstance(file, str), f"config.quantizer_files.{name}", "expected a path string")
 
     output_dir = raw.get("output_dir", ".")

@@ -49,8 +49,6 @@ def estimate(design: Design, values) -> float:
 class ReplicateSummary:
     """Repetition statistics of one estimator configuration."""
 
-    scheme: str
-    n: int
     repetitions: int
     base_seed: int
     estimates: np.ndarray
@@ -77,12 +75,11 @@ def replicate(
     With ``threads > 1`` the repetitions run in ``min(threads, repetitions)``
     worker processes forked from this one, which share no interpreter lock.
     ``build_design`` and ``evaluate`` reach the workers through the fork, so
-    closures and lambdas work; only repetition indices and the
-    ``(estimate, scheme, n)`` results are pickled. Results are assembled by
-    index, so the estimates equal those of the serial loop bit for bit. An
-    exception raised in a repetition is raised here after every worker has
-    exited. Where the ``fork`` start method is unavailable the loop runs
-    serially.
+    closures and lambdas work; only repetition indices and the estimates are
+    pickled. Results are assembled by index, so the estimates equal those of
+    the serial loop bit for bit. An exception raised in a repetition is
+    raised here after every worker has exited. Where the ``fork`` start
+    method is unavailable the loop runs serially.
     """
     if repetitions < 2:
         raise ConfigError(f"repetitions must be >= 2, got {repetitions}")
@@ -93,14 +90,10 @@ def replicate(
         with ProcessPoolExecutor(max_workers=min(threads, repetitions),
                                  mp_context=multiprocessing.get_context("fork"),
                                  initializer=_adopt_work, initargs=(work,)) as pool:
-            outcomes = list(pool.map(_one_repetition, range(repetitions), chunksize=1))
+            estimates = np.array(list(pool.map(_one_repetition, range(repetitions), chunksize=1)))
     else:
-        outcomes = [_one_repetition(r, work) for r in range(repetitions)]
-    estimates = np.array([v for v, _, _ in outcomes])
-    _, scheme, n = outcomes[0]
+        estimates = np.array([_one_repetition(r, work) for r in range(repetitions)])
     return ReplicateSummary(
-        scheme=scheme,
-        n=n,
         repetitions=repetitions,
         base_seed=base_seed,
         estimates=estimates,
@@ -121,7 +114,7 @@ def _adopt_work(work) -> None:
     _WORK = work
 
 
-def _one_repetition(r: int, work=None) -> tuple[float, str, int]:
+def _one_repetition(r: int, work=None) -> float:
     build_design, evaluate, base_seed = _WORK if work is None else work
     design = build_design(np.random.default_rng(base_seed + r))
-    return estimate(design, evaluate(design)), design.scheme, design.n
+    return estimate(design, evaluate(design))

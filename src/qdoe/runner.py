@@ -15,6 +15,7 @@ import logging
 import time
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,10 @@ __all__ = [
     "sample_group",
     "sample_joint",
     "group_pool",
-    "build_design",
+    "Block",
+    "scheme_blocks",
     "quantize_groups",
+    "build_design",
     "evaluate_design",
     "run_sample",
     "run_estimate",
@@ -109,19 +112,29 @@ def _marginals(columns, groups, pool_size: int, rng: np.random.Generator):
     return [by_name[c] for c in columns], drawn
 
 
-def _quantized_groups(scheme: str, columns, groups) -> list[tuple[str, InputGroup]]:
-    """``(key, group)`` of each block ``scheme`` Voronoi-quantizes, in fit order.
+class Block(NamedTuple):
+    """One block a design Voronoi-quantizes: the input group that supplies its
+    pool and, once resolved, its quantizer and the pool that quantizer
+    indexes."""
+
+    group: InputGroup
+    quantizer: Quantizer | None = None
+    pool: CandidatePool | None = None
+
+
+def scheme_blocks(scheme: str, columns, groups) -> dict[str, Block]:
+    """The unresolved blocks ``scheme`` Voronoi-quantizes, by key, in fit order.
 
     Checks the input structure the scheme needs. rq quantizes a single fixed
-    pool as-is and anything else through joint draws; qlhs quantizes its one
-    dependent group, q2lhs its two.
+    pool as-is and anything else through joint draws (key ``__joint__``);
+    qlhs quantizes its one dependent group, q2lhs its two (keyed by name).
     """
     if scheme in ("mc", "lhs", "lhsd"):
-        return []
+        return {}
     if scheme == "rq":
         joint = groups[0] if len(groups) == 1 and groups[0].kind == "pool" else InputGroup(
             _JOINT, tuple(columns), "generator", generator=partial(sample_joint, columns, groups))
-        return [(_JOINT, joint)]
+        return {_JOINT: Block(joint)}
     dependent = [g for g in groups if g.dependent]
     leftover = [c for g in groups if not g.dependent for c in g.columns]
     if scheme == "qlhs":
@@ -138,64 +151,40 @@ def _quantized_groups(scheme: str, columns, groups) -> list[tuple[str, InputGrou
             raise ConfigError(f"q2lhs cannot place independent columns {leftover}")
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    return [(g.name, g) for g in dependent]
+    return {g.name: Block(g) for g in dependent}
 
 
-def _fit(cfg: ExperimentConfig, pool: CandidatePool, n: int, rng) -> Quantizer:
-    """The one Lloyd fit of the runner, with the config's settings."""
-    return lloyd(pool, n, rng, max_iter=cfg.lloyd.max_iter, rel_tol=cfg.lloyd.rel_tol,
-                 restarts=cfg.lloyd.restarts)
+def quantize_groups(cfg: ExperimentConfig, blocks: dict[str, Block], n: int,
+                    rng: np.random.Generator) -> dict[str, Block]:
+    """``blocks`` resolved at n cells.
 
-
-def _load(cfg: ExperimentConfig, group: InputGroup, n: int) -> Quantizer:
-    """The ``quantizer_files`` entry of a fixed pool group, checked against
-    its pool and the design size."""
-    try:
-        quantizer = load_quantizer(cfg.quantizer_files[group.name])
-        quantizer.check_probabilities()
-    except (OSError, QdoeError) as exc:
-        raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
-    if quantizer.pool_size != len(group.pool_points):
-        raise ConfigError(f"quantizer file for group {group.name!r} was built on "
-                          f"{quantizer.pool_size} pool rows, the pool has {len(group.pool_points)}")
-    if quantizer.n_cells != n:
-        raise ConfigError(f"quantizer file for group {group.name!r} has {quantizer.n_cells} "
-                          f"cells, the design requires {n}")
-    return quantizer
-
-
-def quantize_groups(
-    cfg: ExperimentConfig, columns, groups, scheme: str, n: int, rng: np.random.Generator
-) -> dict[str, tuple[Quantizer, CandidatePool]]:
-    """``(quantizer, pool)`` of each block ``scheme`` quantizes into n cells.
-
-    A fixed pool group listed in ``quantizer_files`` loads its file; any other
-    block is fitted on a fresh pool, in the scheme's fit order.
+    A resolved block (loaded from ``quantizer_files``, or quantized once for
+    every repetition) is kept as it is; any other is fitted on a fresh pool
+    drawn from ``rng``, in block order.
     """
     out = {}
-    for key, group in _quantized_groups(scheme, columns, groups):
-        if group.name in cfg.quantizer_files:
-            source, pool = "file", CandidatePool(group.pool_points)
-            quantizer = _load(cfg, group, n)
-        else:
-            source, pool = "fit", group_pool(group, cfg.pool_size, rng)
-            quantizer = _fit(cfg, pool, n, rng)
-        updates = max(len(quantizer.distortion_history) - 1, 0)
-        log.info("quantizer %s: %s n_cells=%d lloyd_updates=%d capped=%s", key, source, n,
-                 updates, updates >= cfg.lloyd.max_iter)
-        out[key] = quantizer, pool
+    for key, block in blocks.items():
+        if block.quantizer is None:
+            pool = group_pool(block.group, cfg.pool_size, rng)
+            quantizer = lloyd(pool, n, rng, max_iter=cfg.lloyd.max_iter,
+                              rel_tol=cfg.lloyd.rel_tol, restarts=cfg.lloyd.restarts)
+            updates = max(len(quantizer.distortion_history) - 1, 0)
+            log.info("quantizer %s: fit n_cells=%d lloyd_updates=%d capped=%s", key, n,
+                     updates, updates >= cfg.lloyd.max_iter)
+            block = Block(block.group, quantizer, pool)
+        out[key] = block
     return out
 
 
 def build_design(cfg: ExperimentConfig, columns, groups, scheme: str, n: int,
-                 rng: np.random.Generator, *, quantized: dict | None = None) -> Design:
+                 rng: np.random.Generator, *, blocks: dict[str, Block] | None = None) -> Design:
     """Construct one design of the requested scheme and size.
 
-    ``quantized`` holds the blocks as :func:`quantize_groups` returns them;
-    without it they are quantized here, on ``rng``, first.
+    ``blocks`` are the scheme's blocks, :func:`scheme_blocks` by default;
+    those not yet resolved are quantized here, on ``rng``, first.
     """
-    if quantized is None:
-        quantized = quantize_groups(cfg, columns, groups, scheme, n, rng)
+    blocks = quantize_groups(
+        cfg, scheme_blocks(scheme, columns, groups) if blocks is None else blocks, n, rng)
     if scheme == "mc":
         return mc_design(sample_joint(columns, groups, n, rng), column_roles=columns)
     if scheme == "lhs":
@@ -205,24 +194,25 @@ def build_design(cfg: ExperimentConfig, columns, groups, scheme: str, n: int,
         # one Gaussian copula over all columns: declared correlations for copula
         # groups, fitted ones for drawn groups, identity blocks elsewhere
         marginals, drawn = _marginals(columns, groups, cfg.pool_size, rng)
-        blocks = [(g, g.correlation) for g in groups if g.kind == "copula"]
-        blocks += [(g, fit_gaussian_copula(block).correlation) for g, block in drawn]
+        parts = [(g, g.correlation) for g in groups if g.kind == "copula"]
+        parts += [(g, fit_gaussian_copula(block).correlation) for g, block in drawn]
         corr = np.eye(len(columns))
-        for group, block_corr in blocks:
+        for group, block_corr in parts:
             idx = [columns.index(c) for c in group.columns]
             corr[np.ix_(idx, idx)] = block_corr
         return lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
     if scheme == "rq":
-        return rq_design(*quantized[_JOINT], rng, column_roles=columns)
-    dependent = [g for g in groups if g.dependent]
+        joint = blocks[_JOINT]
+        return rq_design(joint.quantizer, joint.pool, rng, column_roles=columns)
     if scheme == "qlhs":
+        (dep,) = blocks.values()
         declared = {c: m for g in groups if not g.dependent for c, m in zip(g.columns, g.marginals)}
         indep_names = [c for c in columns if c in declared]
-        return qlhs_design(*quantized[dependent[0].name], [declared[c] for c in indep_names], rng,
-                           column_roles=tuple(dependent[0].columns) + tuple(indep_names))
-    ga, gb = dependent
-    return q2lhs_design(*quantized[ga.name], *quantized[gb.name], rng,
-                        column_roles=tuple(ga.columns) + tuple(gb.columns))
+        return qlhs_design(dep.quantizer, dep.pool, [declared[c] for c in indep_names], rng,
+                           column_roles=dep.group.columns + tuple(indep_names))
+    a, b = blocks.values()
+    return q2lhs_design(a.quantizer, a.pool, b.quantizer, b.pool, rng,
+                        column_roles=a.group.columns + b.group.columns)
 
 
 def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:
@@ -231,27 +221,52 @@ def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:
     return np.asarray(model.evaluate(design.points[:, idx]), dtype=float)
 
 
-def _quantize_target(cfg: ExperimentConfig, groups) -> InputGroup:
-    """The dependent group ``quantize`` fits: ``config.group``, or the only one."""
+def _plan(cfg: ExperimentConfig, command: str, columns, groups):
+    """``(blocks, sizes)``: the blocks ``command`` quantizes and the cell
+    counts it asks of them. ``quantize`` fits the dependent group
+    ``config.group`` (or the only one) at ``n_cells``; the other commands
+    quantize the scheme's blocks at every design size."""
+    if command != "quantize":
+        return scheme_blocks(cfg.scheme, columns, groups), cfg.n
     dependent = [g for g in groups if g.dependent]
     if cfg.group is not None:
-        matches = [g for g in dependent if g.name == cfg.group]
-        if not matches:
+        dependent = [g for g in dependent if g.name == cfg.group]
+        if not dependent:
             raise ConfigError(f"config.group: no dependent group named {cfg.group!r}")
-        return matches[0]
-    if len(dependent) != 1:
+    elif len(dependent) != 1:
         raise ConfigError("config.group is required when the inputs declare several dependent groups")
-    return dependent[0]
+    return {dependent[0].name: Block(dependent[0])}, (cfg.n_cells,)
+
+
+def _load(path: str, group: InputGroup, sizes) -> Quantizer:
+    """The quantizer file of a fixed pool group, checked against its pool and
+    every design size."""
+    try:
+        quantizer = load_quantizer(path)
+        quantizer.check_probabilities()
+    except (OSError, QdoeError) as exc:
+        raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
+    if quantizer.pool_size != len(group.pool_points):
+        raise ConfigError(f"quantizer file for group {group.name!r} was built on "
+                          f"{quantizer.pool_size} pool rows, the pool has {len(group.pool_points)}")
+    for n in sizes:
+        if quantizer.n_cells != n:
+            raise ConfigError(f"quantizer file for group {group.name!r} has {quantizer.n_cells} "
+                              f"cells, the design requires {n}")
+    return quantizer
 
 
 def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: bool = False):
-    """Shared set-up of the CLI commands: check the config keys ``command``
-    requires and the blocks it quantizes, resolve its inputs and create the
-    output directory.
+    """The one place that turns a config into a command's inputs.
 
-    Every check runs before the directory is made, so a config that cannot
-    run writes nothing. Returns ``(columns, groups, model, out_dir)``;
-    ``model`` is None for inline inputs.
+    Builds the model once, checks the keys ``command`` requires, the
+    ``hsic_groups`` columns and the ``quantizer_files`` names, checks each
+    planned block's pool against the largest size, and loads each of its
+    ``quantizer_files`` once, checked against the pool and every size. All
+    of it runs before the output directory is made, so a config that cannot
+    run writes nothing. Returns ``(columns, groups, model, blocks,
+    out_dir)``; ``model`` is None for inline inputs, and loaded blocks are
+    resolved.
     """
     for attr in required:
         value = getattr(cfg, attr)
@@ -259,27 +274,39 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
             raise ConfigError(f"command {command!r} requires config key {attr!r}")
     if "repetitions" in required and cfg.repetitions < 2:
         raise ConfigError(f"config.repetitions: must be >= 2, got {cfg.repetitions}")
-    model = None
+    model, columns, groups = None, cfg.columns, cfg.groups
     if cfg.model_name is not None:
-        model = build_model(cfg.model_name, cfg.model_params)
-    columns, groups = cfg.columns, cfg.groups
-    if columns is None or groups is None:
+        try:
+            model = build_model(cfg.model_name, cfg.model_params)
+        except QdoeError as exc:
+            raise ConfigError(f"config.model: {exc}") from exc
+        columns, groups = model.columns, model.groups
+    if columns is None:
         raise ConfigError("config declares neither a model nor inline inputs")
     if needs_model and model is None:
         raise ConfigError(f"command {command!r} requires a model with an evaluator")
-    if command == "quantize":
-        target = _quantize_target(cfg, groups)
-        blocks, cells = [(target.name, target)], cfg.n_cells
-    else:
-        blocks, cells = _quantized_groups(cfg.scheme, columns, groups), max(cfg.n)
-    for key, group in blocks:
+    for i, entry in enumerate(cfg.hsic_groups or ()):
+        unknown = [c for c in entry if c not in columns]
+        if unknown:
+            raise ConfigError(f"config.hsic_groups[{i}]: unknown columns {unknown}")
+    # a stored assignment indexes the rows of a fixed pool, so only pool groups qualify
+    pool_groups = {g.name for g in groups if g.kind == "pool"}
+    for name in cfg.quantizer_files:
+        if name not in pool_groups:
+            raise ConfigError(f"config.quantizer_files.{name}: names no declared pool group")
+    blocks, sizes = _plan(cfg, command, columns, groups)
+    for key, (group, _, _) in blocks.items():
         rows = cfg.pool_size if group.kind != "pool" else len(group.pool_points)
-        if cells > rows:
-            raise ConfigError(f"block {key!r}: requested {cells} cells but its pool holds "
+        if max(sizes) > rows:
+            raise ConfigError(f"block {key!r}: requested {max(sizes)} cells but its pool holds "
                               f"{rows} points")
+        if command != "quantize" and group.name in cfg.quantizer_files:
+            path = cfg.quantizer_files[group.name]
+            blocks[key] = Block(group, _load(path, group, sizes), CandidatePool(group.pool_points))
+            log.info("quantizer %s: file %s n_cells=%d", key, path, blocks[key].quantizer.n_cells)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return columns, groups, model, out_dir
+    return columns, groups, model, blocks, out_dir
 
 
 def _sweep(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -298,17 +325,17 @@ def _write_table(path: Path, cfg: ExperimentConfig, meta: str, header: str, rows
 
 def run_sample(cfg: ExperimentConfig) -> list[Path]:
     """Write one design CSV per requested size; returns the paths."""
-    columns, groups, _, out_dir = _start(cfg, "sample", "scheme", "n")
+    columns, groups, _, blocks, out_dir = _start(cfg, "sample", "scheme", "n")
     scheme = cfg.scheme
     paths = []
     for n, seed in _sweep(cfg):
         rng = np.random.default_rng(seed)
-        quantized = quantize_groups(cfg, columns, groups, scheme, n, rng)
-        design = build_design(cfg, columns, groups, scheme, n, rng, quantized=quantized)
+        resolved = quantize_groups(cfg, blocks, n, rng)
+        design = build_design(cfg, columns, groups, scheme, n, rng, blocks=resolved)
         path = out_dir / f"design_{scheme}_n{n}.csv"
         extra = [f"scheme={scheme} n={n}"]
         summary = f"sample: scheme={scheme} n={n} d={design.d} -> {path}"
-        for name, (quantizer, _) in quantized.items():
+        for name, (_, quantizer, _) in resolved.items():
             extra.append(f"quantizer={name} distortion={quantizer.distortion!r}")
             summary += f" [distortion({name})={quantizer.distortion:.6g}]"
         design.to_csv(path, header_comments=_meta_lines(cfg, extra))
@@ -325,18 +352,17 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     mode the blocks of each size are quantized once, on seed ``[seed, 1]``,
     and serve every repetition of that size.
     """
-    columns, groups, model, out_dir = _start(
+    columns, groups, model, blocks, out_dir = _start(
         cfg, "estimate", "scheme", "n", "repetitions", needs_model=True)
     scheme, repetitions = cfg.scheme, cfg.repetitions
     evaluate = partial(evaluate_design, model)
     paths = []
     entries = []
     for n, base_seed in _sweep(cfg):
-        quantized = None
+        shared = blocks
         if cfg.shared_quantizer:
-            quantized = quantize_groups(cfg, columns, groups, scheme, n,
-                                        np.random.default_rng([cfg.seed, 1]))
-        builder = partial(build_design, cfg, columns, groups, scheme, n, quantized=quantized)
+            shared = quantize_groups(cfg, blocks, n, np.random.default_rng([cfg.seed, 1]))
+        builder = partial(build_design, cfg, columns, groups, scheme, n, blocks=shared)
         started = time.monotonic()
         summary = replicate(builder, evaluate, repetitions, base_seed, threads=threads)
         elapsed = time.monotonic() - started
@@ -344,21 +370,12 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
         _write_table(rep_path, cfg, f"scheme={scheme} model={model.name} n={n}", "seed,estimate",
                      [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)])
         paths.append(rep_path)
-        entries.append(
-            {
-                "n": n,
-                "repetitions": repetitions,
-                "base_seed": base_seed,
-                "mean": summary.mean,
-                "variance": summary.variance,
-                "percentile_2_5": summary.percentile_2_5,
-                "percentile_97_5": summary.percentile_97_5,
-            }
-        )
-        print(
-            f"estimate: scheme={scheme} model={model.name} n={n} reps={repetitions} "
-            f"mean={summary.mean:.6g} var={summary.variance:.3g} ({elapsed:.1f}s)"
-        )
+        entries.append({"n": n, "repetitions": repetitions, "base_seed": base_seed,
+                        "mean": summary.mean, "variance": summary.variance,
+                        "percentile_2_5": summary.percentile_2_5,
+                        "percentile_97_5": summary.percentile_97_5})
+        print(f"estimate: scheme={scheme} model={model.name} n={n} reps={repetitions} "
+              f"mean={summary.mean:.6g} var={summary.variance:.3g} ({elapsed:.1f}s)")
     summary_path = out_dir / f"summary_{scheme}_{model.name}.json"
     payload = {
         "meta": {"config_hash": cfg.config_hash, "seed": cfg.seed, "command": "estimate"},
@@ -390,32 +407,22 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     Permutation statistics are computed by vectorized Gram-matrix
     lookups, so no worker pool is involved here.
     """
-    columns, groups, model, out_dir = _start(cfg, "hsic", "scheme", "n", needs_model=True)
+    columns, groups, model, blocks, out_dir = _start(cfg, "hsic", "scheme", "n",
+                                                     needs_model=True)
     scheme = cfg.scheme
     paths = []
     for n, seed in _sweep(cfg):
         rng = np.random.default_rng(seed)
-        design = build_design(cfg, columns, groups, scheme, n, rng)
+        design = build_design(cfg, columns, groups, scheme, n, rng, blocks=blocks)
         outputs = evaluate_design(model, design)
         roles = design.column_roles
         if cfg.hsic_groups is not None:
-            named = []
-            for entry in cfg.hsic_groups:
-                missing = [c for c in entry if c not in roles]
-                if missing:
-                    raise ConfigError(f"config.hsic_groups: unknown columns {missing}")
-                named.append(("+".join(entry), [roles.index(c) for c in entry]))
+            named = [("+".join(entry), [roles.index(c) for c in entry])
+                     for entry in cfg.hsic_groups]
         else:
             named = _default_hsic_groups(roles, groups)
-        results = screen(
-            design,
-            outputs,
-            named,
-            kernel=cfg.kernels,
-            permutations=cfg.test.permutations,
-            alpha=cfg.test.alpha,
-            rng=rng,
-        )
+        results = screen(design, outputs, named, kernel=cfg.kernels,
+                         permutations=cfg.test.permutations, alpha=cfg.test.alpha, rng=rng)
         path = out_dir / f"screening_{scheme}_{model.name}_n{n}.csv"
         _write_table(path, cfg, f"scheme={scheme} model={model.name} n={n} "
                                 f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}",
@@ -431,30 +438,20 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
 
 def run_quantize(cfg: ExperimentConfig) -> list[Path]:
     """Quantize one dependent group's pool and persist the artifact."""
-    _, groups, _, out_dir = _start(cfg, "quantize", "n_cells")
+    *_, blocks, out_dir = _start(cfg, "quantize", "n_cells")
     n_cells = cfg.n_cells
-    target = _quantize_target(cfg, groups)
-    rng = np.random.default_rng(cfg.seed)
-    pool = group_pool(target, cfg.pool_size, rng)
-    quantizer = _fit(cfg, pool, n_cells, rng)
+    (target, quantizer, pool), = quantize_groups(
+        cfg, blocks, n_cells, np.random.default_rng(cfg.seed)).values()
     path = out_dir / f"quantizer_{target.name}_n{n_cells}.csv"
-    save_quantizer(
-        quantizer,
-        path,
-        header_comments=_meta_lines(
-            cfg,
-            [f"group={target.name} restarts={cfg.lloyd.restarts} "
-             f"iterations={len(quantizer.distortion_history) - 1}"],
-        ),
-    )
+    save_quantizer(quantizer, path, header_comments=_meta_lines(
+        cfg, [f"group={target.name} restarts={cfg.lloyd.restarts} "
+              f"iterations={len(quantizer.distortion_history) - 1}"]))
     paths = [path]
     if target.kind != "pool":
         pool_path = out_dir / f"pool_{target.name}.csv"
         save_pool(pool, pool_path, column_names=target.columns,
                   header_comments=_meta_lines(cfg))
         paths.append(pool_path)
-    print(
-        f"quantize: group={target.name} n_cells={n_cells} pool={pool.m} "
-        f"distortion={quantizer.distortion:.6g} -> {path}"
-    )
+    print(f"quantize: group={target.name} n_cells={n_cells} pool={pool.m} "
+          f"distortion={quantizer.distortion:.6g} -> {path}")
     return paths

@@ -123,12 +123,6 @@ def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monke
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-def test_model_resolves_columns():
-    cfg = parse_config({"version": 1, "seed": 1, "model": {"name": "flood"}})
-    assert cfg.columns == ("Q", "Ks", "Zv", "Zm", "Hd", "Cb", "L", "B")
-    assert len(cfg.groups) == 2
-
-
 # ---------------------------------------------------------------------------
 # sample command
 
@@ -258,7 +252,7 @@ def test_q2lhs_mismatched_quantizer_files_fail(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     assert main(["sample", "--config", str(sample_cfg)]) == 2
-    assert not (tmp_path / "out" / "design_q2lhs_n4.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_quantizer_files_round_trip_through_sampling(tmp_path):
@@ -279,6 +273,26 @@ def test_quantizer_files_round_trip_through_sampling(tmp_path):
     header, out_rows = read_rows(tmp_path / "out" / "design_rq_n5.csv")
     assert out_rows.shape == (5, 2)
     assert out_rows[:, 1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quantizer_file_is_checked_against_every_size_before_writing(tmp_path):
+    # a 5-cell file serves n=5 but not n=4, which the command sees before it
+    # writes the n=5 design
+    pool_csv = tmp_path / "pool.csv"
+    rows = np.random.default_rng(0).standard_normal(60)
+    pool_csv.write_text("x\n" + "\n".join(repr(float(v)) for v in rows) + "\n")
+    inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
+                          "pool_csv": str(pool_csv)}]}
+    qcfg, _ = write_config(tmp_path, name="q.json", inputs=inputs, n_cells=5,
+                           output_dir=str(tmp_path / "art"))
+    assert main(["quantize", "--config", str(qcfg)]) == 0
+    scfg, _ = write_config(
+        tmp_path, name="s.json", scheme="rq", n=[5, 4], inputs=inputs,
+        quantizer_files={"g": str(tmp_path / "art" / "quantizer_g_n5.csv")},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["sample", "--config", str(scfg)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("model, quantizer_files", [
@@ -460,7 +474,53 @@ def test_shared_quantizer_rq_checks_the_quantizer_file(tmp_path):
     )
     for shared in ([], ["--shared-quantizer"]):
         assert main(["estimate", "--config", str(ecfg), "--threads", "1", *shared]) == 2
-        assert not (tmp_path / "out" / "estimates_rq_vg_theta_n5.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+
+def test_quantizer_file_is_loaded_once_per_command(tmp_path, monkeypatch):
+    import qdoe.runner
+
+    pool_csv = tmp_path / "vg_pool.csv"
+    write_vg_pool(pool_csv, 60)
+    model = {"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}}
+    qcfg, _ = write_config(tmp_path, name="q.json", model=model, n_cells=5,
+                           lloyd={"restarts": 1, "max_iter": 25},
+                           output_dir=str(tmp_path / "art"))
+    assert main(["quantize", "--config", str(qcfg)]) == 0
+    ecfg, _ = write_config(
+        tmp_path, name="e.json", scheme="rq", n=5, repetitions=6, model=model,
+        quantizer_files={"vg": str(tmp_path / "art" / "quantizer_vg_n5.csv")},
+        output_dir=str(tmp_path / "out"),
+    )
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_quantizer(path)
+
+    monkeypatch.setattr(qdoe.runner, "load_quantizer", counting_load)
+    assert main(["estimate", "--config", str(ecfg), "--threads", "1"]) == 0
+    assert calls == [str(tmp_path / "art" / "quantizer_vg_n5.csv")]
+
+
+def test_invalid_pool_rows_are_reported_once(tmp_path, caplog):
+    # the model, and with it its pool_csv, is built once per command
+    pool_csv = tmp_path / "vg_pool.csv"
+    write_vg_pool(pool_csv, 60)
+    lines = pool_csv.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    lines[first] = "0.9," + lines[first].split(",", 1)[1]  # theta_r above theta_s
+    pool_csv.write_text("\n".join(lines) + "\n")
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=4,
+        model={"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}},
+        output_dir=str(tmp_path / "out"),
+    )
+    with caplog.at_level("WARNING", logger="qdoe"):
+        assert main(["sample", "--config", str(path)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 1 physically invalid retention rows from pool_csv"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,14 @@ def test_lhs_single_point():
     assert design.weights.tolist() == [1.0]
 
 
-def test_lhs_stratification():
-    design = lhs(4, 2, np.random.default_rng(1))
-    for j in range(2):
-        assert is_stratified(design.points[:, j], 4)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lhs_stratification(n, d, seed):
+    # every column holds one point per stratum [k/n, (k+1)/n)
+    design = lhs(n, d, np.random.default_rng(seed))
+    assert design.points.shape == (n, d)
+    for j in range(d):
+        assert is_stratified(design.points[:, j], n)
 
 
 def test_lhs_column_means_over_repetitions():

@@ -103,10 +103,25 @@ def test_too_many_cells_is_a_configuration_error(rng):
         lloyd(pool, 3, rng)  # only two distinct points
 
 
-def test_distortion_history_is_nonincreasing(rng):
-    pool = CandidatePool(np.random.default_rng(3).standard_normal((2000, 2)))
-    q = lloyd(pool, 40, rng, restarts=2)
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 400), d=st.integers(1, 4), levels=st.sampled_from([None, 2, 3, 5, 20]),
+       n_cells=st.integers(1, 40), rel_tol=st.sampled_from([0.0, 1e-8, 1e-3]),
+       restarts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(m=2000, d=2, levels=None, n_cells=40, rel_tol=1e-8, restarts=2, seed=3)
+# fits that empty a cell mid-iteration and repair it (rare: about 1 in 65 000
+# random fits of pools this small)
+@example(m=10, d=2, levels=20, n_cells=5, rel_tol=0.0, restarts=1, seed=92271)
+@example(m=12, d=2, levels=None, n_cells=6, rel_tol=0.0, restarts=1, seed=67385)
+def test_distortion_history_is_nonincreasing(m, d, levels, n_cells, rel_tol, restarts, seed):
+    # pools on a coarse grid repeat points; a fit asks for at most as many
+    # cells as the pool has distinct points
+    gen = np.random.default_rng(seed)
+    points = (gen.standard_normal((m, d)) if levels is None
+              else gen.integers(0, levels, size=(m, d)).astype(float))
+    n_cells = min(n_cells, len(np.unique(points, axis=0)))
+    q = lloyd(CandidatePool(points), n_cells, gen, rel_tol=rel_tol, restarts=restarts)
     history = np.array(q.distortion_history)
+    assert np.all(np.isfinite(history))
     assert np.all(np.diff(history) <= 1e-12 * history[:-1] + 1e-15)
 
 

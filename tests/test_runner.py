@@ -1,20 +1,23 @@
 """The runner's design step: quantize the scheme's blocks, then build.
 
-``build_design`` quantizes the blocks of its scheme through
-``quantize_groups`` unless it is handed them, so both routes must give the
-same design bits, and the fits must follow the documented order.
+``build_design`` quantizes the unresolved blocks of its scheme through
+``quantize_groups``, so quantizing first and handing it the resolved blocks
+must give the same design bits, and the fits must follow the documented
+order. Commands resolve their inputs once, in ``_start``.
 """
 
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdoe.cli import main
 from qdoe.config import parse_config
-from qdoe.models import VG_COLUMNS, InputGroup, build_model, vg_pool
-from qdoe.quantizer import lloyd, save_quantizer
-from qdoe.runner import build_design, group_pool, quantize_groups, sample_joint
+from qdoe.models import FLOOD_COLUMNS, VG_COLUMNS, InputGroup, build_model, vg_pool
+from qdoe.quantizer import lloyd
+from qdoe.runner import _start, build_design, group_pool, quantize_groups, sample_joint, scheme_blocks
 
 CFG = parse_config({"version": 1, "seed": 0, "pool_size": 200,
                     "lloyd": {"max_iter": 10, "rel_tol": 1e-6, "restarts": 1}})
@@ -59,44 +62,72 @@ def test_build_design_is_quantize_groups_then_build(case, n, seed):
     columns, groups = inputs(name)
     design = build_design(CFG, columns, groups, scheme, n, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    quantized = quantize_groups(CFG, columns, groups, scheme, n, rng)
-    again = build_design(CFG, columns, groups, scheme, n, rng, quantized=quantized)
+    blocks = quantize_groups(CFG, scheme_blocks(scheme, columns, groups), n, rng)
+    again = build_design(CFG, columns, groups, scheme, n, rng, blocks=blocks)
     assert design.column_roles == again.column_roles
     assert np.array_equal(design.points, again.points)
     assert np.array_equal(design.weights, again.weights)
     reference = (reference_centroids(columns, groups, scheme, n, np.random.default_rng(seed))
-                 if quantized else [])
-    assert len(quantized) == len(reference)
-    for (quantizer, _), centroids in zip(quantized.values(), reference):
-        assert np.array_equal(quantizer.centroids, centroids)
+                 if blocks else [])
+    assert len(blocks) == len(reference)
+    for block, centroids in zip(blocks.values(), reference):
+        assert np.array_equal(block.quantizer.centroids, centroids)
     if scheme != "q2lhs":
         assert np.all(design.weights >= 0)
         assert design.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_quantize_groups_logs_each_block(tmp_path, caplog):
+def test_quantize_groups_logs_each_fit(caplog):
     columns, groups = inputs("xy2py2")
     capped = parse_config({"version": 1, "seed": 0, "pool_size": 200,
                            "lloyd": {"max_iter": 1, "rel_tol": 0, "restarts": 1}})
     with caplog.at_level("INFO", logger="qdoe"):
-        quantized = quantize_groups(capped, columns, groups, "q2lhs", 6, np.random.default_rng(1))
+        blocks = quantize_groups(capped, scheme_blocks("q2lhs", columns, groups), 6,
+                                 np.random.default_rng(1))
     assert [r.getMessage() for r in caplog.records] == [
         f"quantizer {key}: fit n_cells=6 lloyd_updates=1 capped=True" for key in ("x", "y")
     ]
-    assert list(quantized) == ["x", "y"]
+    assert list(blocks) == ["x", "y"]
 
-    # a quantizer_files entry is loaded, not fitted
-    pool_csv, quantizer_csv = tmp_path / "pool.csv", tmp_path / "quantizer.csv"
-    pool_csv.write_text("x\n0.0\n0.1\n10.0\n10.1\n")
-    raw = {"version": 1, "seed": 0, "quantizer_files": {"g": str(quantizer_csv)},
-           "inputs": {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
-                                  "pool_csv": str(pool_csv)}]}}
-    cfg = parse_config(raw)
-    pool = group_pool(cfg.groups[0], cfg.pool_size, np.random.default_rng(0))
-    save_quantizer(lloyd(pool, 2, np.random.default_rng(0)), quantizer_csv)
+    # resolved blocks are kept as they are: no fit, no draw, no log line
     caplog.clear()
+    rng = np.random.default_rng(2)
     with caplog.at_level("INFO", logger="qdoe"):
-        quantize_groups(cfg, cfg.columns, cfg.groups, "rq", 2, np.random.default_rng(2))
+        again = quantize_groups(capped, blocks, 6, rng)
+    assert all(again[key] is blocks[key] for key in blocks)
+    assert caplog.records == []
+    assert rng.random() == np.random.default_rng(2).random()
+
+
+def test_quantizer_file_is_loaded_when_the_command_starts(tmp_path, caplog):
+    pool_csv = tmp_path / "pool.csv"
+    pool_csv.write_text("x\n0.0\n0.1\n10.0\n10.1\n")
+    group = {"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": str(pool_csv)}
+    quantize = tmp_path / "q.json"
+    quantize.write_text(json.dumps({"version": 1, "seed": 0, "n_cells": 2,
+                                    "inputs": {"groups": [group]},
+                                    "output_dir": str(tmp_path / "art")}))
+    assert main(["quantize", "--config", str(quantize)]) == 0
+    quantizer_csv = str(tmp_path / "art" / "quantizer_g_n2.csv")
+    sample = tmp_path / "s.json"
+    sample.write_text(json.dumps({"version": 1, "seed": 0, "scheme": "rq", "n": [2, 2],
+                                  "inputs": {"groups": [group]},
+                                  "quantizer_files": {"g": quantizer_csv},
+                                  "output_dir": str(tmp_path / "out")}))
+    with caplog.at_level("INFO", logger="qdoe"):
+        assert main(["sample", "--config", str(sample)]) == 0
     assert [r.getMessage() for r in caplog.records] == [
-        "quantizer __joint__: file n_cells=2 lloyd_updates=0 capped=False"
+        f"quantizer __joint__: file {quantizer_csv} n_cells=2"
     ]
+
+
+def test_runner_resolves_model_columns(tmp_path):
+    # the config keeps the model's name and params; the command builds it
+    cfg = parse_config({"version": 1, "seed": 1, "scheme": "qlhs", "n": [4, 6],
+                        "model": {"name": "flood"}, "output_dir": str(tmp_path / "out")})
+    assert cfg.columns is None and cfg.groups is None
+    columns, groups, model, blocks, out_dir = _start(cfg, "sample", "scheme", "n")
+    assert columns == model.columns == FLOOD_COLUMNS
+    assert [g.name for g in groups] == ["channel", "structures"]
+    assert list(blocks) == ["channel"] and blocks["channel"].quantizer is None
+    assert out_dir.is_dir()
