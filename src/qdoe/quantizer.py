@@ -5,6 +5,13 @@ pool). Lloyd's fixed-point iteration (k-means) produces centroids, and the
 Voronoi cell of each centroid becomes one stratum: its probability is the
 fraction of pool points it captures, and conditional sampling inside a cell
 draws uniformly among the captured pool points (see :attr:`Quantizer.cells`).
+
+Each Lloyd update assigns the pool with Hamerly's (2010, "Making k-means even
+faster") triangle-inequality bounds: after one full pass, a point whose
+distance to its centroid stays below a lower bound on every other centroid's
+keeps its cell, and only the others get a full distance row. The bounds leave
+a margin for rounding, so the iterates equal those of full assignment bit for
+bit in every dimension.
 """
 
 from __future__ import annotations
@@ -64,6 +71,12 @@ class Quantizer:
     relies on; :meth:`check_probabilities` checks the probabilities, so a
     file whose probabilities were edited still loads for inspection. Both
     raise ParameterError on a violation.
+
+    A fit by :func:`lloyd` also records the winning restart's diagnostics,
+    which no file keeps: ``converged`` (it stopped at a fixed point or at
+    ``rel_tol``, not at ``max_iter``; None when not fitted here) and
+    ``empty_cell_repairs`` (cells that an update emptied and that were
+    reseeded).
     """
 
     centroids: np.ndarray
@@ -71,6 +84,8 @@ class Quantizer:
     pool_assignment: np.ndarray
     distortion: float
     distortion_history: tuple[float, ...] = field(default=(), repr=False)
+    converged: bool | None = None
+    empty_cell_repairs: int = 0
 
     def __post_init__(self):
         k = self.n_cells
@@ -120,16 +135,24 @@ class Quantizer:
 _NEAREST_ROWS = 8192
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels and squared distances; argmin ties break low."""
+def _nearest(points: np.ndarray, centroids: np.ndarray):
+    """Nearest-centroid labels and squared distances (argmin ties break low),
+    and each point's squared distance to its second-nearest centroid (inf with
+    one centroid). One block of distances is alive at a time."""
     m = points.shape[0]
-    if m > _NEAREST_ROWS:
-        blocks = [_nearest(points[start:start + _NEAREST_ROWS], centroids)
-                  for start in range(0, m, _NEAREST_ROWS)]
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
-    sq = cdist(points, centroids, "sqeuclidean")
-    labels = np.argmin(sq, axis=1)
-    return labels, sq[np.arange(m), labels]
+    labels = np.empty(m, dtype=np.intp)
+    sq = np.empty(m)
+    second = np.empty(m)
+    for start in range(0, m, _NEAREST_ROWS):
+        block = cdist(points[start:start + _NEAREST_ROWS], centroids, "sqeuclidean")
+        rows = np.arange(block.shape[0])
+        stop = start + rows.size
+        labels[start:stop] = own = block.argmin(axis=1)
+        sq[start:stop] = block[rows, own]
+        block[rows, own] = np.inf
+        block.min(axis=1, out=second[start:stop])
+        del block  # before the next block is computed
+    return labels, sq, second
 
 
 def _cell_means(points: np.ndarray, labels: np.ndarray, n_cells: int) -> np.ndarray:
@@ -205,33 +228,104 @@ def _repair_empty_cells(points, centroids, labels, sq):
         donors = counts[labels] >= 2
         cand = np.where(donors, sq, -np.inf).argmax()
         centroids[empty[0]] = points[cand]
-        labels, sq = _nearest(points, centroids)
+        labels, sq, _ = _nearest(points, centroids)
     counts = np.bincount(labels, minlength=n_cells)
     if np.any(counts == 0):  # only reachable through adversarial exact ties
         raise RuntimeError("empty-cell repair failed to populate every cell")
     return centroids, labels, sq
 
 
+# Absolute slack of every bound test: squared differences below the smallest
+# normal float lose their relative precision.
+_TINY = 1e-150
+
+
+def _slack(d: int) -> float:
+    """Relative slack of the bounds: a computed distance, shift or centroid
+    gap is within a few (d + 2) ulps of the true one."""
+    return 16 * (d + 2) * np.finfo(float).eps
+
+
+def _full_pass(points, centroids, slack):
+    """Labels, squared distances and lower bounds from every distance."""
+    labels, sq, second = _nearest(points, centroids)
+    return labels, sq, np.sqrt(second) * (1.0 - slack)
+
+
+def _reassign(points, cols, old, new, labels, lower, slack):
+    """Labels, squared distances and lower bounds (``lower`` is updated in
+    place) once the centroids move from ``old`` to ``new``; labels and squared
+    distances equal :func:`_nearest` on ``new`` bit for bit.
+
+    ``lower[i]`` bounds point i's distance to every centroid but its own from
+    below (Hamerly 2010). A move lowers it by the largest shift of any other
+    centroid. A point keeps its label when its own distance is below that
+    bound, or below half the gap from its centroid to the nearest other one:
+    then every other centroid is farther by more than rounding can hide. Its
+    squared distance is summed column by column, as cdist sums it. Every other
+    point gets a full distance row.
+    """
+    shift = np.sqrt(np.square(new - old).sum(axis=1)) * (1.0 + slack)
+    # largest shift of any other centroid: the top shift, except for the top
+    # centroid's own cell, which gets the runner-up
+    top = int(shift.argmax())
+    other = np.full(shift.size, shift[top])
+    shift[top] = 0.0
+    other[top] = shift.max()
+    lower *= 1.0 - slack
+    lower -= other[labels]
+    gaps = cdist(new, new, "sqeuclidean")
+    np.fill_diagonal(gaps, np.inf)
+    half_gap = 0.5 * np.sqrt(gaps.min(axis=1)) * (1.0 - slack)
+    diff = np.take(new.T, labels, axis=1)  # (d, M), like cols
+    np.square(np.subtract(cols, diff, out=diff), out=diff)
+    sq = np.add.reduce(diff, axis=0)  # row after row: cdist's order
+    keep = np.sqrt(sq) * (1.0 + slack) + _TINY < np.maximum(half_gap[labels], lower)
+    labels = labels.copy()
+    moved = np.flatnonzero(~keep)
+    if moved.size:
+        labels[moved], sq[moved], lower[moved] = _full_pass(points[moved], new, slack)
+    return labels, sq, lower
+
+
+def _fill_empty_cells(points, centroids, labels, sq, lower, slack):
+    """:func:`_repair_empty_cells` with bounds from a fresh full pass; also
+    returns how many cells were empty."""
+    empty = int(np.count_nonzero(np.bincount(labels, minlength=centroids.shape[0]) == 0))
+    if empty:
+        centroids, labels, sq = _repair_empty_cells(points, centroids, labels, sq)
+        lower = _full_pass(points, centroids, slack)[2]
+    return centroids, labels, sq, lower, empty
+
+
 def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
+    """One seeded Lloyd fit: (centroids, labels, distortion, history,
+    converged, empty_cell_repairs)."""
+    slack = _slack(points.shape[1])
+    cols = np.ascontiguousarray(points.T)
     centroids = _kmeanspp(points, n_cells, rng)
-    labels, sq = _nearest(points, centroids)
-    centroids, labels, sq = _repair_empty_cells(points, centroids, labels, sq)
+    labels, sq, lower = _full_pass(points, centroids, slack)
+    centroids, labels, sq, lower, repairs = _fill_empty_cells(
+        points, centroids, labels, sq, lower, slack)
     dist = float(sq.mean())
     history = [dist]
+    converged = False
     for _ in range(max_iter):
-        centroids = _cell_means(points, labels, n_cells)
-        new_labels, sq = _nearest(points, centroids)
-        centroids, new_labels, sq = _repair_empty_cells(points, centroids, new_labels, sq)
+        new = _cell_means(points, labels, n_cells)
+        new_labels, sq, lower = _reassign(points, cols, centroids, new, labels, lower, slack)
+        centroids, new_labels, sq, lower, empty = _fill_empty_cells(
+            points, new, new_labels, sq, lower, slack)
+        repairs += empty
         new_dist = float(sq.mean())
         history.append(new_dist)
         fixed_point = np.array_equal(new_labels, labels)
         improvement = dist - new_dist
         labels, dist = new_labels, new_dist
-        if fixed_point:
+        if fixed_point or (rel_tol > 0.0 and history[-2] > 0.0
+                           and improvement <= rel_tol * history[-2]):
+            converged = True
             break
-        if rel_tol > 0.0 and history[-2] > 0.0 and improvement <= rel_tol * history[-2]:
-            break
-    return centroids, labels, dist, history
+    return centroids, labels, dist, history, converged, repairs
 
 
 def lloyd(
@@ -266,7 +360,8 @@ def lloyd(
     Quantizer
         Centroids with empirical cell probabilities and the pool
         assignment; the per-iteration distortion history of the winning
-        restart is attached and is non-increasing.
+        restart is attached and is non-increasing, with its ``converged``
+        and ``empty_cell_repairs``.
     """
     if n_cells < 1:
         raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
@@ -280,7 +375,7 @@ def lloyd(
         candidate = _lloyd_once(points, n_cells, rng, max_iter, rel_tol)
         if best is None or candidate[2] < best[2]:
             best = candidate
-    centroids, labels, dist, history = best
+    centroids, labels, dist, history, converged, repairs = best
     probabilities = np.bincount(labels, minlength=n_cells) / pool.m
     return Quantizer(
         centroids=centroids,
@@ -288,6 +383,8 @@ def lloyd(
         pool_assignment=labels.astype(np.int64),
         distortion=dist,
         distortion_history=tuple(history),
+        converged=converged,
+        empty_cell_repairs=repairs,
     )
 
 
@@ -298,7 +395,7 @@ def assign(point, quantizer: Quantizer) -> int:
         raise DimensionError(
             f"point has dimension {point.shape[0]}, quantizer expects {quantizer.d}"
         )
-    labels, _ = _nearest(point[None, :], quantizer.centroids)
+    labels, _, _ = _nearest(point[None, :], quantizer.centroids)
     return int(labels[0])
 
 
@@ -306,7 +403,7 @@ def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:
     """Mean squared distance from pool points to their nearest centroid."""
     if pool.d != quantizer.d:
         raise DimensionError(f"pool dimension {pool.d} != quantizer dimension {quantizer.d}")
-    _, sq = _nearest(pool.points, quantizer.centroids)
+    _, sq, _ = _nearest(pool.points, quantizer.centroids)
     return float(sq.mean())
 
 

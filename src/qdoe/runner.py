@@ -170,7 +170,7 @@ def quantize_groups(cfg: ExperimentConfig, blocks: dict[str, Block], n: int,
                               rel_tol=cfg.lloyd.rel_tol, restarts=cfg.lloyd.restarts)
             updates = max(len(quantizer.distortion_history) - 1, 0)
             log.info("quantizer %s: fit n_cells=%d lloyd_updates=%d capped=%s", key, n,
-                     updates, updates >= cfg.lloyd.max_iter)
+                     updates, not quantizer.converged)
             block = Block(block.group, quantizer, pool)
         out[key] = block
     return out

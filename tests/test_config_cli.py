@@ -3,6 +3,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdoe import load_quantizer
 from qdoe.cli import main
@@ -398,6 +399,27 @@ def test_estimate_end_to_end_determinism(tmp_path):
             assert main(["estimate", "--config", str(path), "--threads", threads]) == 0
             runs.append([out.read_bytes() for out in outputs])
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**31 - 1),
+       case=st.sampled_from([("x2y", "qlhs"), ("x1px2_sq_y", "rq")]))
+def test_estimate_outputs_do_not_depend_on_the_worker_count(tmp_path, seed, case):
+    model, scheme = case
+    out = tmp_path / f"out_{seed}_{model}"
+    path, _ = write_config(
+        tmp_path, seed=seed, scheme=scheme, n=5, repetitions=4, pool_size=300,
+        lloyd={"restarts": 1, "max_iter": 25, "rel_tol": 1e-6},
+        model={"name": model}, output_dir=str(out),
+    )
+    outputs = [out / f"estimates_{scheme}_{model}_n5.csv", out / f"summary_{scheme}_{model}.json"]
+    runs = []
+    for threads in ("1", "2", "3"):
+        assert main(["estimate", "--config", str(path), "--threads", threads]) == 0
+        assert multiprocessing.active_children() == []
+        runs.append([output.read_bytes() for output in outputs])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def write_vg_pool(path, rows, constant_theta_r=False):

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from qdoe import (
     save_quantizer,
 )
 import qdoe.quantizer as quantizer_module
-from qdoe.quantizer import _cell_means, _kmeanspp, _nearest, _squared_distances_to
+from qdoe.quantizer import (
+    _cell_means,
+    _full_pass,
+    _kmeanspp,
+    _lloyd_once,
+    _nearest,
+    _reassign,
+    _slack,
+    _squared_distances_to,
+)
 
 
 def exhaustive_two_cell_oracle(points_1d):
@@ -202,15 +212,145 @@ def test_seeding_and_cell_means_match_reference_arithmetic(d, order):
     assert _same_bits(_cell_means(points, labels, 40), _reference_cell_means(points, labels, 40))
 
 
+def _reference_second(points, centroids):
+    """Squared distance of each point to its second-nearest centroid."""
+    sq = cdist(points, centroids, "sqeuclidean")
+    sq[np.arange(points.shape[0]), sq.argmin(axis=1)] = np.inf
+    return sq.min(axis=1)
+
+
 @pytest.mark.parametrize("rows", [8192, 999, 7])
 def test_nearest_in_row_blocks_matches_full_matrix(monkeypatch, rows):
     points = np.random.default_rng(12).standard_normal((20_000, 6))
     centroids = points[:100].copy()
     ref_labels, ref_sq = _reference_nearest(points, centroids)
+    ref_second = _reference_second(points, centroids)
+    blocks = []
+
+    def one_block_at_a_time(*args):
+        # the distance block of the previous rows is freed before the next
+        assert all(block() is None for block in blocks)
+        out = cdist(*args)
+        blocks.append(weakref.ref(out))
+        return out
+
     monkeypatch.setattr(quantizer_module, "_NEAREST_ROWS", rows)
-    labels, sq = _nearest(points, centroids)
+    monkeypatch.setattr(quantizer_module, "cdist", one_block_at_a_time)
+    labels, sq, second = _nearest(points, centroids)
     assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
+    assert _same_bits(second, ref_second)
     assert float(sq.mean()) == float(ref_sq.mean())
+    assert len(blocks) == -(-20_000 // rows)
+    labels, sq, lower = _full_pass(points, centroids, _slack(6))
+    assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
+    assert _same_bits(lower, np.sqrt(ref_second) * (1.0 - _slack(6)))
+
+
+def _reference_lloyd_once(points, n_cells, rng, max_iter, rel_tol):
+    """Lloyd with a full distance matrix in every update, and its empty-cell
+    repair: what the bounded assignment must reproduce bit for bit."""
+
+    def repaired(centroids, labels, sq):
+        empty = np.flatnonzero(np.bincount(labels, minlength=n_cells) == 0)
+        repairs = empty.size
+        while empty.size:
+            donors = np.bincount(labels, minlength=n_cells)[labels] >= 2
+            centroids[empty[0]] = points[np.where(donors, sq, -np.inf).argmax()]
+            labels, sq = _reference_nearest(points, centroids)
+            empty = np.flatnonzero(np.bincount(labels, minlength=n_cells) == 0)
+        return centroids, labels, sq, repairs
+
+    seeds = _reference_kmeanspp(points, n_cells, rng)
+    centroids, labels, sq, repairs = repaired(seeds, *_reference_nearest(points, seeds))
+    history = [float(sq.mean())]
+    for _ in range(max_iter):
+        centroids = _reference_cell_means(points, labels, n_cells)
+        new_labels, sq = _reference_nearest(points, centroids)
+        centroids, new_labels, sq, empty = repaired(centroids, new_labels, sq)
+        repairs += empty
+        history.append(float(sq.mean()))
+        fixed_point = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if fixed_point or (rel_tol > 0.0 and history[-2] > 0.0
+                           and history[-2] - history[-1] <= rel_tol * history[-2]):
+            return centroids, labels, history[-1], history, True, repairs
+    return centroids, labels, history[-1], history, False, repairs
+
+
+@pytest.mark.parametrize("m, d, levels, n_cells, seed",
+                         [(10, 2, 20, 5, 92271), (12, 2, None, 6, 67385)])
+def test_empty_cell_examples_repair_a_cell(m, d, levels, n_cells, seed):
+    # the @example fits of the properties that empty a cell mid-iteration
+    gen = np.random.default_rng(seed)
+    points = (gen.standard_normal((m, d)) if levels is None
+              else gen.integers(0, levels, size=(m, d)).astype(float))
+    q = lloyd(CandidatePool(points), n_cells, gen, rel_tol=0.0, restarts=1)
+    assert q.empty_cell_repairs > 0 and q.converged
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 300), d=st.integers(1, 9), levels=st.sampled_from([None, 2, 3, 5, 20]),
+       offset=st.sampled_from([0.0, 1e6]), midpoints=st.booleans(), order=st.sampled_from("CF"),
+       n_cells=st.integers(1, 40), rel_tol=st.sampled_from([0.0, 1e-8, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=10, d=2, levels=20, offset=0.0, midpoints=False, order="C", n_cells=5, rel_tol=0.0,
+         seed=92271)
+@example(m=12, d=2, levels=None, offset=0.0, midpoints=False, order="C", n_cells=6, rel_tol=0.0,
+         seed=67385)
+def test_bounded_lloyd_matches_full_assignment(m, d, levels, offset, midpoints, order, n_cells,
+                                               rel_tol, seed):
+    # grid pools repeat points; with midpoints, the pool also holds points
+    # halfway between two of its points (exactly so on a grid)
+    gen = np.random.default_rng(seed)
+    points = (gen.standard_normal((m, d)) if levels is None
+              else gen.integers(0, levels, size=(m, d)).astype(float)) + offset
+    if midpoints:
+        i, j = gen.integers(0, m, size=(2, m))
+        points = np.vstack([points, (points[i] + points[j]) / 2])
+    points = np.asarray(points, order=order)
+    n_cells = min(n_cells, len(np.unique(points, axis=0)))
+    state = gen.bit_generator.state
+    got = _lloyd_once(points, n_cells, gen, 200, rel_tol)
+    gen.bit_generator.state = state
+    want = _reference_lloyd_once(points, n_cells, gen, 200, rel_tol)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    assert _same_bits(np.array(got[3]), np.array(want[3])) and got[2] == want[2]
+    assert got[4:] == want[4:]  # converged, empty-cell repairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 9), k=st.integers(1, 30), m=st.integers(1, 200),
+       grid=st.booleans(), offset=st.sampled_from([0.0, 1e6]), order=st.sampled_from("CF"),
+       step=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]), seed=st.integers(0, 2**32 - 1))
+# a point within an ulp of a bisector keeps a wrong label in these two unless
+# the bound tests leave a margin for rounding
+@example(d=2, k=5, m=30, grid=False, offset=0.0, order="C", step=1e-12, seed=29)
+@example(d=3, k=8, m=40, grid=False, offset=0.0, order="C", step=1e-3, seed=6)
+def test_bounded_reassignment_matches_full_assignment(d, k, m, grid, offset, order, step, seed):
+    # three centroid moves; the pool holds points halfway between two
+    # centroids of every move (exactly so on a grid, else within an ulp)
+    gen = np.random.default_rng(seed)
+    centroids = (gen.integers(0, 4, size=(k, d)) if grid else gen.standard_normal((k, d))) + offset
+    moves = []
+    for _ in range(3):
+        moves.append(centroids + (gen.integers(-1, 2, size=(k, d)) if grid
+                                  else step * gen.standard_normal((k, d))))
+    points = [gen.standard_normal((m, d)) + offset]
+    for new in moves:
+        i, j = gen.integers(0, k, size=(2, m))
+        points.append((new[i] + new[j]) / 2)
+    points = np.asarray(np.vstack(points), order=order)
+    slack = _slack(d)
+    labels, sq, lower = _full_pass(points, centroids, slack)
+    old = centroids
+    for new in moves:
+        labels, sq, lower = _reassign(points, np.ascontiguousarray(points.T), old, new,
+                                      labels, lower, slack)
+        ref_labels, ref_sq = _reference_nearest(points, new)
+        assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
+        # the bounds still hold every other centroid's distance from below
+        assert np.all(lower <= np.sqrt(_reference_second(points, new)))
+        old = new
 
 
 def _same_bits(a, b):

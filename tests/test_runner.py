@@ -99,6 +99,27 @@ def test_quantize_groups_logs_each_fit(caplog):
     assert rng.random() == np.random.default_rng(2).random()
 
 
+def test_fit_that_converges_on_its_last_allowed_update_is_not_capped(caplog):
+    columns, groups = inputs("x1px2_sq_y")  # one 2-D block
+
+    def fit(max_iter):
+        cfg = parse_config({"version": 1, "seed": 0, "pool_size": 500,
+                            "lloyd": {"max_iter": max_iter, "rel_tol": 0, "restarts": 1}})
+        caplog.clear()
+        with caplog.at_level("INFO", logger="qdoe"):
+            blocks = quantize_groups(cfg, scheme_blocks("qlhs", columns, groups), 8,
+                                     np.random.default_rng(1))
+        return blocks["x"].quantizer, caplog.records[0].getMessage()
+
+    free, _ = fit(200)
+    updates = len(free.distortion_history) - 1
+    assert free.converged and updates < 200
+    last, message = fit(updates)
+    assert last.converged and message.endswith(f"lloyd_updates={updates} capped=False")
+    cut, message = fit(updates - 1)
+    assert not cut.converged and message.endswith(f"lloyd_updates={updates - 1} capped=True")
+
+
 def test_quantizer_file_is_loaded_when_the_command_starts(tmp_path, caplog):
     pool_csv = tmp_path / "pool.csv"
     pool_csv.write_text("x\n0.0\n0.1\n10.0\n10.1\n")
