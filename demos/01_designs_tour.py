@@ -18,9 +18,7 @@ from qdoe import (
     lhsd,
     lloyd,
     mc_design,
-    q2lhs_design,
     qlhs_design,
-    rq_design,
 )
 
 N = 8
@@ -52,23 +50,24 @@ show(lhsd(N, cop, [Normal(0, 1), Normal(0, 1)], rng), "copula + marginals")
 
 print("\nRandom quantization: the correlated pair is known only through a sample")
 print("(the candidate pool). Lloyd's algorithm carves the pool into Voronoi cells,")
-print("and the design draws one pool point per cell, weighted by the cell mass:")
+print("and the design draws one pool point per cell, weighted by the cell mass.")
+print("One join, qlhs_design, builds every quantized design from its blocks:")
 chol = np.linalg.cholesky([[1.0, 0.8], [0.8, 1.0]])
 pool = CandidatePool(rng.standard_normal((4000, 2)) @ chol.T)
 quantizer = lloyd(pool, N, rng, restarts=2)
 print(f"   pool size {pool.m}, distortion after Lloyd: {quantizer.distortion:.4f}")
-show(rq_design(quantizer, pool, rng), "one draw per Voronoi cell")
+show(qlhs_design([(quantizer, pool)], [], rng), "one draw per Voronoi cell")
 
 print("\nQuantization-based LHS: the rq block for the dependent pair joined to an")
 print("LHS block for the independent input through a random permutation:")
-show(qlhs_design(quantizer, pool, [Uniform(0, 1)], rng), "rq block + LHS block")
+show(qlhs_design([(quantizer, pool)], [Uniform(0, 1)], rng), "rq block + LHS block")
 
 print("\nDouble quantization: two dependent groups, each quantized, matched by a")
 print("random permutation; weights are products of cell probabilities and the")
 print("estimator renormalizes them:")
 pool_y = CandidatePool(np.exp(rng.standard_normal((4000, 1))))
 quantizer_y = lloyd(pool_y, N, rng, restarts=2)
-show(q2lhs_design(quantizer, pool, quantizer_y, pool_y, rng), "two rq blocks")
+show(qlhs_design([(quantizer, pool), (quantizer_y, pool_y)], [], rng), "two rq blocks")
 
 print("\nPlain Monte Carlo, for reference:")
 show(mc_design(rng.standard_normal((N, 2)) @ chol.T), "independent rows")

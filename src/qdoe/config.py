@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .copula import gaussian_copula
 from .distributions import distribution_from_config
 from .errors import ConfigError, ParameterError, QdoeError
 from .hsic import KernelSpec
@@ -89,6 +90,7 @@ def _expect(condition: bool, path: str, message: str) -> None:
 
 
 def _check_keys(mapping: dict, allowed, path: str) -> None:
+    _expect(isinstance(mapping, dict), path, "expected a mapping")
     unknown = set(mapping) - set(allowed)
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
 
@@ -111,14 +113,15 @@ def _as_bool(value, path: str) -> bool:
 
 
 def _parse_group(raw: dict, path: str) -> InputGroup:
-    _expect(isinstance(raw, dict), path, "group must be a mapping")
     _check_keys(raw, ("name", "kind", "columns", "marginals", "correlation", "pool_csv"), path)
     for key in ("name", "kind", "columns"):
         _expect(key in raw, path, f"missing key {key!r}")
     name = raw["name"]
     kind = raw["kind"]
     columns = raw["columns"]
-    _expect(isinstance(columns, list) and columns, f"{path}.columns", "expected a non-empty list")
+    _expect(isinstance(name, str), f"{path}.name", "expected a string")
+    _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
+            f"{path}.columns", "expected a non-empty list of strings")
     _expect(kind in ("independent", "copula", "pool"), f"{path}.kind",
             "expected one of 'independent', 'copula', 'pool'")
     marginals = None
@@ -129,12 +132,20 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
         raw_margs = raw["marginals"]
         _expect(isinstance(raw_margs, list) and len(raw_margs) == len(columns),
                 f"{path}.marginals", "expected one declaration per column")
-        marginals = tuple(distribution_from_config(m) for m in raw_margs)
+        marginals = tuple(_distribution(m, f"{path}.marginals[{i}]")
+                          for i, m in enumerate(raw_margs))
     if kind == "copula":
         _expect("correlation" in raw, path, "copula groups require a correlation matrix")
-        correlation = np.asarray(raw["correlation"], dtype=float)
+        try:
+            correlation = np.asarray(raw["correlation"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.correlation: expected a square matrix of numbers") from None
         _expect(correlation.shape == (len(columns), len(columns)),
                 f"{path}.correlation", "matrix shape must match the column count")
+        try:
+            gaussian_copula(correlation)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}.correlation: {exc}") from exc
     if kind == "pool":
         _expect("pool_csv" in raw, path, "pool groups require a pool_csv path")
         pool = load_config_pool(raw["pool_csv"], f"{path}.pool_csv")
@@ -151,6 +162,13 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
             pool_points=pool_points,
         )
     except QdoeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _distribution(raw, path: str):
+    try:
+        return distribution_from_config(raw)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -218,6 +236,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _check_keys(model_raw, ("name", "params"), "config.model")
         _expect("name" in model_raw, "config.model", "missing key 'name'")
         model_name = model_raw["name"]
+        _expect(isinstance(model_name, str), "config.model.name", "expected a string")
         model_params = model_raw.get("params", {})
         _expect(isinstance(model_params, dict), "config.model.params", "expected a mapping")
     if "inputs" in raw:

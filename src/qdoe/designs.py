@@ -10,15 +10,16 @@ Five stratified schemes plus plain Monte Carlo:
             by the cell probability
 ``qlhs``    an rq block for the dependent group joined to an LHS block
             for the independent inputs through a random permutation
-``q2lhs``   two rq blocks joined through a random permutation, weighted
-            by the product of the matched cell probabilities
+``q2lhs``   several rq blocks joined through random permutations,
+            weighted by the product of the matched cell probabilities
 ``mc``      independent rows with uniform weights
 ==========  ============================================================
 
 Rows of uniform-weight schemes carry weight 1/n; rq and qlhs rows carry
 the cell probabilities (summing to one); q2lhs weights are products of
-cell probabilities. Every scheme is estimated by the one rule
-sum_i w_i f(x_i) / sum_i w_i (see :mod:`qdoe.estimators`).
+cell probabilities. One join, :func:`qlhs_design`, builds every quantized
+scheme; the tag follows from its parts. Every scheme is estimated by the
+one rule sum_i w_i f(x_i) / sum_i w_i (see :mod:`qdoe.estimators`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "lhsd",
     "rq_design",
     "qlhs_design",
-    "q2lhs_design",
     "mc_design",
 ]
 
@@ -198,60 +198,44 @@ def rq_design(
 
 
 def qlhs_design(
-    quantizer: Quantizer,
-    pool: CandidatePool,
+    blocks,
     indep_marginals,
     rng: np.random.Generator,
     *,
     column_roles=None,
 ) -> Design:
-    """Quantization-based LHS: rq block joined to an LHS block.
+    """Quantization-based LHS: rq blocks joined to an LHS block.
 
-    The dependent group is stratified by random quantization and the
-    independent inputs by an LHS with their marginals; a uniform random
-    permutation matches LHS rows to cells. Weights are the cell
-    probabilities of the dependent block (the permutation only reorders
-    the independent rows). Dependent columns come first.
+    Each ``(quantizer, pool)`` block is stratified by random quantization
+    (:func:`rq_design`, in block order) and the independent inputs, if any,
+    by an LHS with their marginals. Every part after the first is then
+    matched to the first part's rows by its own uniform random permutation,
+    in part order. Row i carries the product of its matched cell
+    probabilities; the LHS part adds no factor. Columns follow the parts.
+
+    One block alone is an ``rq`` design, one block with an LHS part a
+    ``qlhs`` design (weights sum to one), and several blocks a ``q2lhs``
+    design, whose weights need not sum to one.
     """
-    indep_marginals = list(indep_marginals)
-    if not indep_marginals:
-        raise ConfigError("qlhs requires at least one independent marginal")
-    dep = rq_design(quantizer, pool, rng)
-    indep = lhs_with_marginals(dep.n, indep_marginals, rng)
-    pi = rng.permutation(dep.n)
-    points = np.hstack([dep.points, indep.points[pi]])
-    d = quantizer.d + len(indep_marginals)
-    return Design(points, dep.weights, "qlhs", _roles(column_roles, d))
-
-
-def q2lhs_design(
-    quantizer_x: Quantizer,
-    pool_x: CandidatePool,
-    quantizer_y: Quantizer,
-    pool_y: CandidatePool,
-    rng: np.random.Generator,
-    *,
-    column_roles=None,
-) -> Design:
-    """Double-quantization design for two independent dependent groups.
-
-    Both groups are stratified by random quantization with the same cell
-    count; a uniform random permutation matches x-cells to y-cells, and
-    row i carries weight p_i * q_pi(i). The weights need not sum to one;
-    the estimator normalizes by their total.
-    """
-    if quantizer_x.n_cells != quantizer_y.n_cells:
-        raise ConfigError(
-            f"q2lhs requires matching cell counts, got {quantizer_x.n_cells} "
-            f"and {quantizer_y.n_cells}"
-        )
-    dep_x = rq_design(quantizer_x, pool_x, rng)
-    dep_y = rq_design(quantizer_y, pool_y, rng)
-    pi = rng.permutation(dep_x.n)
-    points = np.hstack([dep_x.points, dep_y.points[pi]])
-    weights = quantizer_x.probabilities * quantizer_y.probabilities[pi]
-    d = quantizer_x.d + quantizer_y.d
-    return Design(points, weights, "q2lhs", _roles(column_roles, d))
+    blocks, indep_marginals = list(blocks), list(indep_marginals)
+    if not blocks:
+        raise ConfigError("a quantized design requires at least one quantized block")
+    cells = [quantizer.n_cells for quantizer, _ in blocks]
+    if len(set(cells)) > 1:
+        raise ConfigError(f"quantized blocks require matching cell counts, got {cells}")
+    parts = [rq_design(quantizer, pool, rng) for quantizer, pool in blocks]
+    n = parts[0].n
+    if indep_marginals:
+        parts.append(lhs_with_marginals(n, indep_marginals, rng))
+    points, weights = [parts[0].points], parts[0].weights
+    for part in parts[1:]:
+        pi = rng.permutation(n)
+        points.append(part.points[pi])
+        if part.scheme == "rq":
+            weights = weights * part.weights[pi]
+    scheme = "rq" if len(parts) == 1 else "qlhs" if len(blocks) == 1 else "q2lhs"
+    d = sum(part.d for part in parts)
+    return Design(np.hstack(points), weights, scheme, _roles(column_roles, d))
 
 
 def mc_design(

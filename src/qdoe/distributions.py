@@ -50,15 +50,12 @@ def _maybe_scalar(x, template):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Base class; concrete laws implement ``cdf``, ``quantile``, ``support``."""
+    """Base class; concrete laws implement ``cdf`` and ``quantile``."""
 
     def cdf(self, x):
         raise NotImplementedError
 
     def quantile(self, u):
-        raise NotImplementedError
-
-    def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -84,9 +81,6 @@ class Uniform(Distribution):
         u = _check_u(u)
         return _maybe_scalar(self.a + u * (self.b - self.a), u)
 
-    def support(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):
@@ -105,9 +99,6 @@ class Normal(Distribution):
     def quantile(self, u):
         u = _check_u(u)
         return _maybe_scalar(self.mu + self.sigma * ndtri(u), u)
-
-    def support(self):
-        return (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -131,9 +122,6 @@ class LogNormal(Distribution):
     def quantile(self, u):
         u = _check_u(u)
         return _maybe_scalar(np.exp(self.mu + self.sigma * ndtri(u)), u)
-
-    def support(self):
-        return (0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -170,9 +158,6 @@ class Triangular(Distribution):
         upper = b - np.sqrt(np.maximum((1.0 - u) * span * (b - c), 0.0))
         return _maybe_scalar(np.where(u < fc, lower, upper), u)
 
-    def support(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Gumbel(Distribution):
@@ -201,9 +186,6 @@ class Gumbel(Distribution):
         with np.errstate(divide="ignore"):
             out = self.mu - self.beta * np.log(-np.log(u))
         return _maybe_scalar(out, u)
-
-    def support(self):
-        return (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -245,10 +227,6 @@ class Truncated(Distribution):
         u = _check_u(u)
         return _maybe_scalar(self.inner.quantile(self._f_lo() + u * self._mass()), u)
 
-    def support(self):
-        lo_in, hi_in = self.inner.support()
-        return (max(self.lo, lo_in), min(self.hi, hi_in))
-
 
 _SIMPLE_TYPES = {
     "uniform": (Uniform, ("a", "b")),
@@ -270,6 +248,8 @@ def distribution_from_config(spec: dict) -> Distribution:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"distribution must be a mapping with a 'type' key, got {spec!r}")
     kind = spec["type"]
+    if not isinstance(kind, str):
+        raise ConfigError(f"distribution 'type' must be a string, got {kind!r}")
     if kind == "truncated":
         allowed = {"type", "inner", "lo", "hi"}
         unknown = set(spec) - allowed

@@ -2,7 +2,7 @@
 
 The dependence measure is the squared RKHS distance between the joint
 embedding of (X, Y) and the product of the marginal embeddings. For a
-sample with row weights w summing to one it is estimated by
+sample with row weights w, normalized by their total, it is estimated by
 
     sum_ij A_ij Ky_ij,  A = (w w^T) o (Kx - (Kx w) 1^T - 1 (Kx w)^T + w^T Kx w),
 
@@ -109,15 +109,17 @@ def _paired_samples(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
 
 def _weights(weights, n: int) -> np.ndarray:
     """Row weights of the estimate: ``None`` is uniform 1/n; given weights
-    must be aligned with the rows and sum to one."""
+    must be aligned with the rows and are normalized by their total, which
+    must be positive."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.shape[0] != n:
         raise DimensionError("weights are not aligned with the sample rows")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ParameterError("weights must sum to 1 for the weighted estimate")
-    return w
+    total = float(w.sum())
+    if not total > 0.0:
+        raise ParameterError(f"weights must have a positive total, got {total!r}")
+    return w / total
 
 
 def _resolve_bandwidth(x: np.ndarray, kernel: KernelSpec) -> float:
@@ -211,8 +213,9 @@ def hsic_v(x_sample, y_sample, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
 def hsic_rq(design: Design, outputs, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
     """Weighted dependence estimate for a quantization design.
 
-    The design's cell probabilities are the row weights; they must sum to
-    one. Uniform weights give the V-statistic.
+    The design's weights, normalized by their total, are the row weights;
+    this covers q2lhs designs, whose weights need not sum to one. Uniform
+    weights give the V-statistic.
     """
     return _measure(design.points, outputs, kx, ky, design.weights)
 
@@ -233,9 +236,10 @@ def independence_test(
     The observed statistic is n times the dependence measure; the null
     sample recomputes it with the outputs permuted uniformly at random,
     keeping any weights attached to the input rows (``None`` means
-    uniform). The p-value is the tie-inclusive
-    (1 + #{null >= observed}) / (B + 1), and the null hypothesis of
-    independence is rejected when it falls below ``alpha``.
+    uniform; given weights are normalized by their total). The p-value
+    is the tie-inclusive (1 + #{null >= observed}) / (B + 1), and the
+    null hypothesis of independence is rejected when it falls below
+    ``alpha``.
     """
     x, y = _paired_samples(inputs, outputs)
     n = x.shape[0]
@@ -290,7 +294,7 @@ def screen(
         if min(cols) < 0 or max(cols) >= design.d:
             raise DimensionError(f"group {name!r} references columns outside the design")
         blocks.append((name, x[:, cols]))
-    w = design.weights / float(design.weights.sum())
+    w = _weights(design.weights, design.n)
     ky = gram(y, kernel)
     centered = [_weighted_center(gram(block, kernel), w) for _, block in blocks]
     stats, p_values = _permutation_test(centered, ky, permutations=permutations, rng=rng)

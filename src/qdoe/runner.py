@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .copula import EmpiricalMarginal, fit_gaussian_copula, gaussian_copula, conditional_inverse
-from .designs import Design, lhs_with_marginals, lhsd, mc_design, q2lhs_design, qlhs_design, rq_design
+from .designs import Design, lhs_with_marginals, lhsd, mc_design, qlhs_design
 from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen
@@ -201,18 +201,12 @@ def build_design(cfg: ExperimentConfig, columns, groups, scheme: str, n: int,
             idx = [columns.index(c) for c in group.columns]
             corr[np.ix_(idx, idx)] = block_corr
         return lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
-    if scheme == "rq":
-        joint = blocks[_JOINT]
-        return rq_design(joint.quantizer, joint.pool, rng, column_roles=columns)
-    if scheme == "qlhs":
-        (dep,) = blocks.values()
-        declared = {c: m for g in groups if not g.dependent for c, m in zip(g.columns, g.marginals)}
-        indep_names = [c for c in columns if c in declared]
-        return qlhs_design(dep.quantizer, dep.pool, [declared[c] for c in indep_names], rng,
-                           column_roles=dep.group.columns + tuple(indep_names))
-    a, b = blocks.values()
-    return q2lhs_design(a.quantizer, a.pool, b.quantizer, b.pool, rng,
-                        column_roles=a.group.columns + b.group.columns)
+    # the blocks' columns in block order, then the rest with their declared marginals
+    placed = [c for block in blocks.values() for c in block.group.columns]
+    declared = {c: m for g in groups if not g.dependent for c, m in zip(g.columns, g.marginals)}
+    rest = [c for c in columns if c not in placed]
+    return qlhs_design([(block.quantizer, block.pool) for block in blocks.values()],
+                       [declared[c] for c in rest], rng, column_roles=(*placed, *rest))
 
 
 def evaluate_design(model: ModelSpec, design: Design) -> np.ndarray:

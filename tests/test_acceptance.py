@@ -325,7 +325,7 @@ def test_criterion_9_structural_invariants():
     rq_d = rq_design(q_star, pool, rng)
     checks.append(("rq weights sum to 1 within 1e-12",
                    abs(rq_d.weights.sum() - 1.0) <= 1e-12))
-    qlhs_d = qlhs_design(q_star, pool, [Uniform(0, 1)], rng)
+    qlhs_d = qlhs_design([(q_star, pool)], [Uniform(0, 1)], rng)
     checks.append(("qlhs weights equal the cell probabilities",
                    bool(np.array_equal(qlhs_d.weights, q_star.probabilities))))
     uniform = lhs_with_marginals(8, [Normal(0, 1)], rng)

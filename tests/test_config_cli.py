@@ -66,6 +66,8 @@ def test_bad_scheme_rejected():
 def test_nested_error_paths_are_reported():
     with pytest.raises(ConfigError, match="config.lloyd"):
         parse_config({"version": 1, "seed": 1, "lloyd": {"iterations": 5}})
+    with pytest.raises(ConfigError, match="config.model: expected a mapping"):
+        parse_config({"version": 1, "seed": 1, "model": "flood"})
     with pytest.raises(ConfigError, match=r"config.n\[1\]"):
         parse_config({"version": 1, "seed": 1, "n": [10, 0]})
     with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\]"):
@@ -95,6 +97,14 @@ def test_nested_non_finite_constant_returns_2_and_writes_nothing(tmp_path, const
     assert not (tmp_path / "out" / "design_mc_n4.csv").exists()
 
 
+UNIFORM = {"type": "uniform", "a": 0, "b": 1}
+
+
+def copula_group(columns, correlation, name="g"):
+    return {"name": name, "kind": "copula", "columns": columns,
+            "marginals": [UNIFORM] * len(columns), "correlation": correlation}
+
+
 @pytest.mark.parametrize("overrides", [
     {"shared_quantizer": "false"},
     {"shared_quantizer": 0},
@@ -109,10 +119,29 @@ def test_nested_non_finite_constant_returns_2_and_writes_nothing(tmp_path, const
     {"model": {"name": "vg_conductivity", "params": {"pool_csv": "missing.csv"}}},
     {"model": {"name": "vg_theta", "params": {"hh": 5}}},
     {"model": {"name": "flood", "params": {"rho": 0.9}}},
+    {"model": {"name": ["flood"]}},
+    {"model": "flood"},
+    {"scheme": "qlhs", "inputs": {"groups": [
+        copula_group(["x", "y"], [[1, 0.5], [0.5, 1]], name=["dep"]),
+        {"name": "u", "kind": "independent", "columns": ["z"], "marginals": [UNIFORM]}]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a"],
+                            "marginals": [{"type": ["uniform"], "a": 0, "b": 1}]}]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": [["a"]],
+                            "marginals": [UNIFORM]}]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": [1],
+                            "marginals": [UNIFORM]}]}},
+    {"inputs": {"groups": [copula_group(["x", "y"], [[1, 0.5], [0.5]])]}},
+    {"inputs": {"groups": [copula_group(["x", "y"], [[1, "a"], ["a", 1]])]}},
+    {"inputs": {"groups": [copula_group(["x", "y"], [[1, 0.5], [0.2, 1]])]}},
+    {"inputs": {"groups": [copula_group(["x", "y", "z"],
+                                        [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]])]}},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
-        "vg pool_csv missing file", "vg_theta unknown param", "flood unknown param"])
+        "vg pool_csv missing file", "vg_theta unknown param", "flood unknown param",
+        "model name list", "model string", "group name list", "distribution type list",
+        "column name list", "column name integer", "correlation ragged",
+        "correlation text", "correlation not symmetric", "correlation not positive definite"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qdoe import (
     CandidatePool,
     ConfigError,
+    Design,
     DimensionError,
     Normal,
     Uniform,
@@ -18,7 +19,6 @@ from qdoe import (
     lhsd,
     lloyd,
     mc_design,
-    q2lhs_design,
     qlhs_design,
     rq_design,
 )
@@ -161,7 +161,7 @@ def test_rq_two_cells_picks_one_point_per_cluster(four_point_pool, rng):
 
 def test_qlhs_weights_come_from_the_dependent_block(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
-    design = qlhs_design(q, four_point_pool, [Uniform(0, 1)], rng)
+    design = qlhs_design([(q, four_point_pool)], [Uniform(0, 1)], rng)
     assert np.array_equal(design.weights, q.probabilities)
     assert design.scheme == "qlhs"
 
@@ -169,7 +169,7 @@ def test_qlhs_weights_come_from_the_dependent_block(four_point_pool, rng):
 def test_qlhs_independent_block_keeps_stratification(rng):
     pool = CandidatePool(np.random.default_rng(7).standard_normal((500, 1)))
     q = lloyd(pool, 16, rng)
-    design = qlhs_design(q, pool, [Uniform(0, 1), Uniform(2, 4)], rng)
+    design = qlhs_design([(q, pool)], [Uniform(0, 1), Uniform(2, 4)], rng)
     assert is_stratified(design.points[:, 1], 16)
     assert is_stratified((design.points[:, 2] - 2) / 2, 16)
 
@@ -177,7 +177,7 @@ def test_qlhs_independent_block_keeps_stratification(rng):
 def test_qlhs_single_cell(rng):
     pool = CandidatePool(np.array([[3.0], [3.5]]))
     q = lloyd(pool, 1, rng)
-    design = qlhs_design(q, pool, [Uniform(0, 1)], rng)
+    design = qlhs_design([(q, pool)], [Uniform(0, 1)], rng)
     assert design.n == 1
     assert design.weights.tolist() == [1.0]
 
@@ -187,7 +187,7 @@ def test_q2lhs_weights_are_probability_products(rng):
     pool_y = CandidatePool(np.array([[2.0], [4.0], [6.0], [8.0]]))
     qx = lloyd(pool_x, 4, rng)
     qy = lloyd(pool_y, 4, rng)
-    design = q2lhs_design(qx, pool_x, qy, pool_y, rng)
+    design = qlhs_design([(qx, pool_x), (qy, pool_y)], [], rng)
     assert design.weights.tolist() == pytest.approx([1 / 16] * 4)
     assert design.weights.sum() <= 1.0 + 1e-12
 
@@ -197,7 +197,7 @@ def test_q2lhs_blocks_close_over_their_cells(rng):
     pool_y = CandidatePool(np.random.default_rng(9).standard_normal((300, 2)))
     qx = lloyd(pool_x, 6, rng)
     qy = lloyd(pool_y, 6, rng)
-    design = q2lhs_design(qx, pool_x, qy, pool_y, rng)
+    design = qlhs_design([(qx, pool_x), (qy, pool_y)], [], rng)
     pi = [assign(row[1:], qy) for row in design.points]
     assert sorted(pi) == list(range(6))  # the y block is matched by a permutation
     for i, row in enumerate(design.points):
@@ -212,7 +212,7 @@ def test_q2lhs_mismatched_cell_counts(rng):
     qa = lloyd(pool, 4, rng)
     qb = lloyd(pool, 5, rng)
     with pytest.raises(ConfigError):
-        q2lhs_design(qa, pool, qb, pool, rng)
+        qlhs_design([(qa, pool), (qb, pool)], [], rng)
 
 
 def test_q2lhs_permutation_is_uniform():
@@ -223,12 +223,71 @@ def test_q2lhs_permutation_is_uniform():
     rng = np.random.default_rng(12)
     n_draws = 10_000
     for _ in range(n_draws):
-        design = q2lhs_design(q, pool, q, pool, rng)
+        design = qlhs_design([(q, pool), (q, pool)], [], rng)
         pi = tuple(assign(row[1:], q) for row in design.points)
         counts[pi] = counts.get(pi, 0) + 1
     assert len(counts) == 24
     for pi in itertools.permutations(range(4)):
         assert abs(counts.get(tuple(pi), 0) / n_draws - 1 / 24) < 0.01
+
+
+def test_join_requires_a_quantized_block(rng):
+    with pytest.raises(ConfigError):
+        qlhs_design([], [Uniform(0, 1)], rng)
+
+
+# The per-scheme builders the join replaced, kept as oracles of its draws.
+def rq_only_oracle(blocks, marginals, rng, roles):
+    ((q, pool),) = blocks
+    return rq_design(q, pool, rng, column_roles=roles)
+
+
+def qlhs_oracle(blocks, marginals, rng, roles):
+    ((q, pool),) = blocks
+    dep = rq_design(q, pool, rng)
+    indep = lhs_with_marginals(dep.n, marginals, rng)
+    pi = rng.permutation(dep.n)
+    return Design(np.hstack([dep.points, indep.points[pi]]), dep.weights, "qlhs", roles)
+
+
+def q2lhs_oracle(blocks, marginals, rng, roles):
+    # no earlier builder joined two blocks and an LHS part; with marginals
+    # this extends q2lhs by the join's order: parts first, then permutations
+    (qx, pool_x), (qy, pool_y) = blocks
+    dep_x = rq_design(qx, pool_x, rng)
+    dep_y = rq_design(qy, pool_y, rng)
+    indep = lhs_with_marginals(dep_x.n, marginals, rng) if marginals else None
+    pi = rng.permutation(dep_x.n)
+    points = [dep_x.points, dep_y.points[pi]]
+    if indep is not None:
+        points.append(indep.points[rng.permutation(dep_x.n)])
+    weights = qx.probabilities * qy.probabilities[pi]
+    return Design(np.hstack(points), weights, "q2lhs", roles)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       n_indep=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_join_matches_the_per_scheme_builders(n, dims, n_indep, seed):
+    fit = np.random.default_rng(seed)
+    blocks = []
+    for d in dims:
+        pool = CandidatePool(fit.standard_normal((2 * n + 3, d)))
+        blocks.append((lloyd(pool, n, fit, max_iter=20, restarts=1), pool))
+    marginals = [Uniform(0, 1), Normal(2, 3), Uniform(-4, -1)][:n_indep]
+    roles = tuple(f"c{j}" for j in range(sum(dims) + n_indep))
+    if len(blocks) == 2:
+        oracle = q2lhs_oracle
+    else:
+        oracle = qlhs_oracle if marginals else rq_only_oracle
+    rng_join, rng_oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = qlhs_design(blocks, marginals, rng_join, column_roles=roles)
+    want = oracle(blocks, marginals, rng_oracle, roles)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.scheme == want.scheme
+    assert got.column_roles == want.column_roles
+    assert rng_join.bit_generator.state == rng_oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("builder", ["lhs", "lhsd", "rq", "qlhs", "q2lhs", "mc"])
@@ -246,8 +305,8 @@ def test_seed_determinism_bit_identical(builder, four_point_pool):
         if builder == "rq":
             return rq_design(q, four_point_pool, rng)
         if builder == "qlhs":
-            return qlhs_design(q, four_point_pool, [Uniform(0, 1)], rng)
-        return q2lhs_design(q, four_point_pool, q, four_point_pool, rng)
+            return qlhs_design([(q, four_point_pool)], [Uniform(0, 1)], rng)
+        return qlhs_design([(q, four_point_pool), (q, four_point_pool)], [], rng)
 
     a, b = build(777), build(777)
     assert np.array_equal(a.points, b.points)

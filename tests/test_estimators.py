@@ -11,7 +11,6 @@ from qdoe import (
     lhs_with_marginals,
     lloyd,
     mc_design,
-    q2lhs_design,
     qlhs_design,
     replicate,
     rq_design,
@@ -26,8 +25,8 @@ def all_scheme_designs(four_point_pool, rng):
         mc_design(np.random.default_rng(0).standard_normal((5, 2))),
         lhs_with_marginals(5, [Normal(0, 1)], rng),
         rq_design(q, four_point_pool, rng),
-        qlhs_design(q, four_point_pool, [Uniform(0, 1)], rng),
-        q2lhs_design(q, four_point_pool, q, four_point_pool, rng),
+        qlhs_design([(q, four_point_pool)], [Uniform(0, 1)], rng),
+        qlhs_design([(q, four_point_pool), (q, four_point_pool)], [], rng),
     ]
 
 
@@ -45,7 +44,7 @@ def test_weighted_sum_matches_manual_computation(four_point_pool, rng):
 
 def test_q2lhs_estimate_is_self_normalized(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
-    design = q2lhs_design(q, four_point_pool, q, four_point_pool, rng)
+    design = qlhs_design([(q, four_point_pool), (q, four_point_pool)], [], rng)
     values = design.points.sum(axis=1)
     expected = float(design.weights @ values) / float(design.weights.sum())
     assert estimate(design, values) == pytest.approx(expected, abs=1e-15)

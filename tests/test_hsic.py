@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdoe import (
+    CandidatePool,
     ConfigError,
     DegeneracyError,
     Design,
@@ -12,6 +13,8 @@ from qdoe import (
     hsic_rq,
     hsic_v,
     independence_test,
+    lloyd,
+    qlhs_design,
     screen,
 )
 from qdoe.hsic import _permutation_test, _weighted_center
@@ -132,9 +135,28 @@ def test_weighted_constant_output_is_zero():
     assert abs(res.hsic_value) < 1e-12
 
 
-def test_weighted_rejects_unnormalized_weights():
-    design = Design(np.zeros((3, 1)) + [[0.0], [1.0], [2.0]], np.array([0.5, 0.3, 0.1]),
-                    "q2lhs", ("x",))
+def test_weighted_q2lhs_design_uses_normalized_weights():
+    # q2lhs weights are products of cell probabilities and do not sum to one
+    fit = np.random.default_rng(5)
+    blocks = []
+    for _ in range(2):
+        pool = CandidatePool(fit.standard_normal((60, 1)))
+        blocks.append((lloyd(pool, 6, fit, restarts=1), pool))
+    design = qlhs_design(blocks, [], np.random.default_rng(6))
+    assert design.scheme == "q2lhs" and design.weights.sum() < 0.5
+    y = design.points[:, 0] * design.points[:, 1]
+    kx = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
+    ky = KernelSpec(bandwidth_rule="fixed", bandwidth=1.4)
+    w = design.weights / design.weights.sum()
+    oracle = brute_force_weighted(gram(design.points, kx), gram(y, ky), w)
+    assert hsic_rq(design, y, kx, ky).hsic_value == pytest.approx(oracle, abs=1e-14)
+    test = independence_test(design.points, y, kx, ky, permutations=100,
+                             rng=np.random.default_rng(7), weights=design.weights)
+    assert test.hsic_value == pytest.approx(oracle, abs=1e-14)
+
+
+def test_weights_without_a_positive_total_are_rejected():
+    design = Design(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), "q2lhs", ("x",))
     with pytest.raises(ParameterError):
         hsic_rq(design, np.arange(3.0), KernelSpec(), KernelSpec())
 
