@@ -15,7 +15,6 @@ from qdoe import (
     gaussian_copula,
     lhs,
     lhs_with_marginals,
-    lhsd,
     lloyd,
     mc_design,
     qlhs_design,
@@ -46,7 +45,7 @@ print("\nLHSD: a Gaussian copula (rho = 0.8) rebuilt sequentially from condition
 print("inverses, so the first column keeps exact stratification while the pair as a")
 print("whole carries the dependence:")
 cop = gaussian_copula([[1.0, 0.8], [0.8, 1.0]])
-show(lhsd(N, cop, [Normal(0, 1), Normal(0, 1)], rng), "copula + marginals")
+show(lhs_with_marginals(N, [Normal(0, 1), Normal(0, 1)], rng, copula=cop), "copula + marginals")
 
 print("\nRandom quantization: the correlated pair is known only through a sample")
 print("(the candidate pool). Lloyd's algorithm carves the pool into Voronoi cells,")

@@ -168,7 +168,7 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
 def _distribution(raw, path: str):
     try:
         return distribution_from_config(raw)
-    except ConfigError as exc:
+    except QdoeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -19,7 +19,6 @@ from .errors import DegeneracyError, DomainError, ParameterError
 __all__ = [
     "GaussianCopula",
     "gaussian_copula",
-    "identity_copula",
     "fit_gaussian_copula",
     "conditional_inverse",
     "EmpiricalMarginal",
@@ -60,12 +59,6 @@ def gaussian_copula(correlation) -> GaussianCopula:
     except np.linalg.LinAlgError as exc:
         raise ParameterError("correlation matrix is not positive definite") from exc
     return GaussianCopula(correlation=corr, cholesky=chol)
-
-
-def identity_copula(d: int) -> GaussianCopula:
-    """Independence copula in dimension ``d``."""
-    eye = np.eye(d)
-    return GaussianCopula(correlation=eye, cholesky=eye.copy())
 
 
 def _average_ranks(column: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Five stratified schemes plus plain Monte Carlo:
 
 ==========  ============================================================
 ``lhs``     one point per equal-probability interval in every coordinate
-``lhsd``    LHS pushed through a Gaussian copula's conditional inverses
+``lhsd``    the same LHS pushed through a Gaussian copula's conditional
+            inverses before the marginal quantiles
 ``rq``      one point per Voronoi cell of a quantized dependent group,
             drawn uniformly among the cell's pool points and weighted
             by the cell probability
@@ -17,9 +18,11 @@ Five stratified schemes plus plain Monte Carlo:
 
 Rows of uniform-weight schemes carry weight 1/n; rq and qlhs rows carry
 the cell probabilities (summing to one); q2lhs weights are products of
-cell probabilities. One join, :func:`qlhs_design`, builds every quantized
-scheme; the tag follows from its parts. Every scheme is estimated by the
-one rule sum_i w_i f(x_i) / sum_i w_i (see :mod:`qdoe.estimators`).
+cell probabilities. One LHS builder, :func:`lhs_with_marginals`, builds
+``lhs`` and, given a copula, ``lhsd``; one join, :func:`qlhs_design`,
+builds every quantized scheme; each tag follows from the parts. Every
+scheme is estimated by the one rule sum_i w_i f(x_i) / sum_i w_i (see
+:mod:`qdoe.estimators`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "UNIFORM_SCHEMES",
     "lhs",
     "lhs_with_marginals",
-    "lhsd",
     "rq_design",
     "qlhs_design",
     "mc_design",
@@ -130,44 +132,26 @@ def lhs_with_marginals(
     marginals,
     rng: np.random.Generator,
     *,
+    copula: GaussianCopula | None = None,
     column_roles=None,
 ) -> Design:
-    """LHS transported to arbitrary marginals by the quantile transform."""
-    marginals = list(marginals)
-    base = lhs(n, len(marginals), rng)
-    points = np.column_stack(
-        [marg.quantile(base.points[:, j]) for j, marg in enumerate(marginals)]
-    )
-    return Design(points, base.weights, "lhs", _roles(column_roles, len(marginals)))
+    """LHS transported to arbitrary marginals by the quantile transform.
 
-
-def lhsd(
-    n: int,
-    copula: GaussianCopula,
-    marginals,
-    rng: np.random.Generator,
-    *,
-    column_roles=None,
-) -> Design:
-    """LHS for dependent inputs through a Gaussian copula.
-
-    A uniform LHS is rebuilt coordinate by coordinate with the inverse
-    conditional copulas, then each column goes through its marginal
-    quantile. Marginals may be analytic laws or empirical ones: anything
-    exposing ``quantile``. The first coordinate keeps exact LHS
-    stratification because its conditional inverse is the identity.
+    With a Gaussian ``copula`` (an ``lhsd`` design) the uniform LHS is first
+    rebuilt coordinate by coordinate with the copula's inverse conditionals;
+    the first coordinate keeps exact LHS stratification because its
+    conditional inverse is the identity. Marginals may be analytic laws or
+    empirical ones: anything exposing ``quantile``.
     """
     marginals = list(marginals)
-    if copula.d != len(marginals):
-        raise DimensionError(
-            f"copula dimension {copula.d} does not match {len(marginals)} marginals"
-        )
-    base = lhs(n, copula.d, rng)
-    dependent = conditional_inverse(copula, base.points)
-    points = np.column_stack(
-        [marg.quantile(dependent[:, j]) for j, marg in enumerate(marginals)]
-    )
-    return Design(points, base.weights, "lhsd", _roles(column_roles, copula.d))
+    d = len(marginals)
+    if copula is not None and copula.d != d:
+        raise DimensionError(f"copula dimension {copula.d} does not match {d} marginals")
+    base = lhs(n, d, rng)
+    u = base.points if copula is None else conditional_inverse(copula, base.points)
+    points = np.column_stack([marg.quantile(u[:, j]) for j, marg in enumerate(marginals)])
+    scheme = "lhs" if copula is None else "lhsd"
+    return Design(points, base.weights, scheme, _roles(column_roles, d))
 
 
 def rq_design(

@@ -212,27 +212,32 @@ def _squared_distances_to(points: np.ndarray):
     return column_sums
 
 
-def _repair_empty_cells(points, centroids, labels, sq):
+def _repair_empty_cells(points, centroids, labels, sq, lower, slack):
     """Reseed empty cells at the pool point farthest from its own centroid.
 
     Donor points come only from cells holding at least two points so a
-    repair cannot empty another cell. Returns updated (centroids, labels,
-    sq) once every cell is populated.
+    repair cannot empty another cell. Returns (centroids, labels, sq, lower,
+    empty) once every cell is populated: after a repair, ``lower`` holds the
+    bounds :func:`_full_pass` gives on the final centroids, taken from the
+    last reassignment; ``empty`` counts the cells empty on entry.
     """
     n_cells = centroids.shape[0]
+    counts = np.bincount(labels, minlength=n_cells)
+    empty = int(np.count_nonzero(counts == 0))
+    if not empty:
+        return centroids, labels, sq, lower, 0
     for _ in range(n_cells):
-        counts = np.bincount(labels, minlength=n_cells)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            return centroids, labels, sq
+        missing = np.flatnonzero(counts == 0)
+        if missing.size == 0:
+            break
         donors = counts[labels] >= 2
         cand = np.where(donors, sq, -np.inf).argmax()
-        centroids[empty[0]] = points[cand]
-        labels, sq, _ = _nearest(points, centroids)
-    counts = np.bincount(labels, minlength=n_cells)
+        centroids[missing[0]] = points[cand]
+        labels, sq, second = _nearest(points, centroids)
+        counts = np.bincount(labels, minlength=n_cells)
     if np.any(counts == 0):  # only reachable through adversarial exact ties
         raise RuntimeError("empty-cell repair failed to populate every cell")
-    return centroids, labels, sq
+    return centroids, labels, sq, np.sqrt(second) * (1.0 - slack), empty
 
 
 # Absolute slack of every bound test: squared differences below the smallest
@@ -288,16 +293,6 @@ def _reassign(points, cols, old, new, labels, lower, slack):
     return labels, sq, lower
 
 
-def _fill_empty_cells(points, centroids, labels, sq, lower, slack):
-    """:func:`_repair_empty_cells` with bounds from a fresh full pass; also
-    returns how many cells were empty."""
-    empty = int(np.count_nonzero(np.bincount(labels, minlength=centroids.shape[0]) == 0))
-    if empty:
-        centroids, labels, sq = _repair_empty_cells(points, centroids, labels, sq)
-        lower = _full_pass(points, centroids, slack)[2]
-    return centroids, labels, sq, lower, empty
-
-
 def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
     """One seeded Lloyd fit: (centroids, labels, distortion, history,
     converged, empty_cell_repairs)."""
@@ -305,7 +300,7 @@ def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
     cols = np.ascontiguousarray(points.T)
     centroids = _kmeanspp(points, n_cells, rng)
     labels, sq, lower = _full_pass(points, centroids, slack)
-    centroids, labels, sq, lower, repairs = _fill_empty_cells(
+    centroids, labels, sq, lower, repairs = _repair_empty_cells(
         points, centroids, labels, sq, lower, slack)
     dist = float(sq.mean())
     history = [dist]
@@ -313,7 +308,7 @@ def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
     for _ in range(max_iter):
         new = _cell_means(points, labels, n_cells)
         new_labels, sq, lower = _reassign(points, cols, centroids, new, labels, lower, slack)
-        centroids, new_labels, sq, lower, empty = _fill_empty_cells(
+        centroids, new_labels, sq, lower, empty = _repair_empty_cells(
             points, new, new_labels, sq, lower, slack)
         repairs += empty
         new_dist = float(sq.mean())

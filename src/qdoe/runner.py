@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .copula import EmpiricalMarginal, fit_gaussian_copula, gaussian_copula, conditional_inverse
-from .designs import Design, lhs_with_marginals, lhsd, mc_design, qlhs_design
+from .designs import Design, lhs_with_marginals, mc_design, qlhs_design
 from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen
@@ -187,20 +187,20 @@ def build_design(cfg: ExperimentConfig, columns, groups, scheme: str, n: int,
         cfg, scheme_blocks(scheme, columns, groups) if blocks is None else blocks, n, rng)
     if scheme == "mc":
         return mc_design(sample_joint(columns, groups, n, rng), column_roles=columns)
-    if scheme == "lhs":
-        marginals, _ = _marginals(columns, groups, cfg.pool_size, rng)
-        return lhs_with_marginals(n, marginals, rng, column_roles=columns)
-    if scheme == "lhsd":
-        # one Gaussian copula over all columns: declared correlations for copula
-        # groups, fitted ones for drawn groups, identity blocks elsewhere
+    if scheme in ("lhs", "lhsd"):
         marginals, drawn = _marginals(columns, groups, cfg.pool_size, rng)
-        parts = [(g, g.correlation) for g in groups if g.kind == "copula"]
-        parts += [(g, fit_gaussian_copula(block).correlation) for g, block in drawn]
-        corr = np.eye(len(columns))
-        for group, block_corr in parts:
-            idx = [columns.index(c) for c in group.columns]
-            corr[np.ix_(idx, idx)] = block_corr
-        return lhsd(n, gaussian_copula(corr), marginals, rng, column_roles=columns)
+        copula = None
+        if scheme == "lhsd":
+            # one Gaussian copula over all columns: declared correlations for copula
+            # groups, fitted ones for drawn groups, identity blocks elsewhere
+            parts = [(g, g.correlation) for g in groups if g.kind == "copula"]
+            parts += [(g, fit_gaussian_copula(block).correlation) for g, block in drawn]
+            corr = np.eye(len(columns))
+            for group, block_corr in parts:
+                idx = [columns.index(c) for c in group.columns]
+                corr[np.ix_(idx, idx)] = block_corr
+            copula = gaussian_copula(corr)
+        return lhs_with_marginals(n, marginals, rng, copula=copula, column_roles=columns)
     # the blocks' columns in block order, then the rest with their declared marginals
     placed = [c for block in blocks.values() for c in block.group.columns]
     declared = {c: m for g in groups if not g.dependent for c, m in zip(g.columns, g.marginals)}
@@ -268,6 +268,8 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
             raise ConfigError(f"command {command!r} requires config key {attr!r}")
     if "repetitions" in required and cfg.repetitions < 2:
         raise ConfigError(f"config.repetitions: must be >= 2, got {cfg.repetitions}")
+    if command == "hsic" and min(cfg.n) < 2:  # a kernel sample needs two rows
+        raise ConfigError(f"config.n: hsic requires design sizes >= 2, got {min(cfg.n)}")
     model, columns, groups = None, cfg.columns, cfg.groups
     if cfg.model_name is not None:
         try:

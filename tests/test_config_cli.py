@@ -75,6 +75,12 @@ def test_nested_error_paths_are_reported():
             {"version": 1, "seed": 1,
              "inputs": {"groups": [{"name": "g", "kind": "copula", "columns": ["x"]}]}}
         )
+    with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\].marginals\[0\]: uniform"):
+        parse_config(
+            {"version": 1, "seed": 1,
+             "inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["x"],
+                                    "marginals": [{"type": "uniform", "a": 2, "b": 2}]}]}}
+        )
 
 
 def test_model_and_inline_inputs_are_exclusive():
@@ -135,13 +141,19 @@ def copula_group(columns, correlation, name="g"):
     {"inputs": {"groups": [copula_group(["x", "y"], [[1, 0.5], [0.2, 1]])]}},
     {"inputs": {"groups": [copula_group(["x", "y", "z"],
                                         [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]])]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a"],
+                            "marginals": [{"type": "uniform", "a": 2, "b": 2}]}]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a"],
+                            "marginals": [{"type": "truncated", "lo": 50, "hi": 60, "inner": {
+                                "type": "normal", "mu": 0, "sigma": 1}}]}]}},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
         "vg pool_csv missing file", "vg_theta unknown param", "flood unknown param",
         "model name list", "model string", "group name list", "distribution type list",
         "column name list", "column name integer", "correlation ragged",
-        "correlation text", "correlation not symmetric", "correlation not positive definite"])
+        "correlation text", "correlation not symmetric", "correlation not positive definite",
+        "uniform empty interval", "truncation without mass"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
@@ -583,6 +595,17 @@ def test_hsic_permutation_floor_rejected(tmp_path):
         model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
     )
     assert main(["hsic", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [[1], [50, 1]], ids=["n 1", "n 50 then 1"])
+def test_hsic_design_size_below_two_rejected(tmp_path, capsys, n):
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=n, test={"permutations": 100},
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["hsic", "--config", str(path)]) == 2
+    assert "config.n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

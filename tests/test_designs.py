@@ -12,11 +12,10 @@ from qdoe import (
     Normal,
     Uniform,
     assign,
+    conditional_inverse,
     gaussian_copula,
-    identity_copula,
     lhs,
     lhs_with_marginals,
-    lhsd,
     lloyd,
     mc_design,
     qlhs_design,
@@ -76,16 +75,26 @@ def test_lhs_with_marginals_mean_unbiased():
     assert abs(estimates.mean()) < 3 * se
 
 
-def test_lhsd_identity_copula_equals_lhs_with_marginals():
+def test_identity_copula_equals_no_copula():
     marginals = [Normal(0, 1), Uniform(7, 9)]
-    a = lhsd(8, identity_copula(2), marginals, np.random.default_rng(42))
-    b = lhs_with_marginals(8, marginals, np.random.default_rng(42))
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    a = lhs_with_marginals(8, marginals, rng_a, copula=gaussian_copula(np.eye(2)))
+    b = lhs_with_marginals(8, marginals, rng_b)
     assert np.array_equal(a.points, b.points)
+    assert (a.scheme, b.scheme) == ("lhsd", "lhs")
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_lhsd_copula_dimension_must_match_marginals():
+    with pytest.raises(DimensionError):
+        lhs_with_marginals(4, [Normal(0, 1)], np.random.default_rng(0),
+                           copula=gaussian_copula(np.eye(2)))
 
 
 def test_lhsd_reproduces_correlation():
     cop = gaussian_copula([[1.0, 0.8], [0.8, 1.0]])
-    design = lhsd(10_000, cop, [Normal(0, 1), Normal(0, 1)], np.random.default_rng(4))
+    design = lhs_with_marginals(10_000, [Normal(0, 1), Normal(0, 1)], np.random.default_rng(4),
+                                copula=cop)
     rho = np.corrcoef(design.points, rowvar=False)[0, 1]
     assert rho == pytest.approx(0.8, abs=0.03)
 
@@ -93,8 +102,67 @@ def test_lhsd_reproduces_correlation():
 def test_lhsd_first_coordinate_keeps_stratification():
     cop = gaussian_copula([[1.0, 0.8], [0.8, 1.0]])
     marginals = [Uniform(0, 1), Uniform(0, 1)]
-    design = lhsd(20, cop, marginals, np.random.default_rng(5))
+    design = lhs_with_marginals(20, marginals, np.random.default_rng(5), copula=cop)
     assert is_stratified(design.points[:, 0], 20)
+
+
+def old_lhs_with_marginals(n, marginals, rng, column_roles):
+    """The LHS builder without a copula, as it stood before it took one."""
+    marginals = list(marginals)
+    base = lhs(n, len(marginals), rng)
+    points = np.column_stack(
+        [marg.quantile(base.points[:, j]) for j, marg in enumerate(marginals)]
+    )
+    return Design(points, base.weights, "lhs", column_roles)
+
+
+def old_lhsd(n, copula, marginals, rng, column_roles):
+    """The separate LHSD builder the copula option replaced."""
+    marginals = list(marginals)
+    if copula.d != len(marginals):
+        raise DimensionError("copula dimension does not match the marginals")
+    base = lhs(n, copula.d, rng)
+    dependent = conditional_inverse(copula, base.points)
+    points = np.column_stack(
+        [marg.quantile(dependent[:, j]) for j, marg in enumerate(marginals)]
+    )
+    return Design(points, base.weights, "lhsd", column_roles)
+
+
+@st.composite
+def correlations(draw, d):
+    """A random positive-definite correlation matrix in dimension d."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d))
+    a = np.array(entries).reshape(d, d)
+    cov = a @ a.T + 0.1 * np.eye(d)
+    scale = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(scale, scale)
+    corr = (corr + corr.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+LAWS = [Normal(0, 1), Uniform(7, 9), Normal(3, 0.5), Uniform(-1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 3),
+       with_copula=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lhs_builder_matches_the_separate_lhs_and_lhsd_builders(data, n, d, with_copula, seed):
+    marginals = [LAWS[k] for k in data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))]
+    roles = tuple(f"c{j}" for j in range(d))
+    copula = gaussian_copula(data.draw(correlations(d))) if with_copula else None
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = lhs_with_marginals(n, marginals, rng_got, copula=copula, column_roles=roles)
+    if copula is None:
+        want = old_lhs_with_marginals(n, marginals, rng_want, roles)
+    else:
+        want = old_lhsd(n, copula, marginals, rng_want, roles)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.scheme == want.scheme
+    assert got.column_roles == want.column_roles
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_rq_with_one_cell_per_point_is_a_pool_permutation(rng):
@@ -298,7 +366,7 @@ def test_seed_determinism_bit_identical(builder, four_point_pool):
             return lhs_with_marginals(6, [Normal(0, 1)], rng)
         if builder == "lhsd":
             cop = gaussian_copula([[1.0, 0.4], [0.4, 1.0]])
-            return lhsd(6, cop, [Normal(0, 1), Uniform(0, 1)], rng)
+            return lhs_with_marginals(6, [Normal(0, 1), Uniform(0, 1)], rng, copula=cop)
         if builder == "mc":
             return mc_design(rng.standard_normal((6, 2)))
         q = lloyd(four_point_pool, 2, rng)
