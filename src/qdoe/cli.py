@@ -19,6 +19,12 @@ from .errors import ConfigError, QdoeError
 from .runner import run_estimate, run_hsic, run_quantize, run_sample
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdoe",
@@ -37,17 +43,18 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument(
             "--threads",
-            type=int,
+            type=_positive_int,
             default=os.cpu_count() or 1,
             help="worker processes for estimate repetitions, forked from this one; serial "
                  "where fork is unavailable; workers log through the handlers they inherit "
                  "(default: available parallelism)",
         )
-        cmd.add_argument(
-            "--shared-quantizer",
-            action="store_true",
-            help="fit quantizers once and reuse them across repetitions",
-        )
+        if name == "estimate":
+            cmd.add_argument(
+                "--shared-quantizer",
+                action="store_true",
+                help="fit quantizers once and reuse them across repetitions",
+            )
     return parser
 
 
@@ -59,12 +66,12 @@ def main(argv=None) -> int:
             args.config,
             seed_override=args.seed,
             out_override=args.out,
-            shared_override=args.shared_quantizer,
+            shared_override=getattr(args, "shared_quantizer", False),
         )
         if args.command == "sample":
             run_sample(cfg)
         elif args.command == "estimate":
-            run_estimate(cfg, threads=max(1, args.threads))
+            run_estimate(cfg, threads=args.threads)
         elif args.command == "hsic":
             run_hsic(cfg)
         else:

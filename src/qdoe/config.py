@@ -122,6 +122,11 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
             f"{path}.columns", "expected a non-empty list of strings")
+    # names land in file names and CSV headers
+    for where, label in ((f"{path}.name", name),
+                         *((f"{path}.columns[{i}]", c) for i, c in enumerate(columns))):
+        _expect(bool(label) and not any(ch in label for ch in ",/\\#\n\r"), where,
+                f"name {label!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
     _expect(kind in ("independent", "copula", "pool"), f"{path}.kind",
             "expected one of 'independent', 'copula', 'pool'")
     marginals = None

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DegeneracyError, DomainError, ParameterError
+from .quantizer import write_table
 
 __all__ = [
     "GaussianCopula",
@@ -176,10 +177,6 @@ class EmpiricalMarginal:
 def correlation_to_csv(copula: GaussianCopula, path, column_names=None, header_comments=()) -> None:
     """Export a copula's correlation matrix for audit."""
     names = list(column_names) if column_names else [f"x{j}" for j in range(copula.d)]
-    lines = ["# qdoe-correlation v1"]
-    lines += [f"# {c}" for c in header_comments]
-    lines.append("," + ",".join(names))
-    for name, row in zip(names, copula.correlation):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["qdoe-correlation v1", *header_comments], ",".join(["", *names]),
+                [",".join([name, *map(repr, map(float, row))])
+                 for name, row in zip(names, copula.correlation)])

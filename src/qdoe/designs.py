@@ -33,7 +33,7 @@ import numpy as np
 
 from .copula import GaussianCopula, conditional_inverse
 from .errors import ConfigError, DimensionError, ParameterError
-from .quantizer import CandidatePool, Quantizer
+from .quantizer import CandidatePool, Quantizer, write_table
 
 __all__ = [
     "Design",
@@ -88,12 +88,8 @@ class Design:
 
     def to_csv(self, path, header_comments=()) -> None:
         """Write the design with a trailing ``weight`` column (round-trip floats)."""
-        lines = [f"# {c}" for c in header_comments]
-        lines.append(",".join(self.column_roles) + ",weight")
-        for row, w in zip(self.points, self.weights):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{float(w)!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(path, header_comments, ",".join((*self.column_roles, "weight")),
+                    np.column_stack([self.points, self.weights]))
 
 
 def _roles(column_roles, d: int) -> tuple[str, ...]:

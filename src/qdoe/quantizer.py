@@ -34,6 +34,8 @@ __all__ = [
     "load_quantizer",
     "save_pool",
     "load_pool",
+    "write_table",
+    "read_table",
 ]
 
 
@@ -402,26 +404,40 @@ def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:
     return float(sq.mean())
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def write_table(path, comments, header: str, rows) -> None:
+    """Write ``# `` comment lines, the header, then one line per row: a string
+    row as given, any other row as its floats in ``repr`` form (bit-exact)."""
+    lines = [*(f"# {c}" for c in comments), header,
+             *(row if isinstance(row, str) else ",".join([repr(float(v)) for v in row])
+               for row in rows)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_table(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """The ``key=value`` tokens of the comment lines (later ones win), and the
+    (line number, stripped text) of every other non-blank line."""
+    meta, lines = {}, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                meta.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
+            elif line:
+                lines.append((lineno, line))
+    return meta, lines
+
+
+_SECTIONS = ("centroids", "probabilities", "assignments")
 
 
 def save_quantizer(quantizer: Quantizer, path, header_comments=()) -> None:
     """Write a quantizer as labelled CSV sections (reloadable bit-exactly)."""
-    lines = ["# qdoe-quantizer v1"]
-    lines += [f"# {c}" for c in header_comments]
-    lines.append(
-        f"# n_cells={quantizer.n_cells} d={quantizer.d} "
-        f"pool_size={quantizer.pool_size} distortion={quantizer.distortion!r}"
-    )
-    lines.append("centroids")
-    lines += [_format_row(row) for row in quantizer.centroids]
-    lines.append("probabilities")
-    lines += [repr(float(p)) for p in quantizer.probabilities]
-    lines.append("assignments")
-    lines += [str(int(a)) for a in quantizer.pool_assignment]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    claims = (f"n_cells={quantizer.n_cells} d={quantizer.d} pool_size={quantizer.pool_size} "
+              f"distortion={quantizer.distortion!r}")
+    write_table(path, ["qdoe-quantizer v1", *header_comments, claims], "centroids",
+                [*quantizer.centroids, "probabilities", *quantizer.probabilities[:, None],
+                 "assignments", *[str(int(a)) for a in quantizer.pool_assignment]])
 
 
 def _parse_lines(path, lines, convert, width=None) -> list:
@@ -446,31 +462,19 @@ def _float_row(text: str) -> list[float]:
 def load_quantizer(path) -> Quantizer:
     """Reload a quantizer written by :func:`save_quantizer`.
 
-    Construction checks apply; the probabilities are returned as written
-    (see :meth:`Quantizer.check_probabilities`).
+    Construction checks apply and the header's claims must match the file;
+    the probabilities are returned as written (see :meth:`Quantizer.check_probabilities`).
     """
+    meta, lines = read_table(path)
     sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, value = token.partition("=")
-                        meta[key] = value
-                continue
-            if line in ("centroids", "probabilities", "assignments"):
-                current = line
-                sections[current] = []
-                continue
-            if current is None:
-                raise ParameterError(f"unexpected content before first section in {path}")
-            sections[current].append((lineno, line))
-    missing = {"centroids", "probabilities", "assignments"} - set(sections)
+    for lineno, line in lines:
+        if line in _SECTIONS:
+            current = sections[line] = []
+        elif not sections:
+            raise ParameterError(f"unexpected content before first section in {path}")
+        else:
+            current.append((lineno, line))
+    missing = set(_SECTIONS) - set(sections)
     if missing:
         raise ParameterError(f"quantizer file {path} missing sections {sorted(missing)}")
     rows = sections["centroids"]
@@ -482,12 +486,18 @@ def load_quantizer(path) -> Quantizer:
         distortion_value = float(meta.get("distortion", "nan"))
     except ValueError:
         raise ParameterError(f"{path}: distortion {meta['distortion']!r} is not a number") from None
-    return Quantizer(
+    quantizer = Quantizer(
         centroids=centroids,
         probabilities=probabilities,
         pool_assignment=assignment,
         distortion=distortion_value,
     )
+    for key, held in (("n_cells", "centroid rows"), ("d", "centroid columns"),
+                      ("pool_size", "assignments")):
+        if meta.get(key) != str(getattr(quantizer, key)):
+            raise ParameterError(f"{path}: header claims {key}={meta.get(key, '(none)')}, "
+                                 f"the file holds {getattr(quantizer, key)} {held}")
+    return quantizer
 
 
 def save_pool(pool: CandidatePool, path, column_names=None, header_comments=()) -> None:
@@ -495,27 +505,13 @@ def save_pool(pool: CandidatePool, path, column_names=None, header_comments=()) 
     names = list(column_names) if column_names else [f"x{j}" for j in range(pool.d)]
     if len(names) != pool.d:
         raise DimensionError("column_names length does not match pool dimension")
-    lines = ["# qdoe-pool v1"]
-    lines += [f"# {c}" for c in header_comments]
-    lines.append(",".join(names))
-    lines += [_format_row(row) for row in pool.points]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ["qdoe-pool v1", *header_comments], ",".join(names), pool.points)
 
 
 def load_pool(path) -> tuple[CandidatePool, list[str]]:
     """Reload a pool CSV; returns the pool and its column names."""
-    names = None
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if names is None:
-                names = [c.strip() for c in line.split(",")]
-                continue
-            lines.append((lineno, line))
-    if names is None or not lines:
+    _, lines = read_table(path)
+    if len(lines) < 2:
         raise ParameterError(f"pool file {path} holds no data")
-    return CandidatePool(np.array(_parse_lines(path, lines, _float_row, len(names)))), names
+    names = [c.strip() for c in lines[0][1].split(",")]
+    return CandidatePool(np.array(_parse_lines(path, lines[1:], _float_row, len(names)))), names

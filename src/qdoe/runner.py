@@ -26,7 +26,8 @@ from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen
 from .models import InputGroup, ModelSpec, build_model
-from .quantizer import CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer
+from .quantizer import (CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer,
+                        write_table)
 
 __all__ = [
     "sample_group",
@@ -310,13 +311,8 @@ def _sweep(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(n, cfg.seed + _SWEEP_SEED_STRIDE * k) for k, n in enumerate(cfg.n)]
 
 
-def _meta_lines(cfg: ExperimentConfig, extra=()) -> list[str]:
+def _meta_lines(cfg: ExperimentConfig, *extra: str) -> list[str]:
     return [f"config_hash={cfg.config_hash} seed={cfg.seed}", *extra]
-
-
-def _write_table(path: Path, cfg: ExperimentConfig, meta: str, header: str, rows) -> None:
-    lines = [f"# {c}" for c in _meta_lines(cfg, [meta])] + [header, *rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_sample(cfg: ExperimentConfig) -> list[Path]:
@@ -334,7 +330,7 @@ def run_sample(cfg: ExperimentConfig) -> list[Path]:
         for name, (_, quantizer, _) in resolved.items():
             extra.append(f"quantizer={name} distortion={quantizer.distortion!r}")
             summary += f" [distortion({name})={quantizer.distortion:.6g}]"
-        design.to_csv(path, header_comments=_meta_lines(cfg, extra))
+        design.to_csv(path, header_comments=_meta_lines(cfg, *extra))
         print(summary)
         paths.append(path)
     return paths
@@ -363,8 +359,9 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
         summary = replicate(builder, evaluate, repetitions, base_seed, threads=threads)
         elapsed = time.monotonic() - started
         rep_path = out_dir / f"estimates_{scheme}_{model.name}_n{n}.csv"
-        _write_table(rep_path, cfg, f"scheme={scheme} model={model.name} n={n}", "seed,estimate",
-                     [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)])
+        write_table(rep_path, _meta_lines(cfg, f"scheme={scheme} model={model.name} n={n}"),
+                    "seed,estimate",
+                    [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)])
         paths.append(rep_path)
         entries.append({"n": n, "repetitions": repetitions, "base_seed": base_seed,
                         "mean": summary.mean, "variance": summary.variance,
@@ -420,11 +417,10 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
         results = screen(design, outputs, named, kernel=cfg.kernels,
                          permutations=cfg.test.permutations, alpha=cfg.test.alpha, rng=rng)
         path = out_dir / f"screening_{scheme}_{model.name}_n{n}.csv"
-        _write_table(path, cfg, f"scheme={scheme} model={model.name} n={n} "
-                                f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}",
-                     "input,hsic,p_value,decision",
-                     [f"{res.name},{res.hsic_value!r},{res.p_value!r},{res.decision}"
-                      for res in results])
+        meta = (f"scheme={scheme} model={model.name} n={n} "
+                f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}")
+        write_table(path, _meta_lines(cfg, meta), "input,hsic,p_value,decision",
+                    [f"{r.name},{r.hsic_value!r},{r.p_value!r},{r.decision}" for r in results])
         print(f"hsic: scheme={scheme} model={model.name} n={n} -> {path}")
         for res in results:
             print(f"  {res.name}: hsic={res.hsic_value:.4g} p={res.p_value:.4g} {res.decision}")
@@ -440,8 +436,8 @@ def run_quantize(cfg: ExperimentConfig) -> list[Path]:
         cfg, blocks, n_cells, np.random.default_rng(cfg.seed)).values()
     path = out_dir / f"quantizer_{target.name}_n{n_cells}.csv"
     save_quantizer(quantizer, path, header_comments=_meta_lines(
-        cfg, [f"group={target.name} restarts={cfg.lloyd.restarts} "
-              f"iterations={len(quantizer.distortion_history) - 1}"]))
+        cfg, f"group={target.name} restarts={cfg.lloyd.restarts} "
+             f"iterations={len(quantizer.distortion_history) - 1}"))
     paths = [path]
     if target.kind != "pool":
         pool_path = out_dir / f"pool_{target.name}.csv"

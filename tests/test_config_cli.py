@@ -81,6 +81,12 @@ def test_nested_error_paths_are_reported():
              "inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["x"],
                                     "marginals": [{"type": "uniform", "a": 2, "b": 2}]}]}}
         )
+    for name, columns, where in (("a/b", ["x"], r"name: name 'a/b'"),
+                                 ("g", ["x", "a,b"], r"columns\[1\]: name 'a,b'")):
+        group = {"name": name, "kind": "independent", "columns": columns,
+                 "marginals": [{"type": "uniform", "a": 0, "b": 1}] * len(columns)}
+        with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\]." + where):
+            parse_config({"version": 1, "seed": 1, "inputs": {"groups": [group]}})
 
 
 def test_model_and_inline_inputs_are_exclusive():
@@ -146,6 +152,12 @@ def copula_group(columns, correlation, name="g"):
     {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a"],
                             "marginals": [{"type": "truncated", "lo": 50, "hi": 60, "inner": {
                                 "type": "normal", "mu": 0, "sigma": 1}}]}]}},
+    *({"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a", column],
+                              "marginals": [UNIFORM, UNIFORM]}]}}
+      for column in ("a,b", "c\nd", "", "e#f")),
+    *({"inputs": {"groups": [{"name": name, "kind": "independent", "columns": ["a"],
+                              "marginals": [UNIFORM]}]}}
+      for name in ("a/b", "a\\b", "", "g\r")),
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
@@ -153,7 +165,10 @@ def copula_group(columns, correlation, name="g"):
         "model name list", "model string", "group name list", "distribution type list",
         "column name list", "column name integer", "correlation ragged",
         "correlation text", "correlation not symmetric", "correlation not positive definite",
-        "uniform empty interval", "truncation without mass"])
+        "uniform empty interval", "truncation without mass", "column name with comma",
+        "column name with line break", "empty column name", "column name with hash",
+        "group name with slash", "group name with backslash", "empty group name",
+        "group name with carriage return"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
@@ -357,11 +372,21 @@ def test_bad_quantizer_files_entry_returns_2_and_writes_nothing(tmp_path, model,
     assert not (tmp_path / "out").exists()
 
 
+def _claims(lines, text):
+    """``lines`` with the header's claims line replaced by ``# text``."""
+    claims = lines.index("centroids") - 1
+    assert lines[claims].startswith("# n_cells=")
+    return lines[:claims] + [f"# {text}"] + lines[claims + 1:]
+
+
 @pytest.mark.parametrize("section, edit", [
     ("assignments", lambda rest: ["0"] * len(rest)),  # every pool point in cell 0
     ("probabilities", lambda rest: ["0.9"] + rest[1:]),
     ("probabilities", lambda rest: ["abc"] + rest[1:]),
-], ids=["empty cells", "edited probability", "non-numeric line"])
+    (None, lambda lines: _claims(lines, "n_cells=7 d=9 pool_size=1000")),
+    (None, lambda lines: _claims(lines, "distortion=0.5")),
+], ids=["empty cells", "edited probability", "non-numeric line", "false header claims",
+        "no header claims"])
 def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path, section, edit):
     pool_csv = tmp_path / "pool.csv"
     rows = np.random.default_rng(0).standard_normal(60)
@@ -373,7 +398,7 @@ def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path, section, edi
     assert main(["quantize", "--config", str(qcfg)]) == 0
     artifact = tmp_path / "art" / "quantizer_g_n5.csv"
     lines = artifact.read_text().splitlines()
-    first = lines.index(section) + 1
+    first = 0 if section is None else lines.index(section) + 1
     lines[first:] = edit(lines[first:])
     artifact.write_text("\n".join(lines) + "\n")
     scfg, _ = write_config(tmp_path, name="s.json", scheme="rq", n=5, inputs=inputs,
@@ -501,6 +526,26 @@ def test_estimate_error_inside_a_repetition_exits_3_without_output(tmp_path):
     assert main(["estimate", "--config", str(path), "--threads", "2"]) == 3
     assert list(tmp_path.glob("out/estimates_*.csv")) == []
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--threads", "0"],
+    ["estimate", "--threads", "-5"],
+    ["estimate", "--threads", "two"],
+    ["hsic", "--threads", "0"],
+    ["sample", "--shared-quantizer"],
+    ["hsic", "--shared-quantizer"],
+    ["quantize", "--shared-quantizer"],
+], ids=["threads 0", "threads -5", "threads text", "hsic threads 0", "shared on sample",
+        "shared on hsic", "shared on quantize"])
+def test_bad_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, argv):
+    path, _ = write_config(tmp_path, scheme="mc", n=4, repetitions=2, n_cells=2,
+                           model={"name": "square"}, output_dir=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(path)])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):

@@ -387,10 +387,21 @@ def test_tampered_quantizer_file_is_rejected(tmp_path, rng):
     lines = path.read_text().splitlines()
     first_p = lines.index("probabilities") + 1
     first_a = lines.index("assignments") + 1
+    claims = lines.index("centroids") - 1
+
+    def claimed(text):
+        return lines[:claims] + [f"# {text}"] + lines[claims + 1:]
+
+    assert lines[claims].startswith("# n_cells=5 d=1 pool_size=40 ")
     for tampered, reason in (
         (lines[:first_p] + ["0.9"] + lines[first_p + 1:], "differ from the pool assignment"),
         (lines[:first_a] + ["0"] * (len(lines) - first_a), "4 of 5 cells hold no pool point"),
         (lines[:first_p] + ["abc"] + lines[first_p + 1:], f"line {first_p + 1}: cannot read 'abc'"),
+        (claimed("n_cells=7 d=9 pool_size=1000"),
+         "header claims n_cells=7, the file holds 5 centroid rows"),
+        (claimed("n_cells=5 d=2 pool_size=40"), "header claims d=2, the file holds 1 centroid col"),
+        (claimed("n_cells=5 d=1 pool_size=41"), "header claims pool_size=41, the file holds 40 as"),
+        (claimed("distortion=0.5"), r"header claims n_cells=\(none\)"),
     ):
         path.write_text("\n".join(tampered) + "\n")
         with pytest.raises(ParameterError, match=reason):
@@ -422,3 +433,86 @@ def test_pool_file_with_an_unreadable_line_is_rejected(tmp_path):
         path.write_text(f"# qdoe-pool v1\na,b\n0.0,0.5\n{line}\n")
         with pytest.raises(ParameterError, match=f"line 4: cannot read {line!r}"):
             load_pool(path)
+
+
+# ---------------------------------------------------------------------------
+# output files: the exact text of every writer
+
+def _write_design(tmp_path, monkeypatch):
+    from qdoe import Design
+    path = tmp_path / "design.csv"
+    Design(points=[[0.1, -0.0], [1 / 3, 2.5e-05]], weights=[0.5, 0.5], scheme="mc",
+           column_roles=("a", "b")).to_csv(path, header_comments=("config_hash=abc seed=1",))
+    return path
+
+
+def _write_pool(tmp_path, monkeypatch):
+    path = tmp_path / "pool.csv"
+    save_pool(CandidatePool([[0.1, 1e300], [-2.0, 5e-324]]), path, column_names=["p", "q"],
+              header_comments=("seed=1",))
+    return path
+
+
+def _write_quantizer(tmp_path, monkeypatch):
+    path = tmp_path / "quantizer.csv"
+    save_quantizer(Quantizer(centroids=np.array([[0.1, 1.0], [2.0, -0.5]]),
+                             probabilities=np.array([0.75, 0.25]),
+                             pool_assignment=np.array([0, 0, 1, 0]), distortion=0.125),
+                   path, header_comments=("group=g",))
+    return path
+
+
+def _write_correlation(tmp_path, monkeypatch):
+    from qdoe.copula import correlation_to_csv, gaussian_copula
+    path = tmp_path / "correlation.csv"
+    correlation_to_csv(gaussian_copula([[1.0, 0.5], [0.5, 1.0]]), path, column_names=["u", "v"],
+                       header_comments=("seed=1",))
+    return path
+
+
+def _run(tmp_path, monkeypatch, command, **raw):
+    import json
+    from qdoe.cli import main
+    monkeypatch.chdir(tmp_path)  # the relative output_dir enters the config hash
+    (tmp_path / "config.json").write_text(json.dumps({"version": 1, "seed": 3, **raw}))
+    assert main([command, "--config", "config.json", "--threads", "1"]) == 0
+
+
+def _write_estimate_table(tmp_path, monkeypatch):
+    _run(tmp_path, monkeypatch, "estimate", scheme="mc", n=2, repetitions=2,
+         model={"name": "square"}, output_dir="out")
+    return tmp_path / "out" / "estimates_mc_square_n2.csv"
+
+
+def _write_screening_table(tmp_path, monkeypatch):
+    import qdoe.runner
+    from qdoe.hsic import ScreenResult
+
+    def fixed_screen(design, outputs, named, **_):  # the table, not the statistics
+        return [ScreenResult(name, 1 / 3 * (i + 1), 0.5 ** (i + 1), i == 0)
+                for i, (name, _) in enumerate(named)]
+
+    monkeypatch.setattr(qdoe.runner, "screen", fixed_screen)
+    _run(tmp_path, monkeypatch, "hsic", scheme="mc", n=4, model={"name": "x2y"},
+         test={"permutations": 100}, output_dir="out")
+    return tmp_path / "out" / "screening_mc_x2y_n4.csv"
+
+
+@pytest.mark.parametrize("write, expected", [
+    (_write_design,
+     "# config_hash=abc seed=1\na,b,weight\n0.1,-0.0,0.5\n0.3333333333333333,2.5e-05,0.5\n"),
+    (_write_pool, "# qdoe-pool v1\n# seed=1\np,q\n0.1,1e+300\n-2.0,5e-324\n"),
+    (_write_quantizer,
+     "# qdoe-quantizer v1\n# group=g\n# n_cells=2 d=2 pool_size=4 distortion=0.125\n"
+     "centroids\n0.1,1.0\n2.0,-0.5\nprobabilities\n0.75\n0.25\nassignments\n0\n0\n1\n0\n"),
+    (_write_correlation, "# qdoe-correlation v1\n# seed=1\n,u,v\nu,1.0,0.5\nv,0.5,1.0\n"),
+    (_write_estimate_table,
+     "# config_hash=31bd47e6c25ad5c7 seed=3\n# scheme=mc model=square n=2\nseed,estimate\n"
+     "3,1.1925297601696312\n4,1.2501162954434404\n"),
+    (_write_screening_table,
+     "# config_hash=ddcc0117cdcff952 seed=3\n"
+     "# scheme=mc model=x2y n=4 permutations=100 alpha=0.05\ninput,hsic,p_value,decision\n"
+     "x,0.3333333333333333,0.5,dependent\ny,0.6666666666666666,0.25,independent\n"),
+], ids=["design", "pool", "quantizer", "correlation", "estimate table", "screening table"])
+def test_every_writer_writes_the_pinned_text(tmp_path, monkeypatch, write, expected):
+    assert write(tmp_path, monkeypatch).read_bytes().decode("utf-8") == expected
