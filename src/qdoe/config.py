@@ -127,6 +127,10 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
                          *((f"{path}.columns[{i}]", c) for i, c in enumerate(columns))):
         _expect(bool(label) and not any(ch in label for ch in ",/\\#\n\r"), where,
                 f"name {label!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
+    # a design CSV ends with its own weight column
+    for i, column in enumerate(columns):
+        _expect(column != "weight", f"{path}.columns[{i}]",
+                "name 'weight' is reserved for the design weight column")
     _expect(kind in ("independent", "copula", "pool"), f"{path}.kind",
             "expected one of 'independent', 'copula', 'pool'")
     marginals = None

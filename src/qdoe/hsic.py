@@ -149,8 +149,9 @@ def gram(sample, kernel: KernelSpec) -> np.ndarray:
     theta = _resolve_bandwidth(x, kernel)
     log.info("kernel bandwidth %r (%s rule) on %d column(s)", theta, kernel.bandwidth_rule,
              x.shape[1])
-    sq = squareform(pdist(x, "sqeuclidean"))
-    k = np.exp(-sq / (2.0 * theta * theta))
+    k = squareform(pdist(x, "sqeuclidean"))
+    k /= -2.0 * theta * theta  # the bits of -k / (2 theta^2): the sign is exact
+    np.exp(k, out=k)
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -162,7 +163,11 @@ def _weighted_center(kx: np.ndarray, w: np.ndarray) -> np.ndarray:
     the outputs permutes Ky, so A is built once per test.
     """
     kxw = kx @ w
-    return np.outer(w, w) * (kx - kxw[:, None] - kxw[None, :] + float(w @ kxw))
+    a = kx - kxw[:, None]
+    a -= kxw[None, :]
+    a += float(w @ kxw)
+    a *= np.outer(w, w)  # the one n-by-n temporary beside the result
+    return a
 
 
 def _permutation_test(
@@ -182,14 +187,15 @@ def _permutation_test(
     if permutations < 100:
         raise ConfigError(f"permutations must be >= 100, got {permutations}")
     n = ky.shape[0]
-    perms = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(permutations)])
     stats = np.empty((permutations + 1, len(centered)))
     # The gathers write into two reused buffers, as fresh n-by-n arrays cost
     # more in page faults than the gather itself. Every p is a permutation of
     # range(n), so mode="clip" clips nothing; it only spares take the extra
-    # buffered copy that mode="raise" makes when given ``out``.
+    # buffered copy that mode="raise" makes when given ``out``. Each
+    # permutation is drawn as its row comes, so one index array is alive.
     rows, permuted = np.empty((n, n)), np.empty((n, n))
-    for row, p in zip(stats, perms):
+    for b, row in enumerate(stats):
+        p = rng.permutation(n) if b else np.arange(n)
         np.take(np.take(ky, p, axis=0, out=rows, mode="clip"), p, axis=1, out=permuted,
                 mode="clip")
         row[:] = [np.vdot(a, permuted) for a in centered]
@@ -283,7 +289,8 @@ def screen(
     dependent (common random numbers). Every group's result equals
     ``independence_test`` of its block on a generator in the state of
     ``rng``. The weighted-centered input Gram matrices of all groups are
-    held at once: G n-by-n float arrays for G groups.
+    held at once, so the permutation loop holds G + 3 n-by-n float arrays
+    for G groups: those G, the output Gram matrix and two gather buffers.
     """
     x, y = _paired_samples(design.points, outputs)
     blocks = []

@@ -132,9 +132,10 @@ class Quantizer:
         return order, offsets, counts
 
 
-# Rows per cdist block in _nearest: bounds its distance matrix to
-# _NEAREST_ROWS x n_cells floats (6.5 MB at 100 cells) whatever the pool size.
-_NEAREST_ROWS = 8192
+# Floats per cdist block in _nearest (2 MB). A block holds
+# max(1, _NEAREST_FLOATS // n_cells) rows, so the distance matrix stays within
+# 2 MB whatever the pool size, for up to _NEAREST_FLOATS cells.
+_NEAREST_FLOATS = 2**18
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray):
@@ -145,8 +146,9 @@ def _nearest(points: np.ndarray, centroids: np.ndarray):
     labels = np.empty(m, dtype=np.intp)
     sq = np.empty(m)
     second = np.empty(m)
-    for start in range(0, m, _NEAREST_ROWS):
-        block = cdist(points[start:start + _NEAREST_ROWS], centroids, "sqeuclidean")
+    step = max(1, _NEAREST_FLOATS // centroids.shape[0])
+    for start in range(0, m, step):
+        block = cdist(points[start:start + step], centroids, "sqeuclidean")
         rows = np.arange(block.shape[0])
         stop = start + rows.size
         labels[start:stop] = own = block.argmin(axis=1)
@@ -165,10 +167,12 @@ def _cell_means(points: np.ndarray, labels: np.ndarray, n_cells: int) -> np.ndar
     return sums / counts[:, None]
 
 
-def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted seeding; never selects a duplicate of a chosen seed."""
+def _kmeanspp(points: np.ndarray, cols: np.ndarray, n_cells: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted seeding; never selects a duplicate of a chosen seed.
+    ``cols`` is ``np.ascontiguousarray(points.T)``."""
     m = points.shape[0]
-    squared_distances = _squared_distances_to(points)
+    squared_distances = _squared_distances_to(points, cols)
     chosen = [int(rng.integers(m))]
     d2 = squared_distances(chosen[0], np.empty(m))
     new_d2 = np.empty_like(d2)
@@ -183,15 +187,15 @@ def _kmeanspp(points: np.ndarray, n_cells: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _squared_distances_to(points: np.ndarray):
+def _squared_distances_to(points: np.ndarray, cols: np.ndarray):
     """``f(i, out)``: squared distances of every point to point i, into ``out``.
 
     They equal ``np.sum((points - points[i]) ** 2, axis=1)`` bit for bit.
     numpy sums the rows of an (M, d) buffer laid out like ``points``
     sequentially when d < 8 or the buffer is F-ordered; those sums are taken
-    on a (d, M) C-contiguous copy, a few whole-pool vector operations per
-    call. C-ordered rows with d >= 8 are summed pairwise, so they keep the
-    row sums themselves.
+    on ``cols``, the (d, M) C-contiguous copy of ``points``, a few whole-pool
+    vector operations per call. C-ordered rows with d >= 8 are summed
+    pairwise, so they keep the row sums themselves.
     """
     d = points.shape[1]
     rows = np.empty_like(points)
@@ -202,7 +206,6 @@ def _squared_distances_to(points: np.ndarray):
             return rows.sum(axis=1, out=out)
 
         return row_sums
-    cols = np.ascontiguousarray(points.T)
     diff = np.empty_like(cols)
 
     def column_sums(i: int, out: np.ndarray) -> np.ndarray:
@@ -300,7 +303,7 @@ def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
     converged, empty_cell_repairs)."""
     slack = _slack(points.shape[1])
     cols = np.ascontiguousarray(points.T)
-    centroids = _kmeanspp(points, n_cells, rng)
+    centroids = _kmeanspp(points, cols, n_cells, rng)
     labels, sq, lower = _full_pass(points, centroids, slack)
     centroids, labels, sq, lower, repairs = _repair_empty_cells(
         points, centroids, labels, sq, lower, slack)

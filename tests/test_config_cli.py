@@ -82,7 +82,8 @@ def test_nested_error_paths_are_reported():
                                     "marginals": [{"type": "uniform", "a": 2, "b": 2}]}]}}
         )
     for name, columns, where in (("a/b", ["x"], r"name: name 'a/b'"),
-                                 ("g", ["x", "a,b"], r"columns\[1\]: name 'a,b'")):
+                                 ("g", ["x", "a,b"], r"columns\[1\]: name 'a,b'"),
+                                 ("g", ["x", "weight"], r"columns\[1\]: name 'weight'")):
         group = {"name": name, "kind": "independent", "columns": columns,
                  "marginals": [{"type": "uniform", "a": 0, "b": 1}] * len(columns)}
         with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\]." + where):
@@ -158,6 +159,8 @@ def copula_group(columns, correlation, name="g"):
     *({"inputs": {"groups": [{"name": name, "kind": "independent", "columns": ["a"],
                               "marginals": [UNIFORM]}]}}
       for name in ("a/b", "a\\b", "", "g\r")),
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["weight", "b"],
+                            "marginals": [UNIFORM, UNIFORM]}]}},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
@@ -168,7 +171,7 @@ def copula_group(columns, correlation, name="g"):
         "uniform empty interval", "truncation without mass", "column name with comma",
         "column name with line break", "empty column name", "column name with hash",
         "group name with slash", "group name with backslash", "empty group name",
-        "group name with carriage return"])
+        "group name with carriage return", "column named weight"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from qdoe import (
     CandidatePool,
@@ -17,7 +20,7 @@ from qdoe import (
     qlhs_design,
     screen,
 )
-from qdoe.hsic import _permutation_test, _weighted_center
+from qdoe.hsic import _permutation_test, _resolve_bandwidth, _weighted_center
 
 
 def brute_force_hsic(kx, ky):
@@ -342,3 +345,81 @@ def test_group_standardization_rebalances_scales():
 
     assert np.max(np.abs(raw_a - raw_b)) < 1e-9  # small column invisible
     assert np.max(np.abs(std_a - std_b)) > 1e-2  # now it contributes
+
+
+# The arithmetic gram, _weighted_center and _permutation_test replaced: fresh
+# n-by-n temporaries per operation and every permutation stacked before the
+# loop. The in-place versions must reproduce it bit for bit.
+def _reference_gram(x, kernel):
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    if kernel.standardize_groups and x.shape[1] > 1:
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+    theta = _resolve_bandwidth(x, kernel)
+    sq = squareform(pdist(x, "sqeuclidean"))
+    k = np.exp(-sq / (2.0 * theta * theta))
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+def _reference_center(kx, w):
+    kxw = kx @ w
+    return np.outer(w, w) * (kx - kxw[:, None] - kxw[None, :] + float(w @ kxw))
+
+
+def _reference_permutation_test(centered, ky, permutations, rng):
+    n = ky.shape[0]
+    perms = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(permutations)])
+    return np.array([[np.vdot(a, ky[p][:, p]) for a in centered] for p in perms])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(), KernelSpec(bandwidth_rule="median"),
+                                    KernelSpec(bandwidth_rule="fixed", bandwidth=0.7,
+                                               standardize_groups=False)],
+                         ids=["std", "median", "fixed"])
+@pytest.mark.parametrize("weights", ["uniform", "cells"])
+def test_gram_and_centering_match_reference_arithmetic(kernel, weights):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((150, 3)) * [1.0, 1e-3, 40.0]
+    w = np.full(150, 1 / 150) if weights == "uniform" else rng.dirichlet(np.ones(150))
+    kx = gram(x, kernel)
+    assert _same_bits(kx, _reference_gram(x, kernel))
+    assert _same_bits(gram(x[:, 0], kernel), _reference_gram(x[:, 0], kernel))
+    before = kx.copy()
+    assert _same_bits(_weighted_center(kx, w), _reference_center(kx, w))
+    assert _same_bits(kx, before)  # the input Gram matrix is left as it was
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_permutation_test_matches_stacked_reference(groups):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((40, groups))
+    w = rng.dirichlet(np.ones(40))
+    centered = [_weighted_center(gram(x[:, g], KernelSpec()), w) for g in range(groups)]
+    ky = gram(x.sum(axis=1) + rng.standard_normal(40), KernelSpec())
+    got_rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
+    stats, p_values = _permutation_test(centered, ky, permutations=150, rng=got_rng)
+    want = _reference_permutation_test(centered, ky, 150, want_rng)
+    assert _same_bits(stats, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _same_bits(p_values, (1.0 + np.sum(want[1:] >= want[0], axis=0)) / 151.0)
+
+
+def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
+    # G centered input Gram matrices, the output Gram matrix and two gather
+    # buffers, whatever the number of permutations
+    n, groups = 300, 4
+    x = np.random.default_rng(24).random((n, groups))
+    design = Design(x, np.full(n, 1 / n), "mc", tuple("abcd"))
+    outputs = x[:, 0] + 0.5 * x[:, 1] ** 2
+    tracemalloc.start()
+    try:
+        screen(design, outputs, [(c, [j]) for j, c in enumerate("abcd")], permutations=999,
+               rng=np.random.default_rng(25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (groups + 3) * n * n * 8 + 2**20

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -201,10 +202,11 @@ def test_seeding_and_cell_means_match_reference_arithmetic(d, order):
         points = np.random.default_rng(d).standard_normal((6000, 2 * d))[::2, ::2]
     else:
         points = np.asarray(np.random.default_rng(d).standard_normal((3000, d)), order=order)
-    seeds = _kmeanspp(points, 40, np.random.default_rng(11))
+    cols = np.ascontiguousarray(points.T)
+    seeds = _kmeanspp(points, cols, 40, np.random.default_rng(11))
     assert _same_bits(seeds, _reference_kmeanspp(points, 40, np.random.default_rng(11)))
     # an ulp in a distance rarely moves a seed, so compare the distances too
-    squared_distances = _squared_distances_to(points)
+    squared_distances = _squared_distances_to(points, cols)
     for i in (0, 1, 1234, points.shape[0] - 1):
         reference = np.sum((points - points[i]) ** 2, axis=1)
         assert _same_bits(squared_distances(i, np.empty(points.shape[0])), reference)
@@ -219,22 +221,26 @@ def _reference_second(points, centroids):
     return sq.min(axis=1)
 
 
-@pytest.mark.parametrize("rows", [8192, 999, 7])
+# None: the rows the default float budget gives at 100 cells
+@pytest.mark.parametrize("rows", [8192, 999, 7, 1, None])
 def test_nearest_in_row_blocks_matches_full_matrix(monkeypatch, rows):
     points = np.random.default_rng(12).standard_normal((20_000, 6))
     centroids = points[:100].copy()
+    if rows is None:
+        rows = quantizer_module._NEAREST_FLOATS // 100
+    else:
+        monkeypatch.setattr(quantizer_module, "_NEAREST_FLOATS", rows * 100)
     ref_labels, ref_sq = _reference_nearest(points, centroids)
     ref_second = _reference_second(points, centroids)
     blocks = []
 
     def one_block_at_a_time(*args):
         # the distance block of the previous rows is freed before the next
-        assert all(block() is None for block in blocks)
+        assert not blocks or blocks[-1]() is None
         out = cdist(*args)
         blocks.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(quantizer_module, "_NEAREST_ROWS", rows)
     monkeypatch.setattr(quantizer_module, "cdist", one_block_at_a_time)
     labels, sq, second = _nearest(points, centroids)
     assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
@@ -244,6 +250,18 @@ def test_nearest_in_row_blocks_matches_full_matrix(monkeypatch, rows):
     labels, sq, lower = _full_pass(points, centroids, _slack(6))
     assert _same_bits(labels, ref_labels) and _same_bits(sq, ref_sq)
     assert _same_bits(lower, np.sqrt(ref_second) * (1.0 - _slack(6)))
+
+
+def test_nearest_memory_does_not_grow_with_the_cell_count():
+    points = np.random.default_rng(13).standard_normal((20_000, 3))
+    centroids = points[:1000].copy()
+    tracemalloc.start()
+    try:
+        _nearest(points, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a 2 MB distance block and three (M,) results
 
 
 def _reference_lloyd_once(points, n_cells, rng, max_iter, rel_tol):
