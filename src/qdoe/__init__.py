@@ -39,20 +39,10 @@ from .errors import (
     QdoeError,
 )
 from .estimators import ReplicateSummary, estimate, replicate
-from .hsic import (
-    HsicResult,
-    KernelSpec,
-    ScreenResult,
-    gram,
-    hsic_rq,
-    hsic_v,
-    independence_test,
-    screen,
-)
+from .hsic import KernelSpec, ScreenResult, gram, screen, weighted_hsic
 from .quantizer import (
     CandidatePool,
     Quantizer,
-    assign,
     distortion,
     lloyd,
     load_pool,
@@ -96,17 +86,13 @@ __all__ = [
     "ReplicateSummary",
     "estimate",
     "replicate",
-    "HsicResult",
     "KernelSpec",
     "ScreenResult",
     "gram",
-    "hsic_rq",
-    "hsic_v",
-    "independence_test",
     "screen",
+    "weighted_hsic",
     "CandidatePool",
     "Quantizer",
-    "assign",
     "distortion",
     "lloyd",
     "load_pool",

@@ -3,8 +3,9 @@
 Every command reads a JSON config (see :mod:`qdoe.config`); ``--seed`` and
 ``--out`` override the config before it is hashed, so output headers
 always reflect the effective run. Exit codes: 0 success, 2 configuration
-error, 3 numerical or domain error. The ``QDOE_LOG`` environment variable
-sets the log level (DEBUG, INFO, WARNING, ...).
+or usage error, 3 numerical or domain error. The ``QDOE_LOG`` environment
+variable sets the log level (DEBUG, INFO, WARNING, ...); an unknown level
+exits 2 before the config is read.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("QDOE_LOG", "WARNING").upper())
+    level = os.environ.get("QDOE_LOG", "WARNING").upper()
+    if level not in logging.getLevelNamesMapping():
+        print(f"usage error: unknown QDOE_LOG level {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(

@@ -220,6 +220,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         n_raw = [n_raw]
     _expect(isinstance(n_raw, list), "config.n", "expected an integer or a list of integers")
     n = tuple(_as_int(v, f"config.n[{i}]", minimum=1) for i, v in enumerate(n_raw))
+    _expect(len(set(n)) == len(n), "config.n", f"repeated design size in {list(n)}")
 
     repetitions = raw.get("repetitions")
     if repetitions is not None:

@@ -50,7 +50,11 @@ UNIFORM_SCHEMES = ("mc", "lhs", "lhsd")
 
 @dataclass(frozen=True)
 class Design:
-    """An (n, d) sample matrix with per-row weights and column labels."""
+    """An (n, d) sample matrix with per-row weights and column labels.
+
+    Weights are nonnegative with a total above 1e-300: the one degenerate-weight
+    rule of every estimator and dependence measure that normalizes by it.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -66,6 +70,8 @@ class Design:
             raise DimensionError("column_roles length does not match the number of columns")
         if np.any(weights < 0.0):
             raise ParameterError("design weights must be nonnegative")
+        if not weights.sum() > 1e-300:
+            raise ParameterError("design weights must have a total above 1e-300")
         if self.scheme in UNIFORM_SCHEMES:
             if not np.all(weights == weights[0]) or abs(weights[0] * len(weights) - 1.0) > 1e-12:
                 raise ParameterError(f"{self.scheme} designs require uniform weights 1/n")

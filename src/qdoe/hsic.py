@@ -2,15 +2,15 @@
 
 The dependence measure is the squared RKHS distance between the joint
 embedding of (X, Y) and the product of the marginal embeddings. For a
-sample with row weights w, normalized by their total, it is estimated by
+design with row weights w, normalized by their total, it is estimated by
 
     sum_ij A_ij Ky_ij,  A = (w w^T) o (Kx - (Kx w) 1^T - 1 (Kx w)^T + w^T Kx w),
 
-the input Gram matrix centered under w. Cell probabilities of a
-quantization design give the weighted estimate; uniform weights w = 1/n
-give the V-statistic (1/n^2) tr(Kx H Ky H). Independence is tested by
-permuting the outputs against fixed inputs and comparing the observed
-statistic to the permutation null.
+the input Gram matrix centered under w (:func:`weighted_hsic`). Cell
+probabilities of a quantization design give the weighted estimate; uniform
+weights w = 1/n give the V-statistic (1/n^2) tr(Kx H Ky H). :func:`screen`
+tests each input group for independence by permuting the outputs against
+fixed inputs and comparing the observed statistic to the permutation null.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from .errors import ConfigError, DegeneracyError, DimensionError, ParameterError
 
 __all__ = [
     "KernelSpec",
-    "HsicResult",
     "ScreenResult",
     "gram",
-    "hsic_v",
-    "hsic_rq",
-    "independence_test",
+    "weighted_hsic",
     "screen",
 ]
 
@@ -65,20 +62,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class HsicResult:
-    """Dependence measure with the test statistic n * hsic and, when a
-    permutation test ran, the tie-inclusive p-value and decision."""
-
-    hsic_value: float
-    statistic: float
-    n: int
-    p_value: float | None = None
-    permutations: int = 0
-    alpha: float | None = None
-    reject: bool | None = None
-
-
-@dataclass(frozen=True)
 class ScreenResult:
     name: str
     hsic_value: float
@@ -107,19 +90,10 @@ def _paired_samples(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _weights(weights, n: int) -> np.ndarray:
-    """Row weights of the estimate: ``None`` is uniform 1/n; given weights
-    must be aligned with the rows and are normalized by their total, which
-    must be positive."""
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != n:
-        raise DimensionError("weights are not aligned with the sample rows")
-    total = float(w.sum())
-    if not total > 0.0:
-        raise ParameterError(f"weights must have a positive total, got {total!r}")
-    return w / total
+def _weights(design: Design) -> np.ndarray:
+    """The design's row weights normalized by their total, which the design
+    keeps positive."""
+    return design.weights / float(design.weights.sum())
 
 
 def _resolve_bandwidth(x: np.ndarray, kernel: KernelSpec) -> float:
@@ -203,66 +177,15 @@ def _permutation_test(
     return stats, p_values
 
 
-def _measure(inputs, outputs, kx: KernelSpec, ky: KernelSpec, weights) -> HsicResult:
-    x, y = _paired_samples(inputs, outputs)
-    n = x.shape[0]
-    w = _weights(weights, n)
-    value = float(np.vdot(_weighted_center(gram(x, kx), w), gram(y, ky)))
-    return HsicResult(hsic_value=value, statistic=n * value, n=n)
-
-
-def hsic_v(x_sample, y_sample, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
-    """V-statistic estimate (1/n^2) tr(K_x H K_y H) from one joint sample."""
-    return _measure(x_sample, y_sample, kx, ky, None)
-
-
-def hsic_rq(design: Design, outputs, kx: KernelSpec, ky: KernelSpec) -> HsicResult:
-    """Weighted dependence estimate for a quantization design.
+def weighted_hsic(design: Design, outputs, kernel: KernelSpec = KernelSpec()) -> float:
+    """Weighted dependence estimate between a design's rows and its outputs.
 
     The design's weights, normalized by their total, are the row weights;
     this covers q2lhs designs, whose weights need not sum to one. Uniform
-    weights give the V-statistic.
+    weights give the V-statistic. ``kernel`` applies to inputs and output.
     """
-    return _measure(design.points, outputs, kx, ky, design.weights)
-
-
-def independence_test(
-    inputs,
-    outputs,
-    kx: KernelSpec,
-    ky: KernelSpec,
-    *,
-    permutations: int,
-    alpha: float = 0.05,
-    rng: np.random.Generator,
-    weights=None,
-) -> HsicResult:
-    """Permutation test of independence between inputs and outputs.
-
-    The observed statistic is n times the dependence measure; the null
-    sample recomputes it with the outputs permuted uniformly at random,
-    keeping any weights attached to the input rows (``None`` means
-    uniform; given weights are normalized by their total). The p-value
-    is the tie-inclusive (1 + #{null >= observed}) / (B + 1), and the
-    null hypothesis of independence is rejected when it falls below
-    ``alpha``.
-    """
-    x, y = _paired_samples(inputs, outputs)
-    n = x.shape[0]
-    w = _weights(weights, n)
-    stats, p_values = _permutation_test(
-        [_weighted_center(gram(x, kx), w)], gram(y, ky), permutations=permutations, rng=rng
-    )
-    observed, p_value = float(stats[0, 0]), float(p_values[0])
-    return HsicResult(
-        hsic_value=observed,
-        statistic=n * observed,
-        n=n,
-        p_value=p_value,
-        permutations=permutations,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
-    )
+    x, y = _paired_samples(design.points, outputs)
+    return float(np.vdot(_weighted_center(gram(x, kernel), _weights(design)), gram(y, kernel)))
 
 
 def screen(
@@ -280,14 +203,15 @@ def screen(
     ``groups`` is a sequence of (name, column-index list) pairs; ``kernel``
     applies to every group and to the output. Design weights stay attached
     to the input rows (normalized to sum to one); for uniform-weight
-    designs this is exactly the unweighted test.
+    designs this is exactly the unweighted test. A group is dependent when
+    its tie-inclusive p-value falls below ``alpha``.
 
     The output Gram matrix is built once, and every group is tested on the
     same B permutations drawn from ``rng``: each permuted output Gram
     matrix is gathered once and serves all groups. Each group's p-value is
     a valid permutation p-value, but the p-values of different groups are
-    dependent (common random numbers). Every group's result equals
-    ``independence_test`` of its block on a generator in the state of
+    dependent (common random numbers). Every group's result equals a
+    one-group ``screen`` of its block on a generator in the state of
     ``rng``. The weighted-centered input Gram matrices of all groups are
     held at once, so the permutation loop holds G + 3 n-by-n float arrays
     for G groups: those G, the output Gram matrix and two gather buffers.
@@ -301,7 +225,7 @@ def screen(
         if min(cols) < 0 or max(cols) >= design.d:
             raise DimensionError(f"group {name!r} references columns outside the design")
         blocks.append((name, x[:, cols]))
-    w = _weights(design.weights, design.n)
+    w = _weights(design)
     ky = gram(y, kernel)
     centered = [_weighted_center(gram(block, kernel), w) for _, block in blocks]
     stats, p_values = _permutation_test(centered, ky, permutations=permutations, rng=rng)

@@ -28,7 +28,6 @@ __all__ = [
     "CandidatePool",
     "Quantizer",
     "lloyd",
-    "assign",
     "distortion",
     "save_quantizer",
     "load_quantizer",
@@ -386,17 +385,6 @@ def lloyd(
         converged=converged,
         empty_cell_repairs=repairs,
     )
-
-
-def assign(point, quantizer: Quantizer) -> int:
-    """Index of the Voronoi cell containing ``point`` (ties to lowest index)."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if point.shape[0] != quantizer.d:
-        raise DimensionError(
-            f"point has dimension {point.shape[0]}, quantizer expects {quantizer.d}"
-        )
-    labels, _, _ = _nearest(point[None, :], quantizer.centroids)
-    return int(labels[0])
 
 
 def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:

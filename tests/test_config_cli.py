@@ -161,6 +161,7 @@ def copula_group(columns, correlation, name="g"):
       for name in ("a/b", "a\\b", "", "g\r")),
     {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["weight", "b"],
                             "marginals": [UNIFORM, UNIFORM]}]}},
+    {"n": [5, 5]},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
@@ -171,7 +172,7 @@ def copula_group(columns, correlation, name="g"):
         "uniform empty interval", "truncation without mass", "column name with comma",
         "column name with line break", "empty column name", "column name with hash",
         "group name with slash", "group name with backslash", "empty group name",
-        "group name with carriage return", "column named weight"])
+        "group name with carriage return", "column named weight", "repeated size"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
@@ -549,6 +550,16 @@ def test_bad_flag_is_a_usage_error_and_writes_nothing(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_log_level_is_a_usage_error_before_the_config_is_read(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setenv("QDOE_LOG", "foo")
+    # the config file does not exist: the level is checked first
+    assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "QDOE_LOG" in err and "'FOO'" in err
+    assert [p.name for p in tmp_path.iterdir()] == []
 
 
 def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):

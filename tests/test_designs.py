@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from qdoe import (
     CandidatePool,
@@ -11,7 +12,6 @@ from qdoe import (
     DimensionError,
     Normal,
     Uniform,
-    assign,
     conditional_inverse,
     gaussian_copula,
     lhs,
@@ -173,12 +173,16 @@ def test_rq_with_one_cell_per_point_is_a_pool_permutation(rng):
     assert design.weights.tolist() == pytest.approx([0.25] * 4)
 
 
+def cells_of(points, quantizer):
+    """Voronoi cell of each row: the nearest centroid, ties to the lowest index."""
+    return cdist(points, quantizer.centroids, "sqeuclidean").argmin(axis=1)
+
+
 def test_rq_rows_close_over_their_cells(rng):
     pool = CandidatePool(np.random.default_rng(6).standard_normal((400, 2)))
     q = lloyd(pool, 10, rng)
     design = rq_design(q, pool, rng)
-    for i, row in enumerate(design.points):
-        assert assign(row, q) == i
+    assert np.array_equal(cells_of(design.points, q), np.arange(q.n_cells))
 
 
 def per_cell_loop(quantizer, rng):
@@ -201,8 +205,7 @@ def test_rq_design_matches_the_per_cell_loop(m, d, cells, seed):
     design = rq_design(q, pool, rng)
     assert np.array_equal(design.points, pool.points[per_cell_loop(q, reference_rng)])
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    for i, row in enumerate(design.points):
-        assert assign(row, q) == i
+    assert np.array_equal(cells_of(design.points, q), np.arange(q.n_cells))
 
 
 def test_rq_draws_uniformly_within_a_cell(four_point_pool):
@@ -266,10 +269,10 @@ def test_q2lhs_blocks_close_over_their_cells(rng):
     qx = lloyd(pool_x, 6, rng)
     qy = lloyd(pool_y, 6, rng)
     design = qlhs_design([(qx, pool_x), (qy, pool_y)], [], rng)
-    pi = [assign(row[1:], qy) for row in design.points]
+    pi = cells_of(design.points[:, 1:], qy)
     assert sorted(pi) == list(range(6))  # the y block is matched by a permutation
-    for i, row in enumerate(design.points):
-        assert assign(row[:1], qx) == i
+    assert np.array_equal(cells_of(design.points[:, :1], qx), np.arange(6))
+    for i in range(6):
         assert design.weights[i] == pytest.approx(
             qx.probabilities[i] * qy.probabilities[pi[i]]
         )
@@ -292,7 +295,7 @@ def test_q2lhs_permutation_is_uniform():
     n_draws = 10_000
     for _ in range(n_draws):
         design = qlhs_design([(q, pool), (q, pool)], [], rng)
-        pi = tuple(assign(row[1:], q) for row in design.points)
+        pi = tuple(cells_of(design.points[:, 1:], q).tolist())
         counts[pi] = counts.get(pi, 0) + 1
     assert len(counts) == 24
     for pi in itertools.permutations(range(4)):

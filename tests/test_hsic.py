@@ -13,12 +13,11 @@ from qdoe import (
     KernelSpec,
     ParameterError,
     gram,
-    hsic_rq,
-    hsic_v,
-    independence_test,
     lloyd,
+    mc_design,
     qlhs_design,
     screen,
+    weighted_hsic,
 )
 from qdoe.hsic import _permutation_test, _resolve_bandwidth, _weighted_center
 
@@ -75,10 +74,9 @@ def test_gram_degenerate_sample():
 
 def test_hsic_constant_output_is_zero():
     x = np.random.default_rng(1).standard_normal(30)
-    res = hsic_v(x, np.full(30, 3.0), KernelSpec(),
-                 KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
-    assert abs(res.hsic_value) < 1e-12
-    assert res.statistic == pytest.approx(30 * res.hsic_value)
+    value = weighted_hsic(mc_design(x[:, None]), np.full(30, 3.0),
+                          KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
+    assert abs(value) < 1e-12
 
 
 def test_hsic_two_point_symbolic_formula():
@@ -89,53 +87,50 @@ def test_hsic_two_point_symbolic_formula():
     a = float(np.exp(-(0.8**2) / 2))
     b = float(np.exp(-(1.7**2) / 2))
     kernel = KernelSpec(bandwidth_rule="fixed", bandwidth=theta)
-    res = hsic_v(x, y, kernel, kernel)
-    assert res.hsic_value == pytest.approx((1 - a) * (1 - b) / 4, abs=1e-14)
+    value = weighted_hsic(mc_design(x[:, None]), y, kernel)
+    assert value == pytest.approx((1 - a) * (1 - b) / 4, abs=1e-14)
 
 
 def test_trace_form_equals_brute_force_on_random_samples():
     rng = np.random.default_rng(2)
-    kx = KernelSpec()
-    ky = KernelSpec()
+    kernel = KernelSpec()
     for _ in range(50):
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
-        res = hsic_v(x, y, kx, ky)
-        oracle = brute_force_hsic(gram(x, kx), gram(y, ky))
-        assert abs(res.hsic_value - oracle) < 1e-12
-        assert res.hsic_value >= -1e-12
+        value = weighted_hsic(mc_design(x[:, None]), y, kernel)
+        oracle = brute_force_hsic(gram(x, kernel), gram(y, kernel))
+        assert abs(value - oracle) < 1e-12
+        assert value >= -1e-12
 
 
 def test_weighted_reduces_to_v_statistic_with_uniform_weights():
     rng = np.random.default_rng(3)
-    kx = KernelSpec()
-    ky = KernelSpec()
+    kernel = KernelSpec()
     for _ in range(50):
         x = rng.standard_normal(12)
         y = rng.standard_normal(12)
         design = Design(x[:, None], np.full(12, 1 / 12), "rq", ("x",))
-        assert abs(
-            hsic_rq(design, y, kx, ky).hsic_value - hsic_v(x, y, kx, ky).hsic_value
-        ) < 1e-12
+        value = weighted_hsic(design, y, kernel)
+        assert abs(value - brute_force_hsic(gram(x, kernel), gram(y, kernel))) < 1e-12
+        assert abs(value - weighted_hsic(mc_design(x[:, None]), y, kernel)) < 1e-12
 
 
 def test_weighted_three_point_matches_triple_loop():
     x = np.array([0.1, 1.2, -0.7])
     y = np.array([2.0, 0.5, 1.1])
     w = np.array([0.5, 0.3, 0.2])
-    kx = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
-    ky = KernelSpec(bandwidth_rule="fixed", bandwidth=1.4)
+    kernel = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
     design = Design(x[:, None], w, "rq", ("x",))
-    oracle = brute_force_weighted(gram(x, kx), gram(y, ky), w)
-    assert hsic_rq(design, y, kx, ky).hsic_value == pytest.approx(oracle, abs=1e-14)
+    oracle = brute_force_weighted(gram(x, kernel), gram(y, kernel), w)
+    assert weighted_hsic(design, y, kernel) == pytest.approx(oracle, abs=1e-14)
 
 
 def test_weighted_constant_output_is_zero():
     x = np.array([0.1, 1.2, -0.7])
     design = Design(x[:, None], np.array([0.5, 0.3, 0.2]), "rq", ("x",))
-    res = hsic_rq(design, np.full(3, 1.0), KernelSpec(),
-                  KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
-    assert abs(res.hsic_value) < 1e-12
+    value = weighted_hsic(design, np.full(3, 1.0),
+                          KernelSpec(bandwidth_rule="fixed", bandwidth=1.0))
+    assert abs(value) < 1e-12
 
 
 def test_weighted_q2lhs_design_uses_normalized_weights():
@@ -148,32 +143,27 @@ def test_weighted_q2lhs_design_uses_normalized_weights():
     design = qlhs_design(blocks, [], np.random.default_rng(6))
     assert design.scheme == "q2lhs" and design.weights.sum() < 0.5
     y = design.points[:, 0] * design.points[:, 1]
-    kx = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
-    ky = KernelSpec(bandwidth_rule="fixed", bandwidth=1.4)
+    kernel = KernelSpec(bandwidth_rule="fixed", bandwidth=0.9)
     w = design.weights / design.weights.sum()
-    oracle = brute_force_weighted(gram(design.points, kx), gram(y, ky), w)
-    assert hsic_rq(design, y, kx, ky).hsic_value == pytest.approx(oracle, abs=1e-14)
-    test = independence_test(design.points, y, kx, ky, permutations=100,
-                             rng=np.random.default_rng(7), weights=design.weights)
+    oracle = brute_force_weighted(gram(design.points, kernel), gram(y, kernel), w)
+    assert weighted_hsic(design, y, kernel) == pytest.approx(oracle, abs=1e-14)
+    test = screen(design, y, [("all", [0, 1])], kernel=kernel, permutations=100,
+                  rng=np.random.default_rng(7))[0]
     assert test.hsic_value == pytest.approx(oracle, abs=1e-14)
 
 
 def test_weights_without_a_positive_total_are_rejected():
-    design = Design(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), "q2lhs", ("x",))
     with pytest.raises(ParameterError):
-        hsic_rq(design, np.arange(3.0), KernelSpec(), KernelSpec())
+        Design(np.array([[0.0], [1.0], [2.0]]), np.zeros(3), "q2lhs", ("x",))
 
 
 def test_strong_dependence_beats_permutation_null():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(50)
     y = x.copy()
-    kx = KernelSpec()
-    ky = KernelSpec()
-    observed = hsic_v(x, y, kx, ky).hsic_value
-    null = np.array(
-        [hsic_v(x, rng.permutation(y), kx, ky).hsic_value for _ in range(200)]
-    )
+    design = mc_design(x[:, None])
+    observed = weighted_hsic(design, y)
+    null = np.array([weighted_hsic(design, rng.permutation(y)) for _ in range(200)])
     assert observed > np.percentile(null, 95)
 
 
@@ -181,50 +171,45 @@ def test_joint_permutation_leaves_hsic_unchanged():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(25)
     y = x**2 + rng.standard_normal(25)
-    kx = KernelSpec()
-    ky = KernelSpec()
-    base = hsic_v(x, y, kx, ky).hsic_value
+    base = weighted_hsic(mc_design(x[:, None]), y)
     perm = rng.permutation(25)
-    assert abs(hsic_v(x[perm], y[perm], kx, ky).hsic_value - base) < 1e-12
+    assert abs(weighted_hsic(mc_design(x[perm][:, None]), y[perm]) - base) < 1e-12
 
 
-def test_independence_test_floor_on_permutations():
+def test_screen_floor_on_permutations():
     x = np.arange(10.0)
     with pytest.raises(ConfigError):
-        independence_test(x, x, KernelSpec(), KernelSpec(),
-                          permutations=50, rng=np.random.default_rng(0))
+        screen(mc_design(x[:, None]), x, [("x", [0])], permutations=50,
+               rng=np.random.default_rng(0))
 
 
-def test_independence_test_constant_outputs_gives_p_one():
+def test_screen_constant_outputs_gives_p_one():
     x = np.random.default_rng(6).standard_normal(20)
-    res = independence_test(
-        x, np.full(20, 2.0), KernelSpec(), KernelSpec(bandwidth_rule="fixed", bandwidth=1.0),
-        permutations=100, rng=np.random.default_rng(1),
-    )
+    res = screen(mc_design(x[:, None]), np.full(20, 2.0), [("x", [0])],
+                 kernel=KernelSpec(bandwidth_rule="fixed", bandwidth=1.0),
+                 permutations=100, rng=np.random.default_rng(1))[0]
     assert res.p_value == 1.0
     assert res.reject is False
 
 
-def test_independence_test_perfect_dependence():
+def test_screen_perfect_dependence():
     x = np.random.default_rng(7).standard_normal(50)
-    res = independence_test(
-        x, x, KernelSpec(), KernelSpec(),
-        permutations=500, rng=np.random.default_rng(2),
-    )
+    res = screen(mc_design(x[:, None]), x, [("x", [0])], permutations=500,
+                 rng=np.random.default_rng(2))[0]
     assert res.p_value < 0.01
     assert res.reject is True
-    assert res.statistic == pytest.approx(50 * res.hsic_value)
 
 
-def test_weighted_test_with_uniform_weights_matches_unweighted():
+def test_uniform_weights_of_any_total_give_the_unweighted_test():
+    # weights are normalized by their total, so equal weights summing to 20
+    # test exactly as the 1/n weights of a Monte Carlo design
     rng = np.random.default_rng(8)
     x = rng.standard_normal(40)
     y = x + rng.standard_normal(40)
-    kx = KernelSpec()
-    ky = KernelSpec()
-    a = independence_test(x, y, kx, ky, permutations=200, rng=np.random.default_rng(3))
-    b = independence_test(x, y, kx, ky, permutations=200, rng=np.random.default_rng(3),
-                          weights=np.full(40, 1 / 40))
+    a = screen(mc_design(x[:, None]), y, [("x", [0])], permutations=200,
+               rng=np.random.default_rng(3))[0]
+    b = screen(Design(x[:, None], np.full(40, 0.5), "q2lhs", ("x",)), y, [("x", [0])],
+               permutations=200, rng=np.random.default_rng(3))[0]
     assert a.p_value == b.p_value
     assert a.hsic_value == pytest.approx(b.hsic_value, abs=1e-12)
 
@@ -235,11 +220,10 @@ def test_weighted_test_matches_triple_loop_under_permutation():
     x = rng.standard_normal(12)
     y = x + rng.standard_normal(12)
     w = np.tile([0.5, 0.3, 0.2], 4) / 4
-    kx = KernelSpec()
-    ky = KernelSpec()
-    gx, gy = gram(x, kx), gram(y, ky)
-    res = independence_test(x, y, kx, ky, permutations=100, rng=np.random.default_rng(14),
-                            weights=w)
+    kernel = KernelSpec()
+    gx, gy = gram(x, kernel), gram(y, kernel)
+    res = screen(Design(x[:, None], w, "rq", ("x",)), y, [("x", [0])], kernel=kernel,
+                 permutations=100, rng=np.random.default_rng(14))[0]
     assert abs(res.hsic_value - brute_force_weighted(gx, gy, w)) < 1e-12
 
     draws = np.random.default_rng(14)  # replays the test's permutations
@@ -251,27 +235,32 @@ def test_weighted_test_matches_triple_loop_under_permutation():
     assert res.p_value == (1 + np.sum(oracle >= res.hsic_value)) / 101
 
 
-def test_screen_single_group_equals_direct_test():
+def test_screen_single_group_equals_value_function_and_direct_test():
     rng = np.random.default_rng(9)
     points = rng.standard_normal((60, 2))
     outputs = points[:, 0] + 0.3 * rng.standard_normal(60)
     design = Design(points, np.full(60, 1 / 60), "mc", ("a", "b"))
-    direct = independence_test(
-        points, outputs, KernelSpec(), KernelSpec(),
-        permutations=200, rng=np.random.default_rng(4),
-        weights=np.full(60, 1 / 60),
-    )
     via_screen = screen(
         design, outputs, [("all", [0, 1])], permutations=200,
         rng=np.random.default_rng(4),
     )[0]
-    assert via_screen.p_value == direct.p_value
-    assert via_screen.decision == ("dependent" if direct.reject else "independent")
+    # a group's block is a column gather (F order), so its standardization may
+    # differ from the whole design's in the last bits
+    kernel = KernelSpec()
+    w = design.weights / design.weights.sum()
+    stats, p_values = _permutation_test(
+        [_weighted_center(gram(points[:, [0, 1]], kernel), w)], gram(outputs, kernel),
+        permutations=200, rng=np.random.default_rng(4),
+    )
+    assert via_screen.hsic_value == stats[0, 0]
+    assert abs(via_screen.hsic_value - weighted_hsic(design, outputs)) < 1e-12
+    assert via_screen.p_value == p_values[0]
+    assert via_screen.decision == ("dependent" if p_values[0] < 0.05 else "independent")
 
 
 def test_screen_groups_share_one_permutation_set():
     # every group is tested on the same permutations, so each screen result
-    # is the direct test of its block on a fresh generator with the same seed
+    # is a one-group screen of its block on a fresh generator with the same seed
     rng = np.random.default_rng(15)
     points = rng.standard_normal((30, 4))
     outputs = points[:, 0] + points[:, 1] * points[:, 2] + 0.5 * rng.standard_normal(30)
@@ -282,13 +271,13 @@ def test_screen_groups_share_one_permutation_set():
     results = screen(design, outputs, groups, permutations=150,
                      rng=np.random.default_rng(16))
     for (name, cols), res in zip(groups, results):
-        direct = independence_test(points[:, cols], outputs, KernelSpec(), KernelSpec(),
-                                   permutations=150, rng=np.random.default_rng(16),
-                                   weights=design.weights / design.weights.sum())
-        assert res.name == name
-        assert res.hsic_value == direct.hsic_value
-        assert res.p_value == direct.p_value
-        assert res.reject is direct.reject
+        block = Design(points[:, cols], w, "rq", tuple(design.column_roles[c] for c in cols))
+        alone = screen(block, outputs, [(name, range(len(cols)))], permutations=150,
+                       rng=np.random.default_rng(16))[0]
+        assert res.name == alone.name == name
+        assert res.hsic_value == alone.hsic_value
+        assert res.p_value == alone.p_value
+        assert res.reject is alone.reject
 
 
 def test_screen_logs_every_chosen_bandwidth(caplog):

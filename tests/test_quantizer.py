@@ -11,10 +11,8 @@ from scipy.spatial.distance import cdist
 from qdoe import (
     CandidatePool,
     ConfigError,
-    DimensionError,
     ParameterError,
     Quantizer,
-    assign,
     distortion,
     lloyd,
     load_pool,
@@ -78,28 +76,26 @@ def test_one_point_per_cell_gives_zero_distortion(rng):
     assert q.probabilities.tolist() == pytest.approx([0.25] * 4)
 
 
-def test_assign_nearest_and_tie_break(rng):
+def nearest_cell(point, quantizer):
+    return int(_nearest(np.array([point], dtype=float), quantizer.centroids)[0][0])
+
+
+def test_nearest_cell_and_tie_break(rng):
     pool = CandidatePool(np.array([[0.0], [10.0]]))
     q = lloyd(pool, 2, rng)
     order = np.argsort(q.centroids.ravel())
-    assert assign([1.0], q) == order[0]
+    assert nearest_cell([1.0], q) == order[0]
     # exact tie between centroids 0 and 2 resolves to the lowest index
     pool2 = CandidatePool(np.array([[0.0], [2.0]]))
     q2 = lloyd(pool2, 2, rng)
-    assert assign([1.0], q2) == 0
+    assert nearest_cell([1.0], q2) == 0
 
 
-def test_assign_on_two_cluster_example(four_point_pool, rng):
+def test_nearest_cell_on_two_cluster_example(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     upper = int(np.argmax(q.centroids.ravel()))
     # direct distance comparison: 9.9 is 0.15 from 10.05, 9.85 from 0.05
-    assert assign([9.9], q) == upper
-
-
-def test_assign_dimension_mismatch(four_point_pool, rng):
-    q = lloyd(four_point_pool, 2, rng)
-    with pytest.raises(DimensionError):
-        assign([1.0, 2.0], q)
+    assert nearest_cell([9.9], q) == upper
 
 
 def test_distortion_single_centroid():

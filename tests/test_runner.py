@@ -131,7 +131,7 @@ def test_quantizer_file_is_loaded_when_the_command_starts(tmp_path, caplog):
     assert main(["quantize", "--config", str(quantize)]) == 0
     quantizer_csv = str(tmp_path / "art" / "quantizer_g_n2.csv")
     sample = tmp_path / "s.json"
-    sample.write_text(json.dumps({"version": 1, "seed": 0, "scheme": "rq", "n": [2, 2],
+    sample.write_text(json.dumps({"version": 1, "seed": 0, "scheme": "rq", "n": [2],
                                   "inputs": {"groups": [group]},
                                   "quantizer_files": {"g": quantizer_csv},
                                   "output_dir": str(tmp_path / "out")}))
