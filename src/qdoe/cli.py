@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     level = os.environ.get("QDOE_LOG", "WARNING").upper()
-    if level not in logging.getLevelNamesMapping():
+    # getLevelName maps a registered name to its int and anything else to a string
+    if not isinstance(logging.getLevelName(level), int):
         print(f"usage error: unknown QDOE_LOG level {level!r}", file=sys.stderr)
         return 2
     logging.basicConfig(level=level)

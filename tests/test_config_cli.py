@@ -562,6 +562,19 @@ def test_unknown_log_level_is_a_usage_error_before_the_config_is_read(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
+@pytest.mark.parametrize("level, known", [("foo", False), ("10", False), ("warn", True),
+                                          ("Fatal", True), ("notset", True)])
+def test_log_level_check_does_not_need_python_3_11(tmp_path, capsys, monkeypatch, level,
+                                                   known):
+    # logging.getLevelNamesMapping is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr("logging.getLevelNamesMapping", raising=False)
+    monkeypatch.setenv("QDOE_LOG", level)
+    # a known level gets past the check and fails on the missing config file instead
+    assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if known else "usage error: unknown QDOE_LOG")
+
+
 def test_shared_quantizer_estimate_is_thread_count_independent(tmp_path):
     path, _ = write_config(
         tmp_path, scheme="qlhs", n=[5, 8], repetitions=6, pool_size=300,
