@@ -397,8 +397,9 @@ def _default_hsic_groups(columns, groups) -> list[tuple[str, list[int]]]:
 def run_hsic(cfg: ExperimentConfig) -> list[Path]:
     """Screening: one independence test per input group, one CSV per size.
 
-    Permutation statistics are computed by vectorized Gram-matrix
-    lookups, so no worker pool is involved here.
+    Permutation statistics are computed in blocks of permutations by
+    matrix products in this process, so no worker pool is involved here;
+    the bytes written do not depend on the BLAS thread count.
     """
     columns, groups, model, blocks, out_dir = _start(cfg, "hsic", "scheme", "n",
                                                      needs_model=True)

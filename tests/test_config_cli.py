@@ -722,6 +722,29 @@ def test_hsic_explicit_groups(tmp_path):
     assert names == ["x1+x2", "w1+w2+w3"]
 
 
+def test_hsic_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # n^2 = 22 500 is past the length at which OpenBLAS splits a dot product
+    # across its threads, so a statistic summed by one such call would change
+    # its last bits with the thread count
+    import os
+    import subprocess
+    import sys
+
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=150, seed=7, test={"permutations": 100},
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    table = tmp_path / "out" / "screening_mc_synthetic_screen_n150.csv"
+    written = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "qdoe.cli", "hsic", "--config", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        written[threads] = table.read_bytes()
+    assert written["1"] == written["2"]
+
+
 @pytest.mark.parametrize("kernels", [
     {"bandwidth_rule": "bogus"},
     {"bandwidth_rule": "fixed"},

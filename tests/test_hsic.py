@@ -229,7 +229,7 @@ def test_weighted_test_matches_triple_loop_under_permutation():
     draws = np.random.default_rng(14)  # replays the test's permutations
     perms = np.vstack([draws.permutation(12) for _ in range(100)])
     oracle = np.array([brute_force_weighted(gx, gy[p][:, p], w) for p in perms])
-    stats, _ = _permutation_test([_weighted_center(gx, w)], gy, permutations=100,
+    stats, _ = _permutation_test(_weighted_center(gx, w)[None], gy, permutations=100,
                                  rng=np.random.default_rng(14))
     assert np.max(np.abs(stats[1:6, 0] - oracle[:5])) < 1e-12
     assert res.p_value == (1 + np.sum(oracle >= res.hsic_value)) / 101
@@ -244,16 +244,14 @@ def test_screen_single_group_equals_value_function_and_direct_test():
         design, outputs, [("all", [0, 1])], permutations=200,
         rng=np.random.default_rng(4),
     )[0]
-    # a group's block is a column gather (F order), so its standardization may
-    # differ from the whole design's in the last bits
     kernel = KernelSpec()
     w = design.weights / design.weights.sum()
     stats, p_values = _permutation_test(
-        [_weighted_center(gram(points[:, [0, 1]], kernel), w)], gram(outputs, kernel),
+        _weighted_center(gram(points[:, [0, 1]], kernel), w)[None], gram(outputs, kernel),
         permutations=200, rng=np.random.default_rng(4),
     )
     assert via_screen.hsic_value == stats[0, 0]
-    assert abs(via_screen.hsic_value - weighted_hsic(design, outputs)) < 1e-12
+    assert via_screen.hsic_value == weighted_hsic(design, outputs)
     assert via_screen.p_value == p_values[0]
     assert via_screen.decision == ("dependent" if p_values[0] < 0.05 else "independent")
 
@@ -337,8 +335,9 @@ def test_group_standardization_rebalances_scales():
 
 
 # The arithmetic gram, _weighted_center and _permutation_test replaced: fresh
-# n-by-n temporaries per operation and every permutation stacked before the
-# loop. The in-place versions must reproduce it bit for bit.
+# n-by-n temporaries per operation, every permutation stacked before the loop
+# and one np.vdot per statistic. The in-place gram and _weighted_center must
+# reproduce it bit for bit; the blocked statistics agree with it to rounding.
 def _reference_gram(x, kernel):
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     if kernel.standardize_groups and x.shape[1] > 1:
@@ -384,17 +383,54 @@ def test_gram_and_centering_match_reference_arithmetic(kernel, weights):
 
 @pytest.mark.parametrize("groups", [1, 3])
 def test_permutation_test_matches_stacked_reference(groups):
+    # the statistics are summed in another order than one np.vdot per
+    # permutation, so they agree to rounding; the permutations drawn, and the
+    # p-values they give, are the reference's exactly
     rng = np.random.default_rng(22)
     x = rng.standard_normal((40, groups))
     w = rng.dirichlet(np.ones(40))
-    centered = [_weighted_center(gram(x[:, g], KernelSpec()), w) for g in range(groups)]
+    centered = np.stack([_weighted_center(gram(x[:, g], KernelSpec()), w)
+                         for g in range(groups)])
     ky = gram(x.sum(axis=1) + rng.standard_normal(40), KernelSpec())
     got_rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
     stats, p_values = _permutation_test(centered, ky, permutations=150, rng=got_rng)
     want = _reference_permutation_test(centered, ky, 150, want_rng)
-    assert _same_bits(stats, want)
+    assert stats.shape == want.shape
+    assert np.max(np.abs(stats - want) / np.abs(want)) <= 1e-12
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert _same_bits(p_values, (1.0 + np.sum(want[1:] >= want[0], axis=0)) / 151.0)
+
+
+class _IdentityAt:
+    """A generator whose permutation draws are the identity at the chosen
+    (1-based) draws and uniform permutations otherwise."""
+
+    def __init__(self, draws, seed):
+        self.draws, self.rng, self.count = set(draws), np.random.default_rng(seed), 0
+
+    def permutation(self, n):
+        self.count += 1
+        return np.arange(n) if self.count in self.draws else self.rng.permutation(n)
+
+
+def test_identity_draws_tie_the_observed_statistics_exactly():
+    # B + 1 = 201 rows run in blocks of 8: draw 5 lies inside the first block,
+    # draws 7 and 8 on either side of its boundary, and draw 200 is the only
+    # row of the padded last block. n = 150 takes two row chunks per block.
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((150, 2))
+    w = rng.dirichlet(np.ones(150))
+    centered = np.stack([_weighted_center(gram(x[:, g], KernelSpec()), w) for g in range(2)])
+    ky = gram(x[:, 0] + rng.standard_normal(150), KernelSpec())
+    ties = [5, 7, 8, 100, 200]
+    draws = _IdentityAt(ties, 27)
+    stats, p_values = _permutation_test(centered, ky, permutations=200, rng=draws)
+    assert draws.count == 200
+    for row in ties:
+        assert _same_bits(stats[row], stats[0])
+    others = np.delete(stats, [0] + ties, axis=0)
+    assert not np.any(others == stats[0])
+    assert _same_bits(p_values, (1.0 + len(ties) + np.sum(others >= stats[0], axis=0)) / 201.0)
 
 
 def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
