@@ -6,6 +6,9 @@ the pipeline. Unknown keys are rejected and every error message carries
 the dotted path of the offending entry. The canonical JSON serialization
 of the effective config (after command-line overrides) is hashed and
 embedded in every output file.
+
+Loading reads no other file: model params and inline input groups are kept
+as written and built when a command starts, in ``qdoe.runner``.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .copula import gaussian_copula
-from .distributions import distribution_from_config
-from .errors import ConfigError, ParameterError, QdoeError
+from .errors import ConfigError, ParameterError
 from .hsic import KernelSpec
-from .models import InputGroup, load_config_pool
 
 __all__ = [
     "LloydSettings",
@@ -52,9 +50,9 @@ class SignificanceSettings:
 class ExperimentConfig:
     """Parsed experiment description, checked against the schema.
 
-    ``columns`` and ``groups`` hold inline inputs only. A model is built (and
-    its ``pool_csv`` read) when a command starts, in ``qdoe.runner``, which
-    also runs the checks that need the resolved inputs.
+    ``inputs`` holds the inline ``inputs.groups`` declarations as written, as
+    ``model_params`` holds the model's. ``qdoe.runner`` builds either when a
+    command starts and runs the checks that need the resolved inputs.
     """
 
     seed: int
@@ -65,8 +63,7 @@ class ExperimentConfig:
     lloyd: LloydSettings
     model_name: str | None
     model_params: dict
-    columns: tuple[str, ...] | None
-    groups: tuple[InputGroup, ...] | None
+    inputs: tuple[dict, ...] | None
     kernels: KernelSpec
     test: SignificanceSettings
     hsic_groups: tuple[tuple[str, ...], ...] | None
@@ -110,75 +107,6 @@ def _as_number(value, path: str) -> float:
 def _as_bool(value, path: str) -> bool:
     _expect(isinstance(value, bool), path, "expected true or false")
     return value
-
-
-def _parse_group(raw: dict, path: str) -> InputGroup:
-    _check_keys(raw, ("name", "kind", "columns", "marginals", "correlation", "pool_csv"), path)
-    for key in ("name", "kind", "columns"):
-        _expect(key in raw, path, f"missing key {key!r}")
-    name = raw["name"]
-    kind = raw["kind"]
-    columns = raw["columns"]
-    _expect(isinstance(name, str), f"{path}.name", "expected a string")
-    _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
-            f"{path}.columns", "expected a non-empty list of strings")
-    # names land in file names and CSV headers
-    for where, label in ((f"{path}.name", name),
-                         *((f"{path}.columns[{i}]", c) for i, c in enumerate(columns))):
-        _expect(bool(label) and not any(ch in label for ch in ",/\\#\n\r"), where,
-                f"name {label!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
-    # a design CSV ends with its own weight column
-    for i, column in enumerate(columns):
-        _expect(column != "weight", f"{path}.columns[{i}]",
-                "name 'weight' is reserved for the design weight column")
-    _expect(kind in ("independent", "copula", "pool"), f"{path}.kind",
-            "expected one of 'independent', 'copula', 'pool'")
-    marginals = None
-    correlation = None
-    pool_points = None
-    if kind in ("independent", "copula"):
-        _expect("marginals" in raw, path, "marginals are required for this kind")
-        raw_margs = raw["marginals"]
-        _expect(isinstance(raw_margs, list) and len(raw_margs) == len(columns),
-                f"{path}.marginals", "expected one declaration per column")
-        marginals = tuple(_distribution(m, f"{path}.marginals[{i}]")
-                          for i, m in enumerate(raw_margs))
-    if kind == "copula":
-        _expect("correlation" in raw, path, "copula groups require a correlation matrix")
-        try:
-            correlation = np.asarray(raw["correlation"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.correlation: expected a square matrix of numbers") from None
-        _expect(correlation.shape == (len(columns), len(columns)),
-                f"{path}.correlation", "matrix shape must match the column count")
-        try:
-            gaussian_copula(correlation)
-        except ParameterError as exc:
-            raise ConfigError(f"{path}.correlation: {exc}") from exc
-    if kind == "pool":
-        _expect("pool_csv" in raw, path, "pool groups require a pool_csv path")
-        pool = load_config_pool(raw["pool_csv"], f"{path}.pool_csv")
-        _expect(pool.d == len(columns), f"{path}.pool_csv",
-                f"pool has {pool.d} columns, group declares {len(columns)}")
-        pool_points = pool.points
-    try:
-        return InputGroup(
-            name=name,
-            columns=tuple(columns),
-            kind=kind,
-            marginals=marginals,
-            correlation=correlation,
-            pool_points=pool_points,
-        )
-    except QdoeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _distribution(raw, path: str):
-    try:
-        return distribution_from_config(raw)
-    except QdoeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _TOP_LEVEL_KEYS = (
@@ -239,8 +167,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     model_name = None
     model_params: dict = {}
-    columns = None
-    groups = None
+    inputs = None
     if "model" in raw:
         model_raw = raw["model"]
         _check_keys(model_raw, ("name", "params"), "config.model")
@@ -255,13 +182,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _check_keys(inputs_raw, ("groups",), "config.inputs")
         _expect("groups" in inputs_raw and isinstance(inputs_raw["groups"], list)
                 and inputs_raw["groups"], "config.inputs.groups", "expected a non-empty list")
-        groups = tuple(
-            _parse_group(g, f"config.inputs.groups[{i}]")
-            for i, g in enumerate(inputs_raw["groups"])
-        )
-        columns = tuple(c for g in groups for c in g.columns)
-        _expect(len(set(columns)) == len(columns), "config.inputs.groups",
-                "column names must be unique across groups")
+        inputs = tuple(inputs_raw["groups"])
 
     kern_raw = raw.get("kernels", {})
     _check_keys(kern_raw, ("bandwidth_rule", "bandwidth", "standardize_groups"), "config.kernels")
@@ -315,8 +236,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         lloyd=lloyd,
         model_name=model_name,
         model_params=model_params,
-        columns=columns,
-        groups=groups,
+        inputs=inputs,
         kernels=kernels,
         test=test,
         hsic_groups=hsic_groups,

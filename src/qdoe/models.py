@@ -4,7 +4,8 @@ Genuchten soil water retention curves.
 Each model is a pure evaluator over rows in a declared column order, plus
 an input schema describing the marginals and the dependence structure of
 each group of columns. The schema is what the experiment runner needs to
-build pools, copulas and designs for any sampling scheme.
+build pools, copulas and designs for any sampling scheme. A config's inline
+input groups are built here too, reading ``pool_csv`` as model params do.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .distributions import Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
+from .config import _check_keys, _expect
+from .copula import gaussian_copula
+from .distributions import (Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform,
+                            distribution_from_config)
 from .errors import ConfigError, DimensionError, DomainError, ParameterError, QdoeError
 from .quantizer import CandidatePool, load_pool
 
@@ -31,6 +35,7 @@ __all__ = [
     "vg_pool",
     "vg_pool_from_sample",
     "build_model",
+    "inline_groups",
     "load_config_pool",
     "MODEL_NAMES",
     "VG_COLUMNS",
@@ -52,7 +57,9 @@ class InputGroup:
     - ``pool``: columns known only through a fixed sample matrix.
 
     Groups other than ``independent`` are the quantizable (dependent)
-    blocks of the quantization-based schemes.
+    blocks of the quantization-based schemes. Construction raises ConfigError
+    unless the kind's fields fit the d columns: one marginal per column, a d x d
+    correlation that ``gaussian_copula`` accepts, a pool matrix of d columns.
     """
 
     name: str
@@ -64,18 +71,24 @@ class InputGroup:
     pool_points: np.ndarray | None = None
 
     def __post_init__(self):
+        d = len(self.columns)
         if self.kind not in ("independent", "copula", "generator", "pool"):
             raise ConfigError(f"unknown input group kind {self.kind!r}")
         if self.kind in ("independent", "copula") and (
-            self.marginals is None or len(self.marginals) != len(self.columns)
+            self.marginals is None or len(self.marginals) != d
         ):
             raise ConfigError(f"group {self.name!r} needs one marginal per column")
-        if self.kind == "copula" and self.correlation is None:
-            raise ConfigError(f"copula group {self.name!r} needs a correlation matrix")
+        if self.kind == "copula":
+            if np.shape(self.correlation) != (d, d):
+                raise ConfigError(f"copula group {self.name!r} needs a {d}x{d} correlation matrix")
+            try:
+                gaussian_copula(self.correlation)
+            except ParameterError as exc:
+                raise ConfigError(f"copula group {self.name!r}: {exc}") from exc
         if self.kind == "generator" and self.generator is None:
             raise ConfigError(f"generator group {self.name!r} needs a generator callable")
-        if self.kind == "pool" and self.pool_points is None:
-            raise ConfigError(f"pool group {self.name!r} needs a sample matrix")
+        if self.kind == "pool" and np.shape(self.pool_points)[1:] != (d,):
+            raise ConfigError(f"pool group {self.name!r} needs a sample matrix of {d} columns")
 
     @property
     def dependent(self) -> bool:
@@ -264,11 +277,8 @@ def vg_pool_from_sample(rows) -> tuple[CandidatePool, int]:
 # model registry
 
 def load_config_pool(value, where: str) -> CandidatePool:
-    """Read the pool CSV a config names at ``where``.
-
-    A path that is not a string, or a file that cannot be read, is a
-    ConfigError naming ``where``.
-    """
+    """The pool CSV a config names at ``where``; a path that is not a string,
+    or a file that cannot be read, is a ConfigError naming ``where``."""
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a path string, got {value!r}")
     try:
@@ -276,6 +286,60 @@ def load_config_pool(value, where: str) -> CandidatePool:
     except (OSError, QdoeError) as exc:
         raise ConfigError(f"{where}: cannot load pool ({exc})") from exc
     return pool
+
+
+def inline_groups(raw) -> tuple[tuple[str, ...], tuple[InputGroup, ...]]:
+    """``(columns, groups)`` of a config's inline ``inputs.groups``, reading
+    each ``pool_csv``; every error is a ConfigError naming its entry."""
+    groups = tuple(_parse_group(g, f"config.inputs.groups[{i}]") for i, g in enumerate(raw))
+    columns = tuple(c for g in groups for c in g.columns)
+    _expect(len(set(columns)) == len(columns), "config.inputs.groups",
+            "column names must be unique across groups")
+    return columns, groups
+
+
+def _parse_group(raw: dict, path: str) -> InputGroup:
+    """One inline group: the JSON types and the names are checked here, the
+    rest by :class:`InputGroup`, whose errors get ``path``."""
+    _check_keys(raw, ("name", "kind", "columns", "marginals", "correlation", "pool_csv"), path)
+    for key in ("name", "kind", "columns"):
+        _expect(key in raw, path, f"missing key {key!r}")
+    name, kind, columns = raw["name"], raw["kind"], raw["columns"]
+    _expect(isinstance(name, str), f"{path}.name", "expected a string")
+    _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
+            f"{path}.columns", "expected a non-empty list of strings")
+    # names land in file names and CSV headers
+    for where, label in ((f"{path}.name", name),
+                         *((f"{path}.columns[{i}]", c) for i, c in enumerate(columns))):
+        _expect(bool(label) and not any(ch in label for ch in ",/\\#\n\r"), where,
+                f"name {label!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
+    # a design CSV ends with its own weight column
+    for i, column in enumerate(columns):
+        _expect(column != "weight", f"{path}.columns[{i}]",
+                "name 'weight' is reserved for the design weight column")
+    fields = {}
+    if kind in ("independent", "copula") and "marginals" in raw:
+        _expect(isinstance(raw["marginals"], list), f"{path}.marginals", "expected a list")
+        fields["marginals"] = tuple(_distribution(m, f"{path}.marginals[{i}]")
+                                    for i, m in enumerate(raw["marginals"]))
+    if kind == "copula" and "correlation" in raw:
+        try:
+            fields["correlation"] = np.asarray(raw["correlation"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.correlation: expected a matrix of numbers") from None
+    if kind == "pool" and "pool_csv" in raw:
+        fields["pool_points"] = load_config_pool(raw["pool_csv"], f"{path}.pool_csv").points
+    try:
+        return InputGroup(name, tuple(columns), kind, **fields)
+    except QdoeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _distribution(raw, path: str):
+    try:
+        return distribution_from_config(raw)
+    except QdoeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _copula(name: str, columns, marginals, rho: float = 0.0) -> InputGroup:

@@ -69,9 +69,9 @@ class Quantizer:
     sum to one; every pool point is assigned to its nearest centroid (ties
     to the lowest index); every cell is non-empty. Construction checks the
     shapes, the assignment range and the non-empty cells, which sampling
-    relies on; :meth:`check_probabilities` checks the probabilities, so a
-    file whose probabilities were edited still loads for inspection. Both
-    raise ParameterError on a violation.
+    relies on; :meth:`check` checks the rest against the pool, so a file
+    whose probabilities were edited still loads for inspection. Both raise
+    ParameterError on a violation.
 
     A fit by :func:`lloyd` also records the winning restart's diagnostics,
     which no file keeps: ``converged`` (it stopped at a fixed point or at
@@ -100,11 +100,26 @@ class Quantizer:
         if np.any(counts == 0):
             raise ParameterError(f"{int(np.sum(counts == 0))} of {k} cells hold no pool point")
 
-    def check_probabilities(self) -> None:
-        """Raise ParameterError unless probabilities are the cell counts over the pool size."""
+    def check(self, pool: CandidatePool) -> None:
+        """Raise ParameterError unless this quantizer indexes ``pool``: the
+        probabilities are the cell counts over the pool size, each point's
+        centroid is a nearest one and ``distortion`` is the mean squared
+        distance. One nearest-centroid pass checks them, within the relative
+        slack of the Lloyd bounds, so a file from another machine passes."""
+        if pool.points.shape != (self.pool_size, self.d):
+            raise ParameterError(f"the pool is {pool.m}x{pool.d}, not {self.pool_size}x{self.d}")
+        slack = _slack(self.d)
         counts = np.bincount(self.pool_assignment, minlength=self.n_cells)
-        if not np.array_equal(self.probabilities, counts / self.pool_size):
+        if not np.allclose(self.probabilities, counts / pool.m, rtol=slack, atol=0.0):
             raise ParameterError("cell probabilities differ from the pool assignment counts")
+        _, sq, _ = _nearest(pool.points, self.centroids)
+        diff = pool.points - self.centroids[self.pool_assignment]
+        far = np.flatnonzero(np.square(diff, out=diff).sum(axis=1) > sq * (1.0 + slack) + _TINY)
+        if far.size:
+            raise ParameterError(f"pool point {far[0]} is not assigned to a nearest centroid")
+        mean = float(sq.mean())
+        if not abs(self.distortion - mean) <= slack * mean + _TINY:
+            raise ParameterError(f"distortion {self.distortion!r} differs from the pool's {mean!r}")
 
     @property
     def n_cells(self) -> int:
@@ -454,7 +469,7 @@ def load_quantizer(path) -> Quantizer:
     """Reload a quantizer written by :func:`save_quantizer`.
 
     Construction checks apply and the header's claims must match the file;
-    the probabilities are returned as written (see :meth:`Quantizer.check_probabilities`).
+    the rest is returned as written (see :meth:`Quantizer.check`).
     """
     meta, lines = read_table(path)
     sections: dict[str, list[tuple[int, str]]] = {}

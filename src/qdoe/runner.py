@@ -25,7 +25,7 @@ from .designs import Design, lhs_with_marginals, mc_design, qlhs_design
 from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen
-from .models import InputGroup, ModelSpec, build_model
+from .models import InputGroup, ModelSpec, build_model, inline_groups
 from .quantizer import (CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer,
                         write_table)
 
@@ -233,17 +233,14 @@ def _plan(cfg: ExperimentConfig, command: str, columns, groups):
     return {dependent[0].name: Block(dependent[0])}, (cfg.n_cells,)
 
 
-def _load(path: str, group: InputGroup, sizes) -> Quantizer:
-    """The quantizer file of a fixed pool group, checked against its pool and
-    every design size."""
+def _load(path: str, group: InputGroup, pool: CandidatePool, sizes) -> Quantizer:
+    """The quantizer file of a fixed pool group, checked against the group's
+    ``pool`` (see :meth:`Quantizer.check`) and every design size."""
     try:
         quantizer = load_quantizer(path)
-        quantizer.check_probabilities()
+        quantizer.check(pool)
     except (OSError, QdoeError) as exc:
         raise ConfigError(f"quantizer_files[{group.name!r}]: cannot load quantizer ({exc})") from exc
-    if quantizer.pool_size != len(group.pool_points):
-        raise ConfigError(f"quantizer file for group {group.name!r} was built on "
-                          f"{quantizer.pool_size} pool rows, the pool has {len(group.pool_points)}")
     for n in sizes:
         if quantizer.n_cells != n:
             raise ConfigError(f"quantizer file for group {group.name!r} has {quantizer.n_cells} "
@@ -254,14 +251,14 @@ def _load(path: str, group: InputGroup, sizes) -> Quantizer:
 def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: bool = False):
     """The one place that turns a config into a command's inputs.
 
-    Builds the model once, checks the keys ``command`` requires, the
-    ``hsic_groups`` columns and the ``quantizer_files`` names, checks each
-    planned block's pool against the largest size, and loads each of its
-    ``quantizer_files`` once, checked against the pool and every size. All
-    of it runs before the output directory is made, so a config that cannot
-    run writes nothing. Returns ``(columns, groups, model, blocks,
-    out_dir)``; ``model`` is None for inline inputs, and loaded blocks are
-    resolved.
+    Builds the model or the inline groups once (reading every ``pool_csv``),
+    checks the keys ``command`` requires, the ``hsic_groups`` columns and the
+    ``quantizer_files`` names, checks each planned block's pool against the
+    largest size, and loads each of its ``quantizer_files`` once, checked
+    against the pool and every size. All of it runs before the output
+    directory is made, so a config that cannot run writes nothing. Returns
+    ``(columns, groups, model, blocks, out_dir)``; ``model`` is None for
+    inline inputs, and loaded blocks are resolved.
     """
     for attr in required:
         value = getattr(cfg, attr)
@@ -271,14 +268,16 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
         raise ConfigError(f"config.repetitions: must be >= 2, got {cfg.repetitions}")
     if command == "hsic" and min(cfg.n) < 2:  # a kernel sample needs two rows
         raise ConfigError(f"config.n: hsic requires design sizes >= 2, got {min(cfg.n)}")
-    model, columns, groups = None, cfg.columns, cfg.groups
+    model = None
     if cfg.model_name is not None:
         try:
             model = build_model(cfg.model_name, cfg.model_params)
         except QdoeError as exc:
             raise ConfigError(f"config.model: {exc}") from exc
         columns, groups = model.columns, model.groups
-    if columns is None:
+    elif cfg.inputs is not None:
+        columns, groups = inline_groups(cfg.inputs)
+    else:
         raise ConfigError("config declares neither a model nor inline inputs")
     if needs_model and model is None:
         raise ConfigError(f"command {command!r} requires a model with an evaluator")
@@ -298,8 +297,8 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
             raise ConfigError(f"block {key!r}: requested {max(sizes)} cells but its pool holds "
                               f"{rows} points")
         if command != "quantize" and group.name in cfg.quantizer_files:
-            path = cfg.quantizer_files[group.name]
-            blocks[key] = Block(group, _load(path, group, sizes), CandidatePool(group.pool_points))
+            path, pool = cfg.quantizer_files[group.name], CandidatePool(group.pool_points)
+            blocks[key] = Block(group, _load(path, group, pool, sizes), pool)
             log.info("quantizer %s: file %s n_cells=%d", key, path, blocks[key].quantizer.n_cells)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

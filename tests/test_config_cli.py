@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdoe import load_quantizer
 from qdoe.cli import main
-from qdoe.config import parse_config
+from qdoe.config import load_config, parse_config
 from qdoe.errors import ConfigError
+from qdoe.models import inline_groups
 
 UNIT_SQUARE_INPUTS = {
     "groups": [
@@ -70,24 +71,19 @@ def test_nested_error_paths_are_reported():
         parse_config({"version": 1, "seed": 1, "model": "flood"})
     with pytest.raises(ConfigError, match=r"config.n\[1\]"):
         parse_config({"version": 1, "seed": 1, "n": [10, 0]})
+    # inline groups are built when a command starts, from the declarations as written
     with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\]"):
-        parse_config(
-            {"version": 1, "seed": 1,
-             "inputs": {"groups": [{"name": "g", "kind": "copula", "columns": ["x"]}]}}
-        )
+        inline_groups([{"name": "g", "kind": "copula", "columns": ["x"]}])
     with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\].marginals\[0\]: uniform"):
-        parse_config(
-            {"version": 1, "seed": 1,
-             "inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["x"],
-                                    "marginals": [{"type": "uniform", "a": 2, "b": 2}]}]}}
-        )
+        inline_groups([{"name": "u", "kind": "independent", "columns": ["x"],
+                        "marginals": [{"type": "uniform", "a": 2, "b": 2}]}])
     for name, columns, where in (("a/b", ["x"], r"name: name 'a/b'"),
                                  ("g", ["x", "a,b"], r"columns\[1\]: name 'a,b'"),
                                  ("g", ["x", "weight"], r"columns\[1\]: name 'weight'")):
         group = {"name": name, "kind": "independent", "columns": columns,
                  "marginals": [{"type": "uniform", "a": 0, "b": 1}] * len(columns)}
         with pytest.raises(ConfigError, match=r"config.inputs.groups\[0\]." + where):
-            parse_config({"version": 1, "seed": 1, "inputs": {"groups": [group]}})
+            inline_groups([group])
 
 
 def test_model_and_inline_inputs_are_exclusive():
@@ -383,33 +379,60 @@ def _claims(lines, text):
     return lines[:claims] + [f"# {text}"] + lines[claims + 1:]
 
 
+def _swap_two_cells(assignments):
+    """``assignments`` with the first two that differ swapped: the cell counts stay."""
+    j = next(j for j, a in enumerate(assignments) if a != assignments[0])
+    swapped = list(assignments)
+    swapped[0], swapped[j] = assignments[j], assignments[0]
+    return swapped
+
+
+def _pool_lines(rows):
+    return ["x", *(repr(float(v)) for v in rows)]
+
+
 @pytest.mark.parametrize("section, edit", [
     ("assignments", lambda rest: ["0"] * len(rest)),  # every pool point in cell 0
     ("probabilities", lambda rest: ["0.9"] + rest[1:]),
     ("probabilities", lambda rest: ["abc"] + rest[1:]),
     (None, lambda lines: _claims(lines, "n_cells=7 d=9 pool_size=1000")),
     (None, lambda lines: _claims(lines, "distortion=0.5")),
+    (None, lambda lines: _claims(lines, "n_cells=5 d=1 pool_size=60 distortion=0.5")),
+    ("assignments", _swap_two_cells),
+    ("pool", lambda lines: _pool_lines(np.random.default_rng(1).standard_normal(60))),
 ], ids=["empty cells", "edited probability", "non-numeric line", "false header claims",
-        "no header claims"])
+        "no header claims", "false distortion claim", "assignments swapped across cells",
+        "another pool of the same size"])
 def test_tampered_quantizer_file_fails_and_writes_nothing(tmp_path, section, edit):
     pool_csv = tmp_path / "pool.csv"
-    rows = np.random.default_rng(0).standard_normal(60)
-    pool_csv.write_text("x\n" + "\n".join(repr(float(v)) for v in rows) + "\n")
+    pool_csv.write_text("\n".join(_pool_lines(np.random.default_rng(0).standard_normal(60))) + "\n")
     inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
                           "pool_csv": str(pool_csv)}]}
     qcfg, _ = write_config(tmp_path, name="q.json", inputs=inputs, n_cells=5,
                            output_dir=str(tmp_path / "art"))
     assert main(["quantize", "--config", str(qcfg)]) == 0
     artifact = tmp_path / "art" / "quantizer_g_n5.csv"
-    lines = artifact.read_text().splitlines()
-    first = 0 if section is None else lines.index(section) + 1
+    edited = pool_csv if section == "pool" else artifact
+    lines = edited.read_text().splitlines()
+    first = 0 if section in (None, "pool") else lines.index(section) + 1
     lines[first:] = edit(lines[first:])
-    artifact.write_text("\n".join(lines) + "\n")
+    edited.write_text("\n".join(lines) + "\n")
     scfg, _ = write_config(tmp_path, name="s.json", scheme="rq", n=5, inputs=inputs,
                            quantizer_files={"g": str(artifact)},
                            output_dir=str(tmp_path / "out"))
     assert main(["sample", "--config", str(scfg)]) == 2
     assert not (tmp_path / "out" / "design_rq_n5.csv").exists()
+
+
+def test_missing_inline_pool_csv_fails_when_the_command_starts(tmp_path, capsys):
+    # loading the config reads no pool file; the command reads it before writing
+    group = {"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": str(tmp_path / "no.csv")}
+    path, _ = write_config(tmp_path, scheme="mc", n=2, inputs={"groups": [group]},
+                           output_dir=str(tmp_path / "out"))
+    assert load_config(path).inputs == (group,)
+    assert main(["sample", "--config", str(path)]) == 2
+    assert "config.inputs.groups[0].pool_csv: cannot load pool" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["abc", "0.5,1.0"], ids=["non-numeric", "extra column"])

@@ -4,8 +4,10 @@ from scipy.special import betaincinv
 from scipy.stats import beta
 
 from qdoe import ConfigError, DimensionError, DomainError, ParameterError
+from qdoe.distributions import Uniform
 from qdoe.models import (
     MODEL_NAMES,
+    InputGroup,
     build_model,
     flood_evaluate,
     vg_conductivity,
@@ -185,6 +187,18 @@ def test_vg_model_params():
     model = build_model("vg_theta", {"h": 0.0})
     rows = vg_pool(5, np.random.default_rng(6)).points
     assert np.allclose(model.evaluate(rows), rows[:, 1])  # theta(0) = theta_s
+
+
+def test_input_group_fields_must_fit_its_columns():
+    # a 3-column pool behind 2 columns, and a 3x3 correlation behind 2 columns
+    with pytest.raises(ConfigError, match="sample matrix of 2 columns"):
+        InputGroup("g", ("a", "b"), "pool", pool_points=np.zeros((10, 3)))
+    with pytest.raises(ConfigError, match="2x2 correlation"):
+        InputGroup("g", ("a", "b"), "copula", marginals=(Uniform(0, 1),) * 2,
+                   correlation=np.eye(3))
+    with pytest.raises(ConfigError, match="not positive definite"):
+        InputGroup("g", ("a", "b"), "copula", marginals=(Uniform(0, 1),) * 2,
+                   correlation=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_vg_model_accepts_external_pool(tmp_path):

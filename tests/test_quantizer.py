@@ -416,15 +416,32 @@ def test_tampered_quantizer_file_is_rejected(tmp_path, rng):
         (claimed("n_cells=5 d=2 pool_size=40"), "header claims d=2, the file holds 1 centroid col"),
         (claimed("n_cells=5 d=1 pool_size=41"), "header claims pool_size=41, the file holds 40 as"),
         (claimed("distortion=0.5"), r"header claims n_cells=\(none\)"),
+        (claimed("n_cells=5 d=1 pool_size=40 distortion=0.5"), "distortion 0.5 differs"),
     ):
         path.write_text("\n".join(tampered) + "\n")
         with pytest.raises(ParameterError, match=reason):
-            load_quantizer(path).check_probabilities()
+            load_quantizer(path).check(pool)
 
 
-def test_quantizer_check_probabilities_accepts_lloyd_output(rng):
-    pool = CandidatePool(np.random.default_rng(12).standard_normal((60, 2)))
-    lloyd(pool, 6, rng).check_probabilities()
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 150), d=st.integers(1, 9), levels=st.sampled_from([None, 3, 20]),
+       n_cells=st.integers(1, 25), max_iter=st.sampled_from([1, 2, 200]),
+       rel_tol=st.sampled_from([0.0, 1e-8]), seed=st.integers(0, 2**32 - 1))
+# the fits of test_empty_cell_examples_repair_a_cell, which repair an empty cell
+@example(m=10, d=2, levels=20, n_cells=5, max_iter=200, rel_tol=0.0, seed=92271)
+@example(m=12, d=2, levels=None, n_cells=6, max_iter=200, rel_tol=0.0, seed=67385)
+def test_lloyd_output_passes_check(m, d, levels, n_cells, max_iter, rel_tol, seed):
+    # max_iter 1 and 2 leave most fits capped; grid pools repeat points, so
+    # distances tie
+    gen = np.random.default_rng(seed)
+    points = (gen.standard_normal((m, d)) if levels is None
+              else gen.integers(0, levels, size=(m, d)).astype(float))
+    pool = CandidatePool(points)
+    n_cells = min(n_cells, len(np.unique(points, axis=0)))
+    q = lloyd(pool, n_cells, gen, max_iter=max_iter, rel_tol=rel_tol, restarts=1)
+    q.check(pool)
+    with pytest.raises(ParameterError):
+        Quantizer(q.centroids, q.probabilities, q.pool_assignment, q.distortion + 1.0).check(pool)
 
 
 @settings(max_examples=100, deadline=None,

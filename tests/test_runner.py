@@ -146,7 +146,7 @@ def test_runner_resolves_model_columns(tmp_path):
     # the config keeps the model's name and params; the command builds it
     cfg = parse_config({"version": 1, "seed": 1, "scheme": "qlhs", "n": [4, 6],
                         "model": {"name": "flood"}, "output_dir": str(tmp_path / "out")})
-    assert cfg.columns is None and cfg.groups is None
+    assert cfg.inputs is None
     columns, groups, model, blocks, out_dir = _start(cfg, "sample", "scheme", "n")
     assert columns == model.columns == FLOOD_COLUMNS
     assert [g.name for g in groups] == ["channel", "structures"]
