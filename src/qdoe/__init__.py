@@ -27,7 +27,6 @@ from .distributions import (
     Triangular,
     Truncated,
     Uniform,
-    distribution_from_config,
 )
 from .errors import (
     ConfigError,
@@ -75,7 +74,6 @@ __all__ = [
     "Triangular",
     "Truncated",
     "Uniform",
-    "distribution_from_config",
     "ConfigError",
     "DegeneracyError",
     "DimensionError",

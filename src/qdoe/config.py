@@ -89,7 +89,7 @@ def _expect(condition: bool, path: str, message: str) -> None:
 def _check_keys(mapping: dict, allowed, path: str) -> None:
     _expect(isinstance(mapping, dict), path, "expected a mapping")
     unknown = set(mapping) - set(allowed)
-    _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
+    _expect(not unknown, path, f"unknown keys {sorted(unknown)}; accepted: {sorted(allowed)}")
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -101,7 +101,12 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 
 def _as_number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _expect(math.isfinite(number), path, f"expected a finite number, got {number}")
+    return number
 
 
 def _as_bool(value, path: str) -> bool:

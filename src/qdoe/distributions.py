@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "Distribution",
@@ -24,7 +24,6 @@ __all__ = [
     "Triangular",
     "Gumbel",
     "Truncated",
-    "distribution_from_config",
 ]
 
 
@@ -227,58 +226,3 @@ class Truncated(Distribution):
         u = _check_u(u)
         return _maybe_scalar(self.inner.quantile(self._f_lo() + u * self._mass()), u)
 
-
-_SIMPLE_TYPES = {
-    "uniform": (Uniform, ("a", "b")),
-    "normal": (Normal, ("mu", "sigma")),
-    "lognormal": (LogNormal, ("mu", "sigma")),
-    "triangular": (Triangular, ("a", "c", "b")),
-    "gumbel": (Gumbel, ("mu", "beta")),
-}
-
-
-def distribution_from_config(spec: dict) -> Distribution:
-    """Build a distribution from a config mapping like
-    ``{"type": "triangular", "a": 49, "c": 50, "b": 51}``.
-
-    Truncation wraps an inner declaration:
-    ``{"type": "truncated", "inner": {...}, "lo": 500, "hi": 3000}``;
-    omitting ``lo``/``hi`` (or passing null) leaves that side unbounded.
-    """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"distribution must be a mapping with a 'type' key, got {spec!r}")
-    kind = spec["type"]
-    if not isinstance(kind, str):
-        raise ConfigError(f"distribution 'type' must be a string, got {kind!r}")
-    if kind == "truncated":
-        allowed = {"type", "inner", "lo", "hi"}
-        unknown = set(spec) - allowed
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)} for truncated distribution")
-        if "inner" not in spec:
-            raise ConfigError("truncated distribution requires an 'inner' declaration")
-        inner = distribution_from_config(spec["inner"])
-        lo = spec.get("lo")
-        hi = spec.get("hi")
-        return Truncated(
-            inner,
-            -math.inf if lo is None else _number(spec, "lo", kind),
-            math.inf if hi is None else _number(spec, "hi", kind),
-        )
-    if kind not in _SIMPLE_TYPES:
-        raise ConfigError(f"unknown distribution type {kind!r}")
-    cls, fields = _SIMPLE_TYPES[kind]
-    unknown = set(spec) - {"type", *fields}
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} for {kind} distribution")
-    missing = [f for f in fields if f not in spec]
-    if missing:
-        raise ConfigError(f"{kind} distribution missing parameters {missing}")
-    return cls(*(_number(spec, f, kind) for f in fields))
-
-
-def _number(spec: dict, key: str, kind: str) -> float:
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{kind} distribution parameter {key!r} must be a number, got {value!r}")
-    return float(value)

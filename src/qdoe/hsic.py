@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .designs import Design
-from .errors import ConfigError, DegeneracyError, DimensionError, ParameterError
+from .errors import ConfigError, DegeneracyError, DimensionError, DomainError, ParameterError
 
 __all__ = [
     "KernelSpec",
@@ -63,8 +63,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.bandwidth_rule not in ("fixed", "std", "median"):
             raise ParameterError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed" and (self.bandwidth is None or self.bandwidth <= 0):
-            raise ParameterError("fixed bandwidth rule requires bandwidth > 0")
+        if self.bandwidth_rule == "fixed" and (self.bandwidth is None
+                                               or not 0.0 < self.bandwidth < np.inf):
+            raise ParameterError(f"fixed bandwidth rule requires 0 < bandwidth < inf, "
+                                 f"got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,17 @@ class ScreenResult:
 
 def _as_sample(sample) -> np.ndarray:
     """The sample as a C-ordered float array of rows, so that its columns are
-    standardized in one summation order whatever layout the caller holds."""
+    standardized in one summation order whatever layout the caller holds.
+    A non-finite entry aborts with the index of the first offending row."""
     x = np.ascontiguousarray(sample, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 2:
         raise DimensionError("kernel sample must have at least two rows")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"kernel sample has a non-finite value on row {i}: {x[i].tolist()}")
     return x
 
 

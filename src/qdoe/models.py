@@ -5,7 +5,8 @@ Each model is a pure evaluator over rows in a declared column order, plus
 an input schema describing the marginals and the dependence structure of
 each group of columns. The schema is what the experiment runner needs to
 build pools, copulas and designs for any sampling scheme. A config's inline
-input groups are built here too, reading ``pool_csv`` as model params do.
+input groups are built here too, marginal declarations included, reading
+``pool_csv`` as model params do.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .config import _check_keys, _expect
+from .config import _as_number, _check_keys, _expect
 from .copula import gaussian_copula
-from .distributions import (Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform,
-                            distribution_from_config)
+from .distributions import Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
 from .errors import ConfigError, DimensionError, DomainError, ParameterError, QdoeError
 from .quantizer import CandidatePool, load_pool
 
@@ -298,13 +298,21 @@ def inline_groups(raw) -> tuple[tuple[str, ...], tuple[InputGroup, ...]]:
     return columns, groups
 
 
+# inline kind: the keys its declaration takes beside name, kind and columns
+_GROUP_KEYS = {"independent": ("marginals",), "copula": ("marginals", "correlation"),
+               "pool": ("pool_csv",)}
+
+
 def _parse_group(raw: dict, path: str) -> InputGroup:
-    """One inline group: the JSON types and the names are checked here, the
-    rest by :class:`InputGroup`, whose errors get ``path``."""
-    _check_keys(raw, ("name", "kind", "columns", "marginals", "correlation", "pool_csv"), path)
+    """One inline group: the JSON types, the names and the keys of its kind
+    are checked here, the rest by :class:`InputGroup`, whose errors get ``path``."""
+    _expect(isinstance(raw, dict), path, "expected a mapping")
     for key in ("name", "kind", "columns"):
         _expect(key in raw, path, f"missing key {key!r}")
     name, kind, columns = raw["name"], raw["kind"], raw["columns"]
+    _expect(isinstance(kind, str) and kind in _GROUP_KEYS, f"{path}.kind",
+            f"expected one of {sorted(_GROUP_KEYS)}")
+    _check_keys(raw, ("name", "kind", "columns", *_GROUP_KEYS[kind]), path)
     _expect(isinstance(name, str), f"{path}.name", "expected a string")
     _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
             f"{path}.columns", "expected a non-empty list of strings")
@@ -318,16 +326,16 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
         _expect(column != "weight", f"{path}.columns[{i}]",
                 "name 'weight' is reserved for the design weight column")
     fields = {}
-    if kind in ("independent", "copula") and "marginals" in raw:
+    if "marginals" in raw:
         _expect(isinstance(raw["marginals"], list), f"{path}.marginals", "expected a list")
         fields["marginals"] = tuple(_distribution(m, f"{path}.marginals[{i}]")
                                     for i, m in enumerate(raw["marginals"]))
-    if kind == "copula" and "correlation" in raw:
+    if "correlation" in raw:
         try:
             fields["correlation"] = np.asarray(raw["correlation"], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.correlation: expected a matrix of numbers") from None
-    if kind == "pool" and "pool_csv" in raw:
+    if "pool_csv" in raw:
         fields["pool_points"] = load_config_pool(raw["pool_csv"], f"{path}.pool_csv").points
     try:
         return InputGroup(name, tuple(columns), kind, **fields)
@@ -335,10 +343,41 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _distribution(raw, path: str):
+# declared type: (law, its parameters in argument order)
+_LAWS = {
+    "uniform": (Uniform, ("a", "b")),
+    "normal": (Normal, ("mu", "sigma")),
+    "lognormal": (LogNormal, ("mu", "sigma")),
+    "triangular": (Triangular, ("a", "c", "b")),
+    "gumbel": (Gumbel, ("mu", "beta")),
+    "truncated": (Truncated, ("inner", "lo", "hi")),
+}
+
+
+def _distribution(raw, path: str) -> Distribution:
+    """One marginal declaration, like ``{"type": "triangular", "a": 49, "c": 50, "b": 51}``.
+
+    ``truncated`` wraps an ``inner`` declaration, as in ``{"type": "truncated",
+    "inner": {...}, "lo": 500}``; a missing or null ``lo``/``hi`` leaves that
+    side open. Every error is a ConfigError naming its entry under ``path``.
+    """
+    _expect(isinstance(raw, dict) and "type" in raw, path, "expected a mapping with a 'type' key")
+    kind = raw["type"]
+    _expect(isinstance(kind, str) and kind in _LAWS, f"{path}.type", f"unknown law {kind!r}")
+    law, params = _LAWS[kind]
+    _check_keys(raw, ("type", *params), path)
+    if kind == "truncated":
+        _expect("inner" in raw, path, "missing key 'inner'")
+        lo, hi = (open_side if raw.get(key) is None else _as_number(raw[key], f"{path}.{key}")
+                  for key, open_side in (("lo", -math.inf), ("hi", math.inf)))
+        args = [_distribution(raw["inner"], f"{path}.inner"), lo, hi]
+    else:
+        for key in params:
+            _expect(key in raw, path, f"missing key {key!r}")
+        args = [_as_number(raw[key], f"{path}.{key}") for key in params]
     try:
-        return distribution_from_config(raw)
-    except QdoeError as exc:
+        return law(*args)
+    except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -461,21 +500,17 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
     """Instantiate a registered benchmark model.
 
     ``pool_csv`` must name a readable pool file and every other param must
-    be a finite number; a param the model does not accept is a ConfigError.
+    be a finite number. Every error is a ConfigError naming its entry under
+    ``config.model``: a param the model does not accept, too.
     """
-    if name not in _MODELS:
-        raise ConfigError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+    _expect(name in _MODELS, "config.model.name",
+            f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     builder, defaults = _MODELS[name]
     params = params or {}
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ConfigError(f"model {name!r} takes no params {unknown}; accepted: {sorted(defaults)}")
-    return builder(name, **{**defaults, **{key: _param(key, value) for key, value in params.items()}})
-
-
-def _param(key: str, value):
-    if key == "pool_csv":
-        return load_config_pool(value, "params.pool_csv")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ParameterError(f"model parameter {key!r} must be a finite number, got {value!r}")
-    return float(value)
+    _check_keys(params, defaults, "config.model.params")
+    parsed = {key: (load_config_pool if key == "pool_csv" else _as_number)(
+        value, f"config.model.params.{key}") for key, value in params.items()}
+    try:
+        return builder(name, **{**defaults, **parsed})
+    except QdoeError as exc:
+        raise ConfigError(f"config.model: {exc}") from exc

@@ -270,10 +270,7 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
         raise ConfigError(f"config.n: hsic requires design sizes >= 2, got {min(cfg.n)}")
     model = None
     if cfg.model_name is not None:
-        try:
-            model = build_model(cfg.model_name, cfg.model_params)
-        except QdoeError as exc:
-            raise ConfigError(f"config.model: {exc}") from exc
+        model = build_model(cfg.model_name, cfg.model_params)
         columns, groups = model.columns, model.groups
     elif cfg.inputs is not None:
         columns, groups = inline_groups(cfg.inputs)

@@ -1,15 +1,17 @@
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdoe import load_quantizer
+from qdoe import CandidatePool, load_quantizer
 from qdoe.cli import main
 from qdoe.config import load_config, parse_config
 from qdoe.errors import ConfigError
-from qdoe.models import inline_groups
+from qdoe.models import build_model, inline_groups
+from qdoe.quantizer import save_pool
 
 UNIT_SQUARE_INPUTS = {
     "groups": [
@@ -86,6 +88,34 @@ def test_nested_error_paths_are_reported():
             inline_groups([group])
 
 
+@pytest.mark.parametrize("section, where", [
+    ({"kernels": {"bandwidth_rule": "fixed", "bandwidth": float("nan")}}, "kernels.bandwidth"),
+    ({"kernels": {"bandwidth_rule": "fixed", "bandwidth": float("inf")}}, "kernels.bandwidth"),
+    ({"lloyd": {"rel_tol": float("inf")}}, "lloyd.rel_tol"),
+    ({"lloyd": {"rel_tol": 10**400}}, "lloyd.rel_tol"),
+    ({"test": {"alpha": float("nan")}}, "test.alpha"),
+], ids=["nan bandwidth", "infinite bandwidth", "infinite rel_tol", "huge integer rel_tol",
+        "nan alpha"])
+def test_config_numbers_are_finite(section, where):
+    with pytest.raises(ConfigError, match=rf"config\.{where}: expected a finite number"):
+        parse_config({"version": 1, "seed": 1, **section})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1"])
+def test_model_params_are_finite_numbers_named_by_path(value):
+    with pytest.raises(ConfigError, match=r"config\.model\.params\.h: expected a"):
+        build_model("vg_theta", {"h": value})
+
+
+def test_model_params_list_what_the_model_accepts():
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.model.params: unknown keys ['hh']; accepted: ['h', 'pool_csv']")):
+        build_model("vg_theta", {"hh": 5})
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.model.params.pool_csv: cannot load pool")):
+        build_model("vg_theta", {"pool_csv": "missing.csv"})
+
+
 def test_model_and_inline_inputs_are_exclusive():
     with pytest.raises(ConfigError, match="either a model or inline inputs"):
         parse_config(
@@ -158,6 +188,14 @@ def copula_group(columns, correlation, name="g"):
     {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["weight", "b"],
                             "marginals": [UNIFORM, UNIFORM]}]}},
     {"n": [5, 5]},
+    {"inputs": {"groups": [{**copula_group(["x", "y"], [[1, 0.9], [0.9, 1]]),
+                            "kind": "independent"}]}},
+    {"inputs": {"groups": [{"name": "u", "kind": "independent", "columns": ["a"],
+                            "marginals": [UNIFORM], "pool_csv": "nope.csv"}]}},
+    {"inputs": {"groups": [{**copula_group(["x", "y"], [[1, 0.9], [0.9, 1]]),
+                            "pool_csv": "nope.csv"}]}},
+    {"inputs": {"groups": [{"name": "g", "kind": "pool", "columns": ["x"],
+                            "pool_csv": "nope.csv", "marginals": [UNIFORM]}]}},
 ], ids=["shared text", "shared integer", "standardize text", "output_dir integer",
         "vg_theta h text", "synthetic_screen rho text", "pool group pool_csv 0",
         "pool group pool_csv 987", "vg_theta pool_csv 0", "vg_theta pool_csv 987",
@@ -168,7 +206,9 @@ def copula_group(columns, correlation, name="g"):
         "uniform empty interval", "truncation without mass", "column name with comma",
         "column name with line break", "empty column name", "column name with hash",
         "group name with slash", "group name with backslash", "empty group name",
-        "group name with carriage return", "column named weight", "repeated size"])
+        "group name with carriage return", "column named weight", "repeated size",
+        "independent with correlation", "independent with pool_csv", "copula with pool_csv",
+        "pool with marginals"])
 def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                  overrides):
     monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
@@ -178,6 +218,53 @@ def test_config_value_of_wrong_type_returns_2_and_writes_nothing(tmp_path, monke
     path, _ = write_config(tmp_path, **raw)
     assert main(["sample", "--config", str(path)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def independent(*marginals):
+    return {"name": "u", "kind": "independent", "columns": [f"x{i}" for i in range(len(marginals))],
+            "marginals": list(marginals)}
+
+
+NORMAL = {"type": "normal", "mu": 0, "sigma": 1}
+GROUP = "config.inputs.groups[0]"
+MARGINAL = f"{GROUP}.marginals[0]"
+
+
+@pytest.mark.parametrize("group, message", [
+    (independent({**NORMAL, "scale": 2}), f"{MARGINAL}: unknown keys ['scale']; accepted: "),
+    (independent({**NORMAL, "type": "gaussian"}), f"{MARGINAL}.type: unknown law 'gaussian'"),
+    (independent({"type": "normal", "mu": 0}), f"{MARGINAL}: missing key 'sigma'"),
+    (independent({**NORMAL, "mu": "abc"}), f"{MARGINAL}.mu: expected a number"),
+    (independent({**NORMAL, "mu": "0"}), f"{MARGINAL}.mu: expected a number"),
+    (independent({**NORMAL, "mu": [0]}), f"{MARGINAL}.mu: expected a number"),
+    (independent({**UNIFORM, "b": True}), f"{MARGINAL}.b: expected a number"),
+    (independent({"type": "truncated", "inner": NORMAL, "lo": "x"}),
+     f"{MARGINAL}.lo: expected a number"),
+    (independent(UNIFORM, {"type": "truncated", "inner": {**NORMAL, "sigma": "1"}}),
+     f"{GROUP}.marginals[1].inner.sigma: expected a number"),
+    (independent({**UNIFORM, "b": 0}), f"{MARGINAL}: uniform requires a < b, got [0.0, 0.0]"),
+    ({**copula_group(["x", "y"], [[1, 0.9], [0.9, 1]]), "kind": "independent"},
+     f"{GROUP}: unknown keys ['correlation']"),
+    ({**independent(UNIFORM), "pool_csv": "pool.csv"}, f"{GROUP}: unknown keys ['pool_csv']"),
+    ({**copula_group(["x", "y"], [[1, 0.9], [0.9, 1]]), "pool_csv": "pool.csv"},
+     f"{GROUP}: unknown keys ['pool_csv']"),
+    ({"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": "pool.csv",
+      "marginals": [UNIFORM]}, f"{GROUP}: unknown keys ['marginals']"),
+    ({"name": "g", "kind": "generator", "columns": ["x"]}, f"{GROUP}.kind: expected one of"),
+], ids=["unknown key", "unknown law", "missing parameter", "text", "numeric text", "list",
+        "bool", "truncation bound", "inner parameter", "law's own check",
+        "independent with correlation", "independent with pool_csv", "copula with pool_csv",
+        "pool with marginals", "generator"])
+def test_rejected_declaration_returns_2_and_names_its_path(tmp_path, monkeypatch, capsys,
+                                                          group, message):
+    monkeypatch.chdir(tmp_path)
+    # a readable one-column pool, so that a pool_csv fails only by its key
+    save_pool(CandidatePool(np.arange(10.0)[:, None]), tmp_path / "pool.csv")
+    path, _ = write_config(tmp_path, scheme="mc", n=4, output_dir="out",
+                           inputs={"groups": [group]})
+    assert main(["sample", "--config", str(path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "pool.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +603,7 @@ def test_estimate_outputs_do_not_depend_on_the_worker_count(tmp_path, seed, case
 
 
 def write_vg_pool(path, rows, constant_theta_r=False):
-    from qdoe import CandidatePool
     from qdoe.models import vg_pool
-    from qdoe.quantizer import save_pool
 
     points = vg_pool(rows, np.random.default_rng(0)).points
     if constant_theta_r:

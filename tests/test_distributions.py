@@ -13,9 +13,7 @@ from qdoe import (
     Triangular,
     Truncated,
     Uniform,
-    distribution_from_config,
 )
-from qdoe.errors import ConfigError
 
 ALL_VARIANTS = [
     Uniform(7.0, 9.0),
@@ -177,32 +175,3 @@ def test_gumbel_matches_scipy_parameterization():
     x = np.linspace(0, 4000, 25)
     assert np.allclose(dist.cdf(x), ref.cdf(x), rtol=1e-12)
 
-
-def test_config_parsing_round_trip():
-    dist = distribution_from_config({"type": "triangular", "a": 49, "c": 50, "b": 51})
-    assert dist == Triangular(49.0, 50.0, 51.0)
-    trunc = distribution_from_config(
-        {"type": "truncated", "inner": {"type": "normal", "mu": 30, "sigma": 8}, "lo": 15}
-    )
-    assert trunc == Truncated(Normal(30.0, 8.0), 15.0, math.inf)
-
-
-def test_config_parsing_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        distribution_from_config({"type": "normal", "mu": 0, "sigma": 1, "scale": 2})
-    with pytest.raises(ConfigError):
-        distribution_from_config({"type": "gaussian", "mu": 0, "sigma": 1})
-    with pytest.raises(ConfigError):
-        distribution_from_config({"type": "normal", "mu": 0})
-
-
-@pytest.mark.parametrize("spec", [
-    {"type": "normal", "mu": "abc", "sigma": 1},
-    {"type": "normal", "mu": "0", "sigma": 1},
-    {"type": "normal", "mu": [0], "sigma": 1},
-    {"type": "uniform", "a": 0, "b": True},
-    {"type": "truncated", "inner": {"type": "normal", "mu": 0, "sigma": 1}, "lo": "x"},
-], ids=["text", "numeric text", "list", "bool", "truncation bound"])
-def test_config_parsing_rejects_non_numbers(spec):
-    with pytest.raises(ConfigError, match="must be a number"):
-        distribution_from_config(spec)

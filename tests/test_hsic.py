@@ -10,6 +10,7 @@ from qdoe import (
     DegeneracyError,
     Design,
     DimensionError,
+    DomainError,
     KernelSpec,
     ParameterError,
     gram,
@@ -70,6 +71,29 @@ def test_gram_degenerate_sample():
         gram(np.ones(5), KernelSpec())
     with pytest.raises(DegeneracyError):
         gram(np.ones(5), KernelSpec(bandwidth_rule="median"))
+
+
+@pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+def test_fixed_bandwidth_must_be_positive_and_finite(bandwidth):
+    with pytest.raises(ParameterError, match="0 < bandwidth < inf"):
+        KernelSpec(bandwidth_rule="fixed", bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("rule", ["std", "median", "fixed"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rows_are_rejected_naming_the_first(rule, value):
+    kernel = KernelSpec(bandwidth_rule=rule, bandwidth=1.0 if rule == "fixed" else None)
+    points = np.random.default_rng(12).standard_normal((10, 2))
+    outputs = points.sum(axis=1)
+    bad_points, bad_outputs = points.copy(), outputs.copy()
+    bad_points[[3, 7], 1] = value
+    bad_outputs[[4, 8]] = value
+    for design, y, row in ((mc_design(bad_points), outputs, 3), (mc_design(points), bad_outputs, 4)):
+        with pytest.raises(DomainError, match=f"non-finite value on row {row}:"):
+            weighted_hsic(design, y, kernel)
+        with pytest.raises(DomainError, match=f"non-finite value on row {row}:"):
+            screen(design, y, [("a", [0]), ("b", [1])], kernel=kernel, permutations=100,
+                   rng=np.random.default_rng(0))
 
 
 def test_hsic_constant_output_is_zero():

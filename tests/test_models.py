@@ -1,15 +1,24 @@
+import ast
+import dataclasses
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import betaincinv
 from scipy.stats import beta
 
+import qdoe
 from qdoe import ConfigError, DimensionError, DomainError, ParameterError
-from qdoe.distributions import Uniform
+from qdoe.distributions import Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
 from qdoe.models import (
     MODEL_NAMES,
     InputGroup,
     build_model,
     flood_evaluate,
+    inline_groups,
     vg_conductivity,
     vg_pool,
     vg_pool_from_sample,
@@ -211,3 +220,123 @@ def test_vg_model_accepts_external_pool(tmp_path):
     group = model.groups[0]
     assert group.kind == "pool"
     assert np.array_equal(group.pool_points, pool.points)
+
+
+# ---------------------------------------------------------------------------
+# marginal declarations of inline groups
+
+PATH = "config.inputs.groups[0].marginals[0]"
+
+# declared type: (law, its parameters in argument order)
+LAWS = {
+    "uniform": (Uniform, ("a", "b")),
+    "normal": (Normal, ("mu", "sigma")),
+    "lognormal": (LogNormal, ("mu", "sigma")),
+    "triangular": (Triangular, ("a", "c", "b")),
+    "gumbel": (Gumbel, ("mu", "beta")),
+}
+
+
+def marginal(spec):
+    """The law an inline independent group builds from one declaration."""
+    _, (group,) = inline_groups([{"name": "g", "kind": "independent", "columns": ["x"],
+                                  "marginals": [spec]}])
+    return group.marginals[0]
+
+
+def test_config_parsing_round_trip():
+    assert marginal({"type": "triangular", "a": 49, "c": 50, "b": 51}) == Triangular(49.0, 50.0, 51.0)
+    trunc = marginal(
+        {"type": "truncated", "inner": {"type": "normal", "mu": 30, "sigma": 8}, "lo": 15}
+    )
+    assert trunc == Truncated(Normal(30.0, 8.0), 15.0, math.inf)
+
+
+def test_config_parsing_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match=re.escape(f"{PATH}: unknown keys ['scale']; accepted: ")):
+        marginal({"type": "normal", "mu": 0, "sigma": 1, "scale": 2})
+    with pytest.raises(ConfigError, match=re.escape(f"{PATH}.type: unknown law 'gaussian'")):
+        marginal({"type": "gaussian", "mu": 0, "sigma": 1})
+    with pytest.raises(ConfigError, match=re.escape(f"{PATH}: missing key 'sigma'")):
+        marginal({"type": "normal", "mu": 0})
+
+
+@pytest.mark.parametrize("spec, where", [
+    ({"type": "normal", "mu": "abc", "sigma": 1}, "mu"),
+    ({"type": "normal", "mu": "0", "sigma": 1}, "mu"),
+    ({"type": "normal", "mu": [0], "sigma": 1}, "mu"),
+    ({"type": "uniform", "a": 0, "b": True}, "b"),
+    ({"type": "truncated", "inner": {"type": "normal", "mu": 0, "sigma": 1}, "lo": "x"}, "lo"),
+], ids=["text", "numeric text", "list", "bool", "truncation bound"])
+def test_config_parsing_rejects_non_numbers(spec, where):
+    with pytest.raises(ConfigError, match=re.escape(f"{PATH}.{where}: expected a number")):
+        marginal(spec)
+
+
+@st.composite
+def declarations(draw, truncated=True):
+    """``(declaration, law)``: a valid marginal declaration and the law built
+    directly from the same numbers."""
+    if truncated and draw(st.booleans()):
+        inner_spec, inner = draw(declarations(truncated=False))
+        spec, bounds = {"type": "truncated", "inner": inner_spec}, []
+        for key, u, open_side in (("lo", draw(st.floats(0.01, 0.4)), -math.inf),
+                                  ("hi", draw(st.floats(0.6, 0.99)), math.inf)):
+            form = draw(st.sampled_from(["number", "null", "missing"]))
+            bounds.append(float(inner.quantile(u)) if form == "number" else open_side)
+            if form != "missing":
+                spec[key] = bounds[-1] if form == "number" else None
+        return spec, Truncated(inner, *bounds)
+    kind = draw(st.sampled_from(sorted(LAWS)))
+    law, params = LAWS[kind]
+    # integers and quarters, sorted and distinct: a < b, a < c < b, and the
+    # last parameter, raised above 1, serves as a scale
+    values = sorted(draw(st.lists(st.integers(-50, 50) | st.integers(-200, 200).map(lambda k: k / 4),
+                                  min_size=len(params), max_size=len(params), unique=True)))
+    values[-1] = abs(values[-1]) + 1
+    return {"type": kind, **dict(zip(params, values))}, law(*map(float, values))
+
+
+def broken(spec, path):
+    """``(declaration, message)`` pairs: ``spec`` with one key dropped, added
+    or made a string, and the start of the error that names its path."""
+    params = LAWS[spec["type"]][1] if spec["type"] in LAWS else ("inner",)
+    yield {**spec, "extra": 1}, f"{path}: unknown keys ['extra']"
+    yield {k: v for k, v in spec.items() if k != "type"}, f"{path}: expected a mapping"
+    for key in params:
+        yield {k: v for k, v in spec.items() if k != key}, f"{path}: missing key {key!r}"
+    for key in (*params, "lo", "hi") if spec["type"] == "truncated" else params:
+        yield {**spec, key: "1"}, f"{path}.{key}: expected a"
+    if spec["type"] == "truncated":
+        for inner, message in broken(spec["inner"], f"{path}.inner"):
+            yield {**spec, "inner": inner}, message
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=declarations())
+def test_declarations_build_their_law_and_name_the_path_of_a_bad_key(case):
+    spec, law = case
+    assert marginal(spec) == law
+    if spec["type"] == "truncated":  # a dropped bound leaves that side open
+        for key, open_side in (("lo", -math.inf), ("hi", math.inf)):
+            opened = {k: v for k, v in spec.items() if k != key}
+            assert marginal(opened) == dataclasses.replace(law, **{key: open_side})
+    for bad, message in broken(spec, PATH):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            marginal(bad)
+
+
+def _imported_names(module) -> set[str]:
+    """Every module and name the import statements of ``module`` mention."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.rsplit(".", 1)[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_config_and_laws_import_no_layer_above_them():
+    assert not _imported_names(qdoe.config) & {"models", "copula", "distributions"}
+    assert not _imported_names(qdoe.distributions) & {"config", "ConfigError"}
