@@ -215,9 +215,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if raw.get("hsic_groups") is not None:
         hg = raw["hsic_groups"]
         _expect(isinstance(hg, list) and hg, "config.hsic_groups", "expected a non-empty list")
+        seen = {}
         for i, entry in enumerate(hg):
-            _expect(isinstance(entry, list) and entry, f"config.hsic_groups[{i}]",
-                    "expected a non-empty list of column names")
+            _expect(isinstance(entry, list) and entry and all(isinstance(c, str) for c in entry),
+                    f"config.hsic_groups[{i}]", "expected a non-empty list of column names")
+            first = seen.setdefault(frozenset(entry), i)
+            _expect(first == i, f"config.hsic_groups[{i}]",
+                    f"repeats the columns of config.hsic_groups[{first}]")
         hsic_groups = tuple(tuple(entry) for entry in hg)
 
     quantizer_files = raw.get("quantizer_files", {})

@@ -6,11 +6,17 @@ design with row weights w, normalized by their total, it is estimated by
 
     sum_ij A_ij Ky_ij,  A = (w w^T) o (Kx - (Kx w) 1^T - 1 (Kx w)^T + w^T Kx w),
 
-the input Gram matrix centered under w (:func:`weighted_hsic`). Cell
-probabilities of a quantization design give the weighted estimate; uniform
-weights w = 1/n give the V-statistic (1/n^2) tr(Kx H Ky H). :func:`screen`
-tests each input group for independence by permuting the outputs against
-fixed inputs and comparing the observed statistic to the permutation null.
+the input Gram matrix centered under w (:func:`weighted_hsic`). The output
+Gram matrix Ky is exactly symmetric, and so is every permutation of it, so
+the sum is taken over one triangle,
+
+    sum_i A_ii Ky_ii + sum_{i<j} (A_ij + A_ji) Ky_ij,
+
+with A packed once per test (:func:`_pack`). Cell probabilities of a
+quantization design give the weighted estimate; uniform weights w = 1/n give
+the V-statistic (1/n^2) tr(Kx H Ky H). :func:`screen` tests each input group
+for independence by permuting the outputs against fixed inputs and comparing
+the observed statistic to the permutation null.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ __all__ = [
 log = logging.getLogger("qdoe")
 
 # Permutation statistics are computed _BLOCK permutations at a time, on
-# chunks of rows of the permuted output Gram matrices gathered into one
-# buffer of at most _BLOCK_FLOATS floats (1 MB, about an L2 cache).
+# chunks of the upper triangles of the permuted output Gram matrices
+# gathered into one buffer of at most _BLOCK_FLOATS floats (1 MB, about an
+# L2 cache) while n stays below 16 385.
 _BLOCK = 8
 _BLOCK_FLOATS = 2**17
 
@@ -111,13 +118,14 @@ def _weights(design: Design) -> np.ndarray:
     return design.weights / float(design.weights.sum())
 
 
-def _resolve_bandwidth(x: np.ndarray, kernel: KernelSpec) -> float:
+def _resolve_bandwidth(x: np.ndarray, sq: np.ndarray, kernel: KernelSpec) -> float:
+    """The kernel bandwidth of sample ``x``, whose condensed squared
+    distances ``sq`` the median rule reads."""
     if kernel.bandwidth_rule == "fixed":
         return float(kernel.bandwidth)
     if kernel.bandwidth_rule == "std":
         theta = float(np.sqrt(np.mean(np.var(x, axis=0))))
     else:
-        sq = pdist(x, "sqeuclidean")
         positive = sq[sq > 0]
         if positive.size == 0:
             raise DegeneracyError("all sample rows coincide; median bandwidth undefined")
@@ -135,10 +143,11 @@ def gram(sample, kernel: KernelSpec) -> np.ndarray:
         if np.any(std == 0.0):
             raise DegeneracyError("cannot standardize a constant column")
         x = (x - x.mean(axis=0)) / std
-    theta = _resolve_bandwidth(x, kernel)
+    sq = pdist(x, "sqeuclidean")
+    theta = _resolve_bandwidth(x, sq, kernel)
     log.info("kernel bandwidth %r (%s rule) on %d column(s)", theta, kernel.bandwidth_rule,
              x.shape[1])
-    k = squareform(pdist(x, "sqeuclidean"))
+    k = squareform(sq)
     k /= -2.0 * theta * theta  # the bits of -k / (2 theta^2): the sign is exact
     np.exp(k, out=k)
     np.fill_diagonal(k, 1.0)
@@ -160,81 +169,132 @@ def _weighted_center(kx: np.ndarray, w: np.ndarray, out: np.ndarray | None = Non
     return a
 
 
-def _block_statistics(centered: np.ndarray, ky: np.ndarray, perms, buf: np.ndarray,
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """Row bounds [s, e) of the chunks of an n-by-n upper triangle.
+
+    Chunk [s, e) covers rows [s, e) over columns [s, n). It has as many rows
+    as keep _BLOCK of them within _BLOCK_FLOATS floats, at least one and at
+    most n - s, so chunks get taller as they get narrower and every bound
+    depends on n alone.
+    """
+    bounds, s = [], 0
+    while s < n:
+        e = s + max(1, min(n - s, _BLOCK_FLOATS // (_BLOCK * (n - s))))
+        bounds.append((s, e))
+        s = e
+    return bounds
+
+
+def _packed_size(n: int) -> int:
+    return sum((e - s) * (n - s) for s, e in _chunks(n))
+
+
+def _pack(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The upper triangle of the n-by-n matrix ``a``, written to ``out``.
+
+    The chunks of :func:`_chunks` lie one after the other in ``out``, each
+    in C order: A_ii on the diagonal, A_ij + A_ji above it and zeros below
+    it. So the dot product of the packed A with the same chunks of an
+    exactly symmetric Ky is the sum over all entries of A o Ky.
+    """
+    n, at = len(a), 0
+    for s, e in _chunks(n):
+        h, m = e - s, n - s
+        chunk = out[at:at + h * m].reshape(h, m)
+        np.add(a[s:e, s:], a[s:, s:e].T, out=chunk)
+        chunk[np.tril_indices(h, -1, m)] = 0.0
+        diagonal = np.arange(h)
+        chunk[diagonal, diagonal] = a[s + diagonal, s + diagonal]
+        at += h * m
+    return out
+
+
+def _block_statistics(packed: np.ndarray, ky: np.ndarray, perms, buf: np.ndarray,
                       gathered: np.ndarray) -> np.ndarray:
     """Statistics vdot(A_g, Ky[p][:, p]) of up to ``_BLOCK`` permutations p.
 
-    ``centered`` is the (G, n, n) stack of the A_g. Returns a (G, _BLOCK)
-    array whose column k belongs to ``perms[k]``; the columns past
-    ``len(perms)`` hold no statistic. The permuted Ky are gathered a chunk
-    of h rows at a time into ``buf``, a flat buffer of _BLOCK * h * n
-    floats, through ``gathered``, an (h, n) buffer for the row gather. One
-    matrix product per group adds a chunk to that group's statistics, so
-    each A_g is read once per block rather than once per permutation.
+    ``packed`` is the (G, P) stack of the A_g, each packed by :func:`_pack`.
+    Returns a (G, _BLOCK) array whose column k belongs to ``perms[k]``; the
+    columns past ``len(perms)`` hold no statistic. For each chunk [s, e) the
+    loop holds, in ``buf``, Ky[p[s:e]][:, p[s:]] for every p of the block,
+    gathering the rows of each through ``gathered``, a buffer of the tallest
+    chunk's rows of Ky. One matrix product per group adds the chunk to that
+    group's statistics, so each packed A_g is read once per block rather
+    than once per permutation.
 
-    Every product has the same shape, whatever the block, the chunk or the
+    Every product of a chunk has the same shape, whatever the block or the
     number of permutations, and each group is multiplied on its own. So a
     statistic's bits depend only on A_g and Ky[p][:, p]: not on its column,
     its block, the other groups or the BLAS thread count. Every p is a
     permutation of range(n), so mode="clip" clips nothing; it only spares
     ``take`` the buffered copy that mode="raise" makes when given ``out``.
     """
-    groups, n = centered.shape[0], ky.shape[0]
+    groups, n = packed.shape[0], ky.shape[0]
     stats = np.zeros((groups, 1, _BLOCK))
-    for start in range(0, n, len(gathered)):
-        rows = slice(start, min(start + len(gathered), n))
-        h = rows.stop - start
-        chunk = buf[:_BLOCK * h * n].reshape(_BLOCK, h, n)
+    at = 0
+    for s, e in _chunks(n):
+        h, size = e - s, (e - s) * (n - s)
+        chunk = buf[:_BLOCK * size].reshape(_BLOCK, h, n - s)
         for k, p in enumerate(perms):
-            np.take(np.take(ky, p[rows], axis=0, out=gathered[:h], mode="clip"), p, axis=1,
+            np.take(np.take(ky, p[s:e], axis=0, out=gathered[:h], mode="clip"), p[s:], axis=1,
                     out=chunk[k], mode="clip")
-        stats += centered[:, None, rows].reshape(groups, 1, h * n) @ chunk.reshape(_BLOCK, -1).T
+        stats += packed[:, None, at:at + size] @ chunk.reshape(_BLOCK, -1).T
+        at += size
     return stats[:, 0]
 
 
 def _block_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The chunk buffer and the row-gather buffer of :func:`_block_statistics`.
 
-    A chunk has as many rows as keep _BLOCK of them within _BLOCK_FLOATS
-    floats, at least one and at most n. The chunk buffer starts zeroed, so
-    the unused columns of a short block multiply finite numbers.
+    The chunk buffer holds _BLOCK of the largest chunk, and starts zeroed,
+    so the unused columns of a short block multiply finite numbers.
     """
-    h = min(n, max(1, _BLOCK_FLOATS // (_BLOCK * n)))
-    return np.zeros(_BLOCK * h * n), np.empty((h, n))
+    chunks = _chunks(n)
+    return (np.zeros(_BLOCK * max((e - s) * (n - s) for s, e in chunks)),
+            np.empty((max(e - s for s, e in chunks), n)))
 
 
 def _permutation_test(
-    centered: np.ndarray, ky: np.ndarray, *, permutations: int, rng: np.random.Generator
+    packed: np.ndarray, ky: np.ndarray, *, permutations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Permutation tests of several inputs against one output on one permutation set.
 
-    ``centered`` is the (G, n, n) stack of the weighted-centered input Gram
-    matrices A_g, one per input. Returns the statistics vdot(A_g, Ky[p][:, p]),
-    one row per permutation p and one column per input, and each input's
-    tie-inclusive p-value (1 + #{null >= observed}) / (B + 1). Row 0 is the
-    identity permutation, so the observed statistics share the null's
-    arithmetic and ties are exact; rows 1..B are the B uniform permutations
-    drawn from ``rng`` in row order. Permuting the outputs only permutes rows
-    and columns of Ky, so each permuted Ky serves every input.
+    ``packed`` is the (G, P) stack of the weighted-centered input Gram
+    matrices A_g, one per input, each packed by :func:`_pack`. Returns the
+    statistics vdot(A_g, Ky[p][:, p]), one row per permutation p and one
+    column per input, and each input's tie-inclusive p-value
+    (1 + #{null >= observed}) / (B + 1). Row 0 is the identity permutation,
+    so the observed statistics share the null's arithmetic and ties are
+    exact; rows 1..B are the B uniform permutations drawn from ``rng`` in row
+    order. Permuting the outputs only permutes rows and columns of Ky, so
+    each permuted Ky serves every input.
 
     The rows are computed _BLOCK at a time by :func:`_block_statistics`,
-    the last block padded to full width. Beside ``centered`` and ``ky``, the
+    the last block padded to full width. Beside ``packed`` and ``ky``, the
     loop holds the chunk buffer (at most _BLOCK_FLOATS floats, or _BLOCK rows
-    of Ky when n is larger), the row-gather buffer of one chunk and the
-    _BLOCK index arrays of the current block.
+    of Ky when n is larger), the row-gather buffer (at most 128 rows of Ky)
+    and the _BLOCK index arrays of the current block.
     """
     if permutations < 100:
         raise ConfigError(f"permutations must be >= 100, got {permutations}")
     n = ky.shape[0]
-    stats = np.empty((permutations + 1, centered.shape[0]))
+    stats = np.empty((permutations + 1, packed.shape[0]))
     buffers = _block_buffers(n)
     for start in range(0, permutations + 1, _BLOCK):
         rows = stats[start:start + _BLOCK]
         perms = [rng.permutation(n) if b else np.arange(n)
                  for b in range(start, start + len(rows))]
-        rows[:] = _block_statistics(centered, ky, perms, *buffers)[:, :len(rows)].T
+        rows[:] = _block_statistics(packed, ky, perms, *buffers)[:, :len(rows)].T
     p_values = (1.0 + np.sum(stats[1:] >= stats[0], axis=0)) / (permutations + 1.0)
     return stats, p_values
+
+
+def _packed_center(x: np.ndarray, w: np.ndarray, kernel: KernelSpec,
+                   out: np.ndarray) -> np.ndarray:
+    """The weighted-centered Gram matrix of ``x``, packed into ``out``; its
+    one n-by-n array is freed on return."""
+    a = gram(x, kernel)
+    return _pack(_weighted_center(a, w, out=a), out)
 
 
 def weighted_hsic(design: Design, outputs, kernel: KernelSpec = KernelSpec()) -> float:
@@ -248,10 +308,11 @@ def weighted_hsic(design: Design, outputs, kernel: KernelSpec = KernelSpec()) ->
     for bit.
     """
     x, y = _paired_samples(design.points, outputs)
-    centered = _weighted_center(gram(x, kernel), _weights(design))[None]
+    n = len(x)
+    packed = np.empty((1, _packed_size(n)))
+    _packed_center(x, _weights(design), kernel, out=packed[0])
     ky = gram(y, kernel)
-    identity = np.arange(len(ky))
-    return float(_block_statistics(centered, ky, [identity], *_block_buffers(len(ky)))[0, 0])
+    return float(_block_statistics(packed, ky, [np.arange(n)], *_block_buffers(n))[0, 0])
 
 
 def screen(
@@ -279,11 +340,15 @@ def screen(
     dependent (common random numbers). Every group's result equals a
     one-group ``screen`` of its block on a generator in the state of
     ``rng``, and a one-group screen over every column gives the
-    ``weighted_hsic`` of the design bit for bit. The weighted-centered
-    input Gram matrices of all groups are built in place in one (G, n, n)
-    array, so the permutation loop holds G + 1 n-by-n float arrays for G
-    groups (those G and the output Gram matrix) plus a chunk buffer of at
-    most 1 MB (8 rows of the output Gram matrix when n exceeds 16 384).
+    ``weighted_hsic`` of the design bit for bit.
+
+    Each group's weighted-centered input Gram matrix is built in one n-by-n
+    array, packed into its row of a (G, P) stack (P is about 0.6 n^2 at
+    n = 400 and tends to n^2 / 2) and freed before the next group's; the
+    output Gram matrix is built after the stack. So the permutation loop
+    holds the packed stack, the output Gram matrix, a chunk buffer of at
+    most 1 MB (8 rows of the output Gram matrix when n exceeds 16 384) and a
+    row-gather buffer of at most 128 rows of it.
     """
     x, y = _paired_samples(design.points, outputs)
     blocks = []
@@ -296,12 +361,11 @@ def screen(
         # C order, so a block standardizes as the same columns of a design would
         blocks.append((name, np.ascontiguousarray(x[:, cols])))
     w = _weights(design)
+    packed = np.empty((len(blocks), _packed_size(len(x))))
+    for (_, block), row in zip(blocks, packed):
+        _packed_center(block, w, kernel, out=row)
     ky = gram(y, kernel)
-    centered = np.empty((len(blocks), len(ky), len(ky)))
-    for (_, block), a in zip(blocks, centered):
-        a[:] = gram(block, kernel)  # centered where it lies: one n-by-n temporary fewer
-        _weighted_center(a, w, out=a)
-    stats, p_values = _permutation_test(centered, ky, permutations=permutations, rng=rng)
+    stats, p_values = _permutation_test(packed, ky, permutations=permutations, rng=rng)
     return [
         ScreenResult(name=name, hsic_value=float(value), p_value=float(p_value),
                      reject=bool(p_value < alpha))

@@ -799,6 +799,24 @@ def test_hsic_unknown_group_column_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("groups, path", [
+    ([["x1"], ["x1"]], r"config\.hsic_groups\[1\]: repeats the columns of config\.hsic_groups\[0\]"),
+    ([["x1"], ["x2", "x1"], ["x3"], ["x1", "x2"]],
+     r"config\.hsic_groups\[3\]: repeats the columns of config\.hsic_groups\[1\]"),
+    ([["x1", "x1"], ["x1"]], r"config\.hsic_groups\[1\]: repeats"),
+    ([["x1", 3]], r"config\.hsic_groups\[0\]: expected a non-empty list of column names"),
+], ids=["same entry", "same set in another order", "same set with a repeated name",
+        "non-string name"])
+def test_hsic_repeated_groups_rejected(tmp_path, capsys, groups, path):
+    cfg, _ = write_config(
+        tmp_path, scheme="mc", n=50, test={"permutations": 100}, hsic_groups=groups,
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["hsic", "--config", str(cfg)]) == 2
+    assert re.search(path, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_hsic_writes_screening_table(tmp_path):
     path, _ = write_config(
         tmp_path, scheme="qlhs", n=80, pool_size=600,

@@ -20,7 +20,8 @@ from qdoe import (
     screen,
     weighted_hsic,
 )
-from qdoe.hsic import _permutation_test, _resolve_bandwidth, _weighted_center
+from qdoe.hsic import (_block_buffers, _pack, _packed_size, _permutation_test,
+                       _resolve_bandwidth, _weighted_center)
 
 
 def brute_force_hsic(kx, ky):
@@ -45,6 +46,15 @@ def brute_force_weighted(kx, ky, w):
         for i in range(n)
     )
     return t1 + t2 - 2 * t3
+
+
+def _packed(centered):
+    """A (G, n, n) stack of centered Gram matrices packed as screen packs them."""
+    n = centered.shape[1]
+    out = np.empty((len(centered), _packed_size(n)))
+    for a, row in zip(centered, out):
+        _pack(a, row)
+    return out
 
 
 def test_gram_diagonal_is_exactly_one():
@@ -253,7 +263,7 @@ def test_weighted_test_matches_triple_loop_under_permutation():
     draws = np.random.default_rng(14)  # replays the test's permutations
     perms = np.vstack([draws.permutation(12) for _ in range(100)])
     oracle = np.array([brute_force_weighted(gx, gy[p][:, p], w) for p in perms])
-    stats, _ = _permutation_test(_weighted_center(gx, w)[None], gy, permutations=100,
+    stats, _ = _permutation_test(_packed(_weighted_center(gx, w)[None]), gy, permutations=100,
                                  rng=np.random.default_rng(14))
     assert np.max(np.abs(stats[1:6, 0] - oracle[:5])) < 1e-12
     assert res.p_value == (1 + np.sum(oracle >= res.hsic_value)) / 101
@@ -271,7 +281,8 @@ def test_screen_single_group_equals_value_function_and_direct_test():
     kernel = KernelSpec()
     w = design.weights / design.weights.sum()
     stats, p_values = _permutation_test(
-        _weighted_center(gram(points[:, [0, 1]], kernel), w)[None], gram(outputs, kernel),
+        _packed(_weighted_center(gram(points[:, [0, 1]], kernel), w)[None]),
+        gram(outputs, kernel),
         permutations=200, rng=np.random.default_rng(4),
     )
     assert via_screen.hsic_value == stats[0, 0]
@@ -366,9 +377,9 @@ def _reference_gram(x, kernel):
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     if kernel.standardize_groups and x.shape[1] > 1:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-    theta = _resolve_bandwidth(x, kernel)
-    sq = squareform(pdist(x, "sqeuclidean"))
-    k = np.exp(-sq / (2.0 * theta * theta))
+    sq = pdist(x, "sqeuclidean")
+    theta = _resolve_bandwidth(x, sq, kernel)
+    k = np.exp(-squareform(sq) / (2.0 * theta * theta))
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -417,7 +428,7 @@ def test_permutation_test_matches_stacked_reference(groups):
                          for g in range(groups)])
     ky = gram(x.sum(axis=1) + rng.standard_normal(40), KernelSpec())
     got_rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
-    stats, p_values = _permutation_test(centered, ky, permutations=150, rng=got_rng)
+    stats, p_values = _permutation_test(_packed(centered), ky, permutations=150, rng=got_rng)
     want = _reference_permutation_test(centered, ky, 150, want_rng)
     assert stats.shape == want.shape
     assert np.max(np.abs(stats - want) / np.abs(want)) <= 1e-12
@@ -448,7 +459,7 @@ def test_identity_draws_tie_the_observed_statistics_exactly():
     ky = gram(x[:, 0] + rng.standard_normal(150), KernelSpec())
     ties = [5, 7, 8, 100, 200]
     draws = _IdentityAt(ties, 27)
-    stats, p_values = _permutation_test(centered, ky, permutations=200, rng=draws)
+    stats, p_values = _permutation_test(_packed(centered), ky, permutations=200, rng=draws)
     assert draws.count == 200
     for row in ties:
         assert _same_bits(stats[row], stats[0])
@@ -457,10 +468,81 @@ def test_identity_draws_tie_the_observed_statistics_exactly():
     assert _same_bits(p_values, (1.0 + len(ties) + np.sum(others >= stats[0], axis=0)) / 201.0)
 
 
+# Sizes around the chunk bounds: n = 128 packs in one chunk, n = 129 in two,
+# n = 150 and 400 in two and six.
+@pytest.fixture(params=[2, 3, 128, 129, 150, 400], ids=lambda n: f"n{n}")
+def packed_case(request):
+    def build(groups):
+        n = request.param
+        rng = np.random.default_rng(40 + n + groups)
+        x = rng.standard_normal((n, groups))
+        w = rng.dirichlet(np.ones(n))
+        centered = np.stack([_weighted_center(gram(x[:, g], KernelSpec()), w)
+                             for g in range(groups)])
+        ky = gram(x.sum(axis=1) + rng.standard_normal(n), KernelSpec())
+        return x, w, centered, ky
+    return build
+
+
+@pytest.mark.parametrize("groups", [1, 2, 5])
+def test_packed_statistics_match_the_full_matrix_reference(packed_case, groups):
+    _, _, centered, ky = packed_case(groups)
+    stats, p_values = _permutation_test(_packed(centered), ky, permutations=100,
+                                        rng=np.random.default_rng(41))
+    want = _reference_permutation_test(centered, ky, 100, np.random.default_rng(41))
+    assert stats.shape == want.shape
+    assert np.all(np.abs(stats - want) <= 1e-12 * np.abs(want))
+    assert _same_bits(p_values, (1.0 + np.sum(want[1:] >= want[0], axis=0)) / 101.0)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 5])
+def test_packed_identity_draws_tie_and_groups_stand_alone(packed_case, groups):
+    # B + 1 = 101 rows run in blocks of 8: draw 5 lies inside the first
+    # block, draws 7 and 8 on either side of its boundary and draw 100 in the
+    # padded last block
+    _, _, centered, ky = packed_case(groups)
+    packed = _packed(centered)
+    ties = [5, 7, 8, 100]
+    stats, _ = _permutation_test(packed, ky, permutations=100, rng=_IdentityAt(ties, 42))
+    for row in ties:
+        assert _same_bits(stats[row], stats[0])
+    for g in range(groups):
+        alone, _ = _permutation_test(packed[g:g + 1], ky, permutations=100,
+                                     rng=_IdentityAt(ties, 42))
+        assert _same_bits(alone[:, 0], stats[:, g])
+
+
+@pytest.mark.parametrize("groups", [1, 2, 5])
+def test_packed_screen_over_every_column_equals_the_value_function(packed_case, groups):
+    x, w, _, _ = packed_case(groups)
+    design = Design(x, w, "rq", tuple(f"x{g}" for g in range(groups)))
+    outputs = x.sum(axis=1)
+    whole = screen(design, outputs, [("all", range(groups))], permutations=100,
+                   rng=np.random.default_rng(43))[0]
+    assert whole.hsic_value == weighted_hsic(design, outputs)
+
+
+def test_median_rule_computes_the_distances_once(monkeypatch):
+    calls = []
+
+    def counting_pdist(*args, **kwargs):
+        calls.append(args)
+        return pdist(*args, **kwargs)
+
+    monkeypatch.setattr("qdoe.hsic.pdist", counting_pdist)
+    x = np.random.default_rng(44).standard_normal((60, 2))
+    kernel = KernelSpec(bandwidth_rule="median")
+    assert _same_bits(gram(x, kernel), _reference_gram(x, kernel))
+    assert len(calls) == 1
+
+
 def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
-    # the permutation loop holds G centered input Gram matrices, the output
-    # Gram matrix and one gather chunk of at most 1 MB, whatever the number of
-    # permutations; building the Gram matrices briefly adds about 1.5 n x n
+    # whatever the number of permutations, the permutation loop holds the G
+    # packed triangles of P floats, the output Gram matrix and the two gather
+    # buffers; before it, building and centering one Gram matrix holds at most
+    # two n x n arrays beside the triangles. The slack covers the statistics
+    # table and the index arrays. At n = 300 and G = 4 the bound is
+    # 5.65 n^2 floats, and the peak reads 5.46 n^2.
     n, groups = 300, 4
     x = np.random.default_rng(24).random((n, groups))
     design = Design(x, np.full(n, 1 / n), "mc", tuple("abcd"))
@@ -472,4 +554,6 @@ def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (groups + 2.5) * n * n * 8 + 2**20
+    buffers = sum(b.nbytes for b in _block_buffers(n))
+    bound = groups * _packed_size(n) * 8 + max(2 * n * n * 8, n * n * 8 + buffers) + 2**18
+    assert peak < bound
