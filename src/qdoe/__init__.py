@@ -1,102 +1,62 @@
 """qdoe: stratified designs for dependent inputs via Voronoi quantization,
-weighted expectation estimators, and HSIC kernel screening."""
+weighted expectation estimators, and HSIC kernel screening.
+
+Submodules and the names below are imported on first access (PEP 562), so
+``import qdoe.cli`` and :func:`load_config` need only the standard library
+and numpy and scipy load when a command starts.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .config import ExperimentConfig, load_config, parse_config
-from .copula import (
-    EmpiricalMarginal,
-    GaussianCopula,
-    conditional_inverse,
-    fit_gaussian_copula,
-    gaussian_copula,
-)
-from .designs import (
-    Design,
-    lhs,
-    lhs_with_marginals,
-    mc_design,
-    qlhs_design,
-    rq_design,
-)
-from .distributions import (
-    Distribution,
-    Gumbel,
-    LogNormal,
-    Normal,
-    Triangular,
-    Truncated,
-    Uniform,
-)
-from .errors import (
-    ConfigError,
-    DegeneracyError,
-    DimensionError,
-    DomainError,
-    EvaluationError,
-    ParameterError,
-    QdoeError,
-)
-from .estimators import ReplicateSummary, estimate, replicate
-from .hsic import KernelSpec, ScreenResult, gram, screen, weighted_hsic
-from .quantizer import (
-    CandidatePool,
-    Quantizer,
-    distortion,
-    lloyd,
-    load_pool,
-    load_quantizer,
-    save_pool,
-    save_quantizer,
-)
-from . import models, runner
+# submodule -> the public names it defines
+_SOURCES = {
+    "config": "ExperimentConfig load_config parse_config KernelSpec",
+    "copula": "EmpiricalMarginal GaussianCopula conditional_inverse fit_gaussian_copula "
+              "gaussian_copula",
+    "designs": "Design lhs lhs_with_marginals mc_design qlhs_design rq_design",
+    "distributions": "Distribution Gumbel LogNormal Normal Triangular Truncated Uniform",
+    "errors": "ConfigError DegeneracyError DimensionError DomainError EvaluationError "
+              "ParameterError QdoeError",
+    "estimators": "ReplicateSummary estimate replicate",
+    "hsic": "ScreenResult gram screen weighted_hsic",
+    "quantizer": "CandidatePool Quantizer distortion lloyd load_pool load_quantizer save_pool "
+                 "save_quantizer",
+    "cli": "",
+    "models": "",
+    "runner": "",
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name in _SOURCE_OF:
+        value = getattr(importlib.import_module(f".{_SOURCE_OF[name]}", __name__), name)
+    elif name in _SOURCES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES) | set(_SOURCE_OF))
+
 
 __all__ = [
     "__version__",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "EmpiricalMarginal",
-    "GaussianCopula",
-    "conditional_inverse",
-    "fit_gaussian_copula",
+    "ExperimentConfig", "load_config", "parse_config",
+    "EmpiricalMarginal", "GaussianCopula", "conditional_inverse", "fit_gaussian_copula",
     "gaussian_copula",
-    "Design",
-    "lhs",
-    "lhs_with_marginals",
-    "mc_design",
-    "qlhs_design",
-    "rq_design",
-    "Distribution",
-    "Gumbel",
-    "LogNormal",
-    "Normal",
-    "Triangular",
-    "Truncated",
-    "Uniform",
-    "ConfigError",
-    "DegeneracyError",
-    "DimensionError",
-    "DomainError",
-    "EvaluationError",
-    "ParameterError",
-    "QdoeError",
-    "ReplicateSummary",
-    "estimate",
-    "replicate",
-    "KernelSpec",
-    "ScreenResult",
-    "gram",
-    "screen",
-    "weighted_hsic",
-    "CandidatePool",
-    "Quantizer",
-    "distortion",
-    "lloyd",
-    "load_pool",
-    "load_quantizer",
-    "save_pool",
-    "save_quantizer",
-    "models",
-    "runner",
+    "Design", "lhs", "lhs_with_marginals", "mc_design", "qlhs_design", "rq_design",
+    "Distribution", "Gumbel", "LogNormal", "Normal", "Triangular", "Truncated", "Uniform",
+    "ConfigError", "DegeneracyError", "DimensionError", "DomainError", "EvaluationError",
+    "ParameterError", "QdoeError",
+    "ReplicateSummary", "estimate", "replicate",
+    "KernelSpec", "ScreenResult", "gram", "screen", "weighted_hsic",
+    "CandidatePool", "Quantizer", "distortion", "lloyd", "load_pool", "load_quantizer",
+    "save_pool", "save_quantizer",
+    "models", "runner",
 ]

@@ -6,6 +6,11 @@ always reflect the effective run. Exit codes: 0 success, 2 configuration
 or usage error, 3 numerical or domain error. The ``QDOE_LOG`` environment
 variable sets the log level (DEBUG, INFO, WARNING, ...); an unknown level
 exits 2 before the config is read.
+
+Only the standard library is imported until the config has loaded, so usage
+and config errors return at once; numpy and scipy load with
+:mod:`qdoe.runner` when the command starts, under the BLAS thread budget
+that ``--threads`` sets.
 """
 
 from __future__ import annotations
@@ -17,13 +22,32 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, QdoeError
-from .runner import run_estimate, run_hsic, run_quantize, run_sample
 
 
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_blas_budget(threads: int, workers: int) -> None:
+    """Give each of ``workers`` processes ``threads // workers`` BLAS threads.
+
+    The variables are read when numpy loads, so once it has they would do
+    nothing here and only leak into the caller's later subprocesses; nothing
+    is set then. A variable already set wins.
+    """
+    if "numpy" in sys.modules:
+        return
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, str(max(1, threads // workers)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,10 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=_positive_int,
-            default=os.cpu_count() or 1,
-            help="worker processes for estimate repetitions, forked from this one; serial "
-                 "where fork is unavailable; workers log through the handlers they inherit "
-                 "(default: available parallelism)",
+            default=_available_cpus(),
+            help="CPU budget: estimate forks up to this many worker processes for its "
+                 "repetitions (serial where fork is unavailable; workers log through the "
+                 "handlers they inherit), and each process gets an equal share of it as "
+                 "BLAS threads unless a BLAS variable is set (default: the CPUs this "
+                 "process may run on)",
         )
         if name == "estimate":
             cmd.add_argument(
@@ -74,14 +100,15 @@ def main(argv=None) -> int:
             out_override=args.out,
             shared_override=getattr(args, "shared_quantizer", False),
         )
-        if args.command == "sample":
-            run_sample(cfg)
-        elif args.command == "estimate":
-            run_estimate(cfg, threads=args.threads)
-        elif args.command == "hsic":
-            run_hsic(cfg)
-        else:
-            run_quantize(cfg)
+        workers, options = 1, {}
+        if args.command == "estimate":
+            # replicate forks one worker per repetition, at most --threads
+            workers = min(args.threads, cfg.repetitions or 1)
+            options = {"threads": args.threads}
+        _set_blas_budget(args.threads, workers)
+        from . import runner  # numpy and scipy load here
+
+        getattr(runner, f"run_{args.command}")(cfg, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

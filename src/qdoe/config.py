@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterError
-from .hsic import KernelSpec
 
 __all__ = [
+    "KernelSpec",
     "LloydSettings",
     "SignificanceSettings",
     "ExperimentConfig",
@@ -31,6 +31,34 @@ __all__ = [
 ]
 
 SCHEMES = ("mc", "lhs", "lhsd", "rq", "qlhs", "q2lhs")
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """RBF kernel exp(-||x - x'||^2 / (2 theta^2)) with a bandwidth rule.
+
+    A sample of several columns is first standardized column by column
+    with its own mean and standard deviation when ``standardize_groups``
+    is set (recommended when column scales differ by orders of
+    magnitude); a single column never is. Bandwidth rules:
+
+    - ``fixed``: use ``bandwidth`` as given;
+    - ``std``: the sample standard deviation (after standardization this
+      is 1);
+    - ``median``: sqrt of half the median positive squared distance.
+    """
+
+    bandwidth_rule: str = "std"
+    bandwidth: float | None = None
+    standardize_groups: bool = True
+
+    def __post_init__(self):
+        if self.bandwidth_rule not in ("fixed", "std", "median"):
+            raise ParameterError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
+        if self.bandwidth_rule == "fixed" and (self.bandwidth is None
+                                               or not 0.0 < self.bandwidth < math.inf):
+            raise ParameterError(f"fixed bandwidth rule requires 0 < bandwidth < inf, "
+                                 f"got {self.bandwidth}")
 
 
 @dataclass(frozen=True)

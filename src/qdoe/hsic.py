@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
+from .config import KernelSpec
 from .designs import Design
 from .errors import ConfigError, DegeneracyError, DimensionError, DomainError, ParameterError
 
@@ -46,34 +47,6 @@ log = logging.getLogger("qdoe")
 # L2 cache) while n stays below 16 385.
 _BLOCK = 8
 _BLOCK_FLOATS = 2**17
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """RBF kernel exp(-||x - x'||^2 / (2 theta^2)) with a bandwidth rule.
-
-    A sample of several columns is first standardized column by column
-    with its own mean and standard deviation when ``standardize_groups``
-    is set (recommended when column scales differ by orders of
-    magnitude); a single column never is. Bandwidth rules:
-
-    - ``fixed``: use ``bandwidth`` as given;
-    - ``std``: the sample standard deviation (after standardization this
-      is 1);
-    - ``median``: sqrt of half the median positive squared distance.
-    """
-
-    bandwidth_rule: str = "std"
-    bandwidth: float | None = None
-    standardize_groups: bool = True
-
-    def __post_init__(self):
-        if self.bandwidth_rule not in ("fixed", "std", "median"):
-            raise ParameterError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == "fixed" and (self.bandwidth is None
-                                               or not 0.0 < self.bandwidth < np.inf):
-            raise ParameterError(f"fixed bandwidth rule requires 0 < bandwidth < inf, "
-                                 f"got {self.bandwidth}")
 
 
 @dataclass(frozen=True)

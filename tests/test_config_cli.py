@@ -934,6 +934,142 @@ def test_commands_do_not_import_scipy_stats(tmp_path):
     assert (tmp_path / "out" / "design_lhsd_n5.csv").exists()
 
 
+# argv: "load_config" and config paths, or a command line that must exit 2;
+# numpy and scipy must still be unimported after each step
+_COLD_PATH_CHILD = """
+import sys
+import qdoe.cli
+
+def check(step):
+    heavy = [m for m in sys.modules if m == "numpy" or m.startswith(("numpy.", "scipy"))]
+    assert not heavy, f"{step} imported {sorted(heavy)[:5]}"
+
+check("import qdoe.cli")
+if sys.argv[1] == "load_config":
+    for path in sys.argv[2:]:
+        qdoe.cli.load_config(path)
+        check(f"load_config({path})")
+else:
+    try:
+        code = qdoe.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2, code
+    check(f"main({sys.argv[1:]})")
+"""
+
+
+def run_cold_path_child(args, **env):
+    import os
+    import subprocess
+    import sys
+
+    run = subprocess.run([sys.executable, "-c", _COLD_PATH_CHILD, *map(str, args)],
+                         capture_output=True, text=True, env=dict(os.environ, **env))
+    assert run.returncode == 0, run.stderr
+
+
+def test_load_config_imports_neither_numpy_nor_scipy(tmp_path):
+    # a command's config is read before numpy loads, so a config error costs no
+    # numpy import; the pool_csv file does not exist, as load_config reads no
+    # file but the config
+    flood, _ = write_config(
+        tmp_path, "flood.json", scheme="qlhs", n=[10, 100], repetitions=30, pool_size=2000,
+        lloyd={"max_iter": 60, "rel_tol": 1e-7, "restarts": 2}, model={"name": "flood"},
+    )
+    pool_group = {"name": "p", "kind": "pool", "columns": ["c", "d"],
+                  "pool_csv": str(tmp_path / "absent.csv")}
+    inline, _ = write_config(
+        tmp_path, "inline.json", scheme="qlhs", n=[10], repetitions=2,
+        inputs={"groups": UNIT_SQUARE_INPUTS["groups"] + [pool_group]},
+    )
+    run_cold_path_child(["load_config", flood, inline])
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["estimate", "--config", "bad.json"], {}),
+    (["sample", "--config", "missing.json"], {"QDOE_LOG": "nonsense"}),
+    (["estimate", "--threads", "0", "--config", "bad.json"], {}),
+], ids=["config error", "unknown QDOE_LOG", "usage error"])
+def test_early_errors_exit_before_numpy_loads(tmp_path, argv, env):
+    write_config(tmp_path, "bad.json", scheme="qlhs", n=[10], repetitions=2, model="flood")
+    run_cold_path_child([tmp_path / a if a.endswith(".json") else a for a in argv], **env)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_CHILD = f"""
+import os, sys
+import qdoe.cli
+BLAS_VARIABLES = {BLAS_VARIABLES!r}
+
+os.register_at_fork(after_in_child=lambda: os.write(
+    1, f"worker {{os.environ.get('OPENBLAS_NUM_THREADS')}}\\n".encode()))
+assert qdoe.cli.main(sys.argv[1:]) == 0
+print("parent", *(os.environ.get(name) for name in BLAS_VARIABLES), flush=True)
+"""
+
+
+@pytest.mark.parametrize("command, preset, parent, workers", [
+    ("estimate", None, "1 1 1", ["1", "1"]),
+    ("hsic", None, "2 2 2", []),
+    ("estimate", "3", "3 1 1", ["3", "3"]),
+], ids=["estimate", "hsic", "preset"])
+def test_threads_set_the_blas_budget_before_numpy_loads(tmp_path, command, preset, parent,
+                                                        workers):
+    # threadpoolctl is not installed, so this checks the variables the process
+    # and its forked workers inherit, not the size of OpenBLAS's live pool
+    import os
+    import subprocess
+    import sys
+
+    path, _ = write_config(tmp_path, scheme="mc", n=[20], repetitions=2, seed=1,
+                           test={"permutations": 100}, output_dir=str(tmp_path / "out"),
+                           model={"name": "flood" if command == "estimate" else
+                                  "synthetic_screen"})
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run(
+        [sys.executable, "-c", _BLAS_CHILD, command, "--config", str(path), "--threads", "2"],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == f"parent {parent}"
+    assert sorted(line.split()[1] for line in lines if line.startswith("worker")) == workers
+
+
+def test_default_threads_follow_the_cpu_affinity(monkeypatch):
+    from qdoe.cli import _build_parser
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _build_parser().parse_args(["estimate", "--config", "c.json"]).threads == 1
+
+
+def test_package_names_resolve_on_first_access():
+    import importlib
+    import sys
+
+    import qdoe
+
+    for name in qdoe.__all__:
+        value = getattr(qdoe, name)
+        if name == "__version__":
+            assert value == "0.1.0"
+        elif isinstance(value, type(qdoe)):
+            assert value is importlib.import_module(f"qdoe.{name}")
+        else:
+            assert value.__module__.startswith("qdoe.")
+            assert getattr(sys.modules[value.__module__], name) is value
+    assert qdoe.KernelSpec is qdoe.hsic.KernelSpec is qdoe.config.KernelSpec
+    assert qdoe.estimators is importlib.import_module("qdoe.estimators")
+    assert set(qdoe.__all__) <= set(dir(qdoe))
+    with pytest.raises(AttributeError, match="'qdoe' has no attribute 'no_such_name'"):
+        qdoe.no_such_name
+    namespace = {}
+    exec("from qdoe import *", namespace)
+    assert all(namespace[name] is getattr(qdoe, name) for name in qdoe.__all__)
+
+
 def test_numerical_error_returns_3(tmp_path):
     # a pool whose first column is constant makes the copula fit degenerate,
     # which is a numerical error (exit 3), not a config error
