@@ -13,7 +13,6 @@ from qdoe import (
     Normal,
     Uniform,
     gaussian_copula,
-    lhs,
     lhs_with_marginals,
     lloyd,
     mc_design,
@@ -33,7 +32,7 @@ def show(design, note):
 
 
 print("Latin hypercube on the unit square: one point per 1/8-interval in every column.")
-unit = lhs(N, 2, rng)
+unit = lhs_with_marginals(N, [Uniform(0, 1)] * 2, rng)
 show(unit, "uniform cube")
 print("   interval indices per column:",
       [sorted(np.floor(unit.points[:, j] * N).astype(int).tolist()) for j in range(2)])

@@ -15,7 +15,7 @@ _SOURCES = {
     "config": "ExperimentConfig load_config parse_config KernelSpec",
     "copula": "EmpiricalMarginal GaussianCopula conditional_inverse fit_gaussian_copula "
               "gaussian_copula",
-    "designs": "Design lhs lhs_with_marginals mc_design qlhs_design rq_design",
+    "designs": "Design lhs_with_marginals mc_design qlhs_design",
     "distributions": "Distribution Gumbel LogNormal Normal Triangular Truncated Uniform",
     "errors": "ConfigError DegeneracyError DimensionError DomainError EvaluationError "
               "ParameterError QdoeError",
@@ -28,6 +28,7 @@ _SOURCES = {
     "runner": "",
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
+__all__ = ["__version__", *_SOURCE_OF, "models", "runner"]
 
 
 def __getattr__(name):
@@ -44,19 +45,3 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_SOURCES) | set(_SOURCE_OF))
 
-
-__all__ = [
-    "__version__",
-    "ExperimentConfig", "load_config", "parse_config",
-    "EmpiricalMarginal", "GaussianCopula", "conditional_inverse", "fit_gaussian_copula",
-    "gaussian_copula",
-    "Design", "lhs", "lhs_with_marginals", "mc_design", "qlhs_design", "rq_design",
-    "Distribution", "Gumbel", "LogNormal", "Normal", "Triangular", "Truncated", "Uniform",
-    "ConfigError", "DegeneracyError", "DimensionError", "DomainError", "EvaluationError",
-    "ParameterError", "QdoeError",
-    "ReplicateSummary", "estimate", "replicate",
-    "KernelSpec", "ScreenResult", "gram", "screen", "weighted_hsic",
-    "CandidatePool", "Quantizer", "distortion", "lloyd", "load_pool", "load_quantizer",
-    "save_pool", "save_quantizer",
-    "models", "runner",
-]

@@ -59,6 +59,9 @@ class KernelSpec:
                                                or not 0.0 < self.bandwidth < math.inf):
             raise ParameterError(f"fixed bandwidth rule requires 0 < bandwidth < inf, "
                                  f"got {self.bandwidth}")
+        if self.bandwidth_rule != "fixed" and self.bandwidth is not None:
+            raise ParameterError(f"a bandwidth is used only by the fixed rule, "
+                                 f"not by {self.bandwidth_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +195,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     lloyd_raw = raw.get("lloyd", {})
     _check_keys(lloyd_raw, ("max_iter", "rel_tol", "restarts"), "config.lloyd")
     lloyd = LloydSettings(
-        max_iter=_as_int(lloyd_raw.get("max_iter", 200), "config.lloyd.max_iter", minimum=1),
-        rel_tol=_as_number(lloyd_raw.get("rel_tol", 1e-8), "config.lloyd.rel_tol"),
-        restarts=_as_int(lloyd_raw.get("restarts", 5), "config.lloyd.restarts", minimum=1),
+        max_iter=_as_int(lloyd_raw.get("max_iter", LloydSettings.max_iter),
+                         "config.lloyd.max_iter", minimum=1),
+        rel_tol=_as_number(lloyd_raw.get("rel_tol", LloydSettings.rel_tol),
+                           "config.lloyd.rel_tol"),
+        restarts=_as_int(lloyd_raw.get("restarts", LloydSettings.restarts),
+                         "config.lloyd.restarts", minimum=1),
     )
     _expect(lloyd.rel_tol >= 0.0, "config.lloyd.rel_tol", "must be >= 0")
 
@@ -221,10 +227,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_keys(kern_raw, ("bandwidth_rule", "bandwidth", "standardize_groups"), "config.kernels")
     try:
         kernels = KernelSpec(
-            bandwidth_rule=kern_raw.get("bandwidth_rule", "std"),
+            bandwidth_rule=kern_raw.get("bandwidth_rule", KernelSpec.bandwidth_rule),
             bandwidth=(None if kern_raw.get("bandwidth") is None
                        else _as_number(kern_raw["bandwidth"], "config.kernels.bandwidth")),
-            standardize_groups=_as_bool(kern_raw.get("standardize_groups", True),
+            standardize_groups=_as_bool(kern_raw.get("standardize_groups",
+                                                     KernelSpec.standardize_groups),
                                         "config.kernels.standardize_groups"),
         )
     except ParameterError as exc:
@@ -233,9 +240,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     test_raw = raw.get("test", {})
     _check_keys(test_raw, ("permutations", "alpha"), "config.test")
     test = SignificanceSettings(
-        permutations=_as_int(test_raw.get("permutations", 500), "config.test.permutations",
-                              minimum=100),
-        alpha=_as_number(test_raw.get("alpha", 0.05), "config.test.alpha"),
+        permutations=_as_int(test_raw.get("permutations", SignificanceSettings.permutations),
+                              "config.test.permutations", minimum=100),
+        alpha=_as_number(test_raw.get("alpha", SignificanceSettings.alpha), "config.test.alpha"),
     )
     _expect(0.0 < test.alpha < 1.0, "config.test.alpha", "must lie strictly inside (0, 1)")
 
@@ -247,6 +254,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for i, entry in enumerate(hg):
             _expect(isinstance(entry, list) and entry and all(isinstance(c, str) for c in entry),
                     f"config.hsic_groups[{i}]", "expected a non-empty list of column names")
+            _expect(len(set(entry)) == len(entry), f"config.hsic_groups[{i}]",
+                    "names a column more than once")
             first = seen.setdefault(frozenset(entry), i)
             _expect(first == i, f"config.hsic_groups[{i}]",
                     f"repeats the columns of config.hsic_groups[{first}]")

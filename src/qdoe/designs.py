@@ -18,11 +18,11 @@ Five stratified schemes plus plain Monte Carlo:
 
 Rows of uniform-weight schemes carry weight 1/n; rq and qlhs rows carry
 the cell probabilities (summing to one); q2lhs weights are products of
-cell probabilities. One LHS builder, :func:`lhs_with_marginals`, builds
-``lhs`` and, given a copula, ``lhsd``; one join, :func:`qlhs_design`,
-builds every quantized scheme; each tag follows from the parts. Every
-scheme is estimated by the one rule sum_i w_i f(x_i) / sum_i w_i (see
-:mod:`qdoe.estimators`).
+cell probabilities. Each family has one builder: :func:`mc_design` wraps
+``mc`` rows, :func:`lhs_with_marginals` builds ``lhs`` and, given a copula,
+``lhsd``, and one join, :func:`qlhs_design`, builds every quantized scheme,
+whose tag follows from the parts. Every scheme is estimated by the one
+rule sum_i w_i f(x_i) / sum_i w_i (see :mod:`qdoe.estimators`).
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ import numpy as np
 
 from .copula import GaussianCopula, conditional_inverse
 from .errors import ConfigError, DimensionError, ParameterError
-from .quantizer import CandidatePool, Quantizer, write_table
+from .quantizer import write_table
 
 __all__ = [
     "Design",
     "UNIFORM_SCHEMES",
-    "lhs",
     "lhs_with_marginals",
-    "rq_design",
     "qlhs_design",
     "mc_design",
 ]
@@ -107,28 +105,6 @@ def _roles(column_roles, d: int) -> tuple[str, ...]:
     return roles
 
 
-def lhs(
-    n: int,
-    d: int,
-    rng: np.random.Generator,
-    *,
-    column_roles=None,
-) -> Design:
-    """Latin hypercube on the unit cube.
-
-    Column j places exactly one point inside each interval
-    [(k-1)/n, k/n) by combining an independent uniform permutation with a
-    uniform jitter: (pi_j(i) - 1)/n + U_ij/n.
-    """
-    if n < 1 or d < 1:
-        raise ConfigError(f"lhs requires n >= 1 and d >= 1, got n={n}, d={d}")
-    jitter = rng.random((n, d))
-    points = np.empty((n, d))
-    for j in range(d):
-        points[:, j] = (rng.permutation(n) + jitter[:, j]) / n
-    return Design(points, np.full(n, 1.0 / n), "lhs", _roles(column_roles, d))
-
-
 def lhs_with_marginals(
     n: int,
     marginals,
@@ -137,50 +113,30 @@ def lhs_with_marginals(
     copula: GaussianCopula | None = None,
     column_roles=None,
 ) -> Design:
-    """LHS transported to arbitrary marginals by the quantile transform.
+    """Latin hypercube transported to arbitrary marginals by the quantile transform.
 
-    With a Gaussian ``copula`` (an ``lhsd`` design) the uniform LHS is first
-    rebuilt coordinate by coordinate with the copula's inverse conditionals;
-    the first coordinate keeps exact LHS stratification because its
-    conditional inverse is the identity. Marginals may be analytic laws or
-    empirical ones: anything exposing ``quantile``.
+    The unit-cube LHS places exactly one point of column j inside each
+    interval [(k-1)/n, k/n): one uniform jitter draw for every entry, then
+    one independent uniform permutation per column, (pi_j(i) - 1)/n + U_ij/n.
+    With a Gaussian ``copula`` (an ``lhsd`` design) it is first rebuilt
+    coordinate by coordinate with the copula's inverse conditionals; the
+    first coordinate keeps exact LHS stratification because its conditional
+    inverse is the identity. Marginals may be analytic laws or empirical
+    ones: anything exposing ``quantile``.
     """
     marginals = list(marginals)
     d = len(marginals)
     if copula is not None and copula.d != d:
         raise DimensionError(f"copula dimension {copula.d} does not match {d} marginals")
-    base = lhs(n, d, rng)
-    u = base.points if copula is None else conditional_inverse(copula, base.points)
+    if n < 1 or d < 1:
+        raise ConfigError(f"lhs requires n >= 1 and d >= 1, got n={n}, d={d}")
+    jitter = rng.random((n, d))
+    u = np.column_stack([(rng.permutation(n) + jitter[:, j]) / n for j in range(d)])
+    if copula is not None:
+        u = conditional_inverse(copula, u)
     points = np.column_stack([marg.quantile(u[:, j]) for j, marg in enumerate(marginals)])
     scheme = "lhs" if copula is None else "lhsd"
-    return Design(points, base.weights, scheme, _roles(column_roles, d))
-
-
-def rq_design(
-    quantizer: Quantizer,
-    pool: CandidatePool,
-    rng: np.random.Generator,
-    *,
-    column_roles=None,
-) -> Design:
-    """Random quantization design: one conditional draw per Voronoi cell.
-
-    Row i is drawn uniformly among the pool points of cell i and carries
-    that cell's probability as its weight, so every cell contributes
-    exactly one row and the weights sum to one. All cells are drawn by one
-    ``rng.integers(counts)`` call, which consumes the generator exactly as
-    one scalar ``rng.integers(counts[i])`` per cell in cell order would.
-    """
-    if pool.m != quantizer.pool_size:
-        raise DimensionError("pool does not match the quantizer's assignment vector")
-    order, offsets, counts = quantizer.cells
-    rows = order[offsets + rng.integers(counts)]
-    return Design(
-        pool.points[rows],
-        quantizer.probabilities.copy(),
-        "rq",
-        _roles(column_roles, quantizer.d),
-    )
+    return Design(points, np.full(n, 1.0 / n), scheme, _roles(column_roles, d))
 
 
 def qlhs_design(
@@ -190,18 +146,22 @@ def qlhs_design(
     *,
     column_roles=None,
 ) -> Design:
-    """Quantization-based LHS: rq blocks joined to an LHS block.
+    """Quantization-based LHS: randomly quantized blocks joined to an LHS block.
 
-    Each ``(quantizer, pool)`` block is stratified by random quantization
-    (:func:`rq_design`, in block order) and the independent inputs, if any,
-    by an LHS with their marginals. Every part after the first is then
-    matched to the first part's rows by its own uniform random permutation,
-    in part order. Row i carries the product of its matched cell
-    probabilities; the LHS part adds no factor. Columns follow the parts.
+    Each ``(quantizer, pool)`` block, in block order, draws one row per
+    Voronoi cell uniformly among the cell's pool points. All of a block's
+    cells are drawn by one ``rng.integers(counts)`` call, which consumes the
+    generator exactly as one scalar ``rng.integers(counts[i])`` per cell in
+    cell order would. The independent inputs, if any, then take an LHS with
+    their marginals. Every part after the first is matched to the first
+    part's rows by its own uniform random permutation, in part order. Row i
+    carries the product of its matched cell probabilities; the LHS part adds
+    no factor. Columns follow the parts.
 
     One block alone is an ``rq`` design, one block with an LHS part a
     ``qlhs`` design (weights sum to one), and several blocks a ``q2lhs``
-    design, whose weights need not sum to one.
+    design, whose weights need not sum to one. Every block's pool must be
+    the one its quantizer indexes and its cell probabilities must sum to one.
     """
     blocks, indep_marginals = list(blocks), list(indep_marginals)
     if not blocks:
@@ -209,19 +169,26 @@ def qlhs_design(
     cells = [quantizer.n_cells for quantizer, _ in blocks]
     if len(set(cells)) > 1:
         raise ConfigError(f"quantized blocks require matching cell counts, got {cells}")
-    parts = [rq_design(quantizer, pool, rng) for quantizer, pool in blocks]
-    n = parts[0].n
+    points = []
+    for quantizer, pool in blocks:
+        if pool.m != quantizer.pool_size:
+            raise DimensionError("pool does not match the quantizer's assignment vector")
+        if abs(quantizer.probabilities.sum() - 1.0) > 1e-12:
+            raise ParameterError("cell probabilities must sum to 1")
+        order, offsets, counts = quantizer.cells
+        points.append(pool.points[order[offsets + rng.integers(counts)]])
+    n = cells[0]
     if indep_marginals:
-        parts.append(lhs_with_marginals(n, indep_marginals, rng))
-    points, weights = [parts[0].points], parts[0].weights
-    for part in parts[1:]:
+        points.append(lhs_with_marginals(n, indep_marginals, rng).points)
+    weights = blocks[0][0].probabilities.copy()
+    for k in range(1, len(points)):
         pi = rng.permutation(n)
-        points.append(part.points[pi])
-        if part.scheme == "rq":
-            weights = weights * part.weights[pi]
-    scheme = "rq" if len(parts) == 1 else "qlhs" if len(blocks) == 1 else "q2lhs"
-    d = sum(part.d for part in parts)
-    return Design(np.hstack(points), weights, scheme, _roles(column_roles, d))
+        points[k] = points[k][pi]
+        if k < len(blocks):
+            weights = weights * blocks[k][0].probabilities[pi]
+    scheme = "rq" if len(points) == 1 else "qlhs" if len(blocks) == 1 else "q2lhs"
+    points = np.hstack(points)
+    return Design(points, weights, scheme, _roles(column_roles, points.shape[1]))
 
 
 def mc_design(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .config import KernelSpec
+from .config import KernelSpec, SignificanceSettings
 from .designs import Design
 from .errors import ConfigError, DegeneracyError, DimensionError, DomainError, ParameterError
 
@@ -295,7 +295,7 @@ def screen(
     *,
     kernel: KernelSpec = KernelSpec(),
     permutations: int,
-    alpha: float = 0.05,
+    alpha: float = SignificanceSettings.alpha,
     rng: np.random.Generator,
 ) -> list[ScreenResult]:
     """Independence test of each input group against the shared output.

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .config import LloydSettings
 from .errors import ConfigError, DimensionError, ParameterError
 
 __all__ = [
@@ -346,9 +347,9 @@ def lloyd(
     pool: CandidatePool,
     n_cells: int,
     rng: np.random.Generator,
-    max_iter: int = 200,
-    rel_tol: float = 1e-8,
-    restarts: int = 5,
+    max_iter: int = LloydSettings.max_iter,
+    rel_tol: float = LloydSettings.rel_tol,
+    restarts: int = LloydSettings.restarts,
 ) -> Quantizer:
     """Quantize ``pool`` into ``n_cells`` Voronoi cells by Lloyd iteration.
 

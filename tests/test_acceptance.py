@@ -24,7 +24,7 @@ from qdoe import (
     weighted_hsic,
 )
 from qdoe.config import parse_config
-from qdoe.designs import lhs, lhs_with_marginals, qlhs_design, rq_design
+from qdoe.designs import lhs_with_marginals, qlhs_design
 from qdoe.estimators import replicate
 from qdoe.hsic import screen
 from qdoe.models import FLOOD_COLUMNS, build_model, flood_evaluate, vg_conductivity, vg_theta
@@ -293,7 +293,7 @@ def test_criterion_9_structural_invariants():
     checks = []
 
     # LHS stratification
-    design = lhs(16, 3, np.random.default_rng(1))
+    design = lhs_with_marginals(16, [Uniform(0, 1)] * 3, np.random.default_rng(1))
     strat = all(
         sorted(np.floor(design.points[:, j] * 16).astype(int)) == list(range(16))
         for j in range(3)
@@ -320,7 +320,7 @@ def test_criterion_9_structural_invariants():
 
     # weight normalization per scheme
     rng = np.random.default_rng(5)
-    rq_d = rq_design(q_star, pool, rng)
+    rq_d = qlhs_design([(q_star, pool)], [], rng)
     checks.append(("rq weights sum to 1 within 1e-12",
                    abs(rq_d.weights.sum() - 1.0) <= 1e-12))
     qlhs_d = qlhs_design([(q_star, pool)], [Uniform(0, 1)], rng)

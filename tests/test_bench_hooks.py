@@ -51,11 +51,11 @@ def test_layer_spans_are_recorded(tmp_path, monkeypatch):
         assert names[name] > 0, f"no {name} span recorded"
     evaluations = [s for s in estimate_spans if s.name == "models.evaluate"]
     assert len(evaluations) == 2
-    # every qlhs design draws all its cells in one traced rq_design call, and
+    # every qlhs design draws all its cells in one traced qlhs_design call, and
     # the fit is the only quantizer-layer span (no per-cell draw spans)
     estimate_names = Counter(s.name for s in estimate_spans)
     assert estimate_names["runner.build_design"] == 2
-    assert estimate_names["designs.rq_design"] == estimate_names["runner.build_design"]
+    assert estimate_names["designs.qlhs_design"] == estimate_names["runner.build_design"]
     assert {name for name in estimate_names if name.startswith("quantizer.")} == {"quantizer.lloyd"}
     assert all(s.counts["rows"] == 5 for s in evaluations)
     # one screen tests all 6 groups of synthetic_screen on one permutation set:

@@ -803,10 +803,11 @@ def test_hsic_unknown_group_column_rejected(tmp_path):
     ([["x1"], ["x1"]], r"config\.hsic_groups\[1\]: repeats the columns of config\.hsic_groups\[0\]"),
     ([["x1"], ["x2", "x1"], ["x3"], ["x1", "x2"]],
      r"config\.hsic_groups\[3\]: repeats the columns of config\.hsic_groups\[1\]"),
-    ([["x1", "x1"], ["x1"]], r"config\.hsic_groups\[1\]: repeats"),
+    ([["x1", "x1"], ["x1"]], r"config\.hsic_groups\[0\]: names a column more than once"),
+    ([["x1", "x1"], ["x2"]], r"config\.hsic_groups\[0\]: names a column more than once"),
     ([["x1", 3]], r"config\.hsic_groups\[0\]: expected a non-empty list of column names"),
 ], ids=["same entry", "same set in another order", "same set with a repeated name",
-        "non-string name"])
+        "repeated name", "non-string name"])
 def test_hsic_repeated_groups_rejected(tmp_path, capsys, groups, path):
     cfg, _ = write_config(
         tmp_path, scheme="mc", n=50, test={"permutations": 100}, hsic_groups=groups,
@@ -882,6 +883,21 @@ def test_hsic_invalid_kernels_return_2_and_write_nothing(tmp_path, kernels):
         model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
     )
     assert main(["hsic", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kernels", [
+    {"bandwidth": 0.05},
+    {"bandwidth_rule": "median", "bandwidth": 0.05},
+    {"bandwidth_rule": "std", "bandwidth": 1.0},
+], ids=["default rule", "median", "std"])
+def test_hsic_bandwidth_outside_the_fixed_rule_rejected(tmp_path, capsys, kernels):
+    path, _ = write_config(
+        tmp_path, scheme="mc", n=50, kernels=kernels, test={"permutations": 100},
+        model={"name": "synthetic_screen"}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["hsic", "--config", str(path)]) == 2
+    assert "config.kernels: a bandwidth is used only by the fixed rule" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

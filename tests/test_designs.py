@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,14 @@ from qdoe import (
     Design,
     DimensionError,
     Normal,
+    ParameterError,
     Uniform,
     conditional_inverse,
     gaussian_copula,
-    lhs,
     lhs_with_marginals,
     lloyd,
     mc_design,
     qlhs_design,
-    rq_design,
 )
 
 
@@ -27,8 +27,23 @@ def is_stratified(column, n):
     return sorted(np.floor(column * n).astype(int)) == list(range(n))
 
 
+def unit_design(n, d, rng, **kwargs):
+    """An LHS design on the unit cube."""
+    return lhs_with_marginals(n, [Uniform(0, 1)] * d, rng, **kwargs)
+
+
+def unit_lhs(n, d, rng):
+    """The unit-cube LHS written out: one jitter draw, then one permutation
+    per column, so column j holds (pi_j(i) + U_ij) / n."""
+    jitter = rng.random((n, d))
+    points = np.empty((n, d))
+    for j in range(d):
+        points[:, j] = (rng.permutation(n) + jitter[:, j]) / n
+    return points
+
+
 def test_lhs_single_point():
-    design = lhs(1, 3, np.random.default_rng(0))
+    design = unit_design(1, 3, np.random.default_rng(0))
     assert design.points.shape == (1, 3)
     assert np.all((design.points >= 0) & (design.points < 1))
     assert design.weights.tolist() == [1.0]
@@ -38,7 +53,7 @@ def test_lhs_single_point():
 @given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_lhs_stratification(n, d, seed):
     # every column holds one point per stratum [k/n, (k+1)/n)
-    design = lhs(n, d, np.random.default_rng(seed))
+    design = unit_design(n, d, np.random.default_rng(seed))
     assert design.points.shape == (n, d)
     for j in range(d):
         assert is_stratified(design.points[:, j], n)
@@ -46,7 +61,7 @@ def test_lhs_stratification(n, d, seed):
 
 def test_lhs_column_means_over_repetitions():
     means = np.array(
-        [lhs(10, 2, np.random.default_rng(s)).points.mean(axis=0) for s in range(1000)]
+        [unit_design(10, 2, np.random.default_rng(s)).points.mean(axis=0) for s in range(1000)]
     ).mean(axis=0)
     assert np.max(np.abs(means - 0.5)) < 0.01
 
@@ -109,11 +124,9 @@ def test_lhsd_first_coordinate_keeps_stratification():
 def old_lhs_with_marginals(n, marginals, rng, column_roles):
     """The LHS builder without a copula, as it stood before it took one."""
     marginals = list(marginals)
-    base = lhs(n, len(marginals), rng)
-    points = np.column_stack(
-        [marg.quantile(base.points[:, j]) for j, marg in enumerate(marginals)]
-    )
-    return Design(points, base.weights, "lhs", column_roles)
+    base = unit_lhs(n, len(marginals), rng)
+    points = np.column_stack([marg.quantile(base[:, j]) for j, marg in enumerate(marginals)])
+    return Design(points, np.full(n, 1.0 / n), "lhs", column_roles)
 
 
 def old_lhsd(n, copula, marginals, rng, column_roles):
@@ -121,12 +134,11 @@ def old_lhsd(n, copula, marginals, rng, column_roles):
     marginals = list(marginals)
     if copula.d != len(marginals):
         raise DimensionError("copula dimension does not match the marginals")
-    base = lhs(n, copula.d, rng)
-    dependent = conditional_inverse(copula, base.points)
+    dependent = conditional_inverse(copula, unit_lhs(n, copula.d, rng))
     points = np.column_stack(
         [marg.quantile(dependent[:, j]) for j, marg in enumerate(marginals)]
     )
-    return Design(points, base.weights, "lhsd", column_roles)
+    return Design(points, np.full(n, 1.0 / n), "lhsd", column_roles)
 
 
 @st.composite
@@ -168,7 +180,7 @@ def test_lhs_builder_matches_the_separate_lhs_and_lhsd_builders(data, n, d, with
 def test_rq_with_one_cell_per_point_is_a_pool_permutation(rng):
     pool = CandidatePool(np.array([[0.0], [1.0], [5.0], [9.0]]))
     q = lloyd(pool, 4, rng)
-    design = rq_design(q, pool, rng)
+    design = qlhs_design([(q, pool)], [], rng)
     assert sorted(design.points.ravel()) == pool.points.ravel().tolist()
     assert design.weights.tolist() == pytest.approx([0.25] * 4)
 
@@ -181,13 +193,13 @@ def cells_of(points, quantizer):
 def test_rq_rows_close_over_their_cells(rng):
     pool = CandidatePool(np.random.default_rng(6).standard_normal((400, 2)))
     q = lloyd(pool, 10, rng)
-    design = rq_design(q, pool, rng)
+    design = qlhs_design([(q, pool)], [], rng)
     assert np.array_equal(cells_of(design.points, q), np.arange(q.n_cells))
 
 
 def per_cell_loop(quantizer, rng):
     """Pool rows of an rq design drawn one cell at a time: the reference for
-    ``rq_design``'s single vector draw."""
+    the join's single vector draw of a block."""
     rows = []
     for i in range(quantizer.n_cells):
         members = np.flatnonzero(quantizer.pool_assignment == i)
@@ -198,11 +210,11 @@ def per_cell_loop(quantizer, rng):
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 80), d=st.integers(1, 3), cells=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1))
-def test_rq_design_matches_the_per_cell_loop(m, d, cells, seed):
+def test_rq_join_matches_the_per_cell_loop(m, d, cells, seed):
     pool = CandidatePool(np.random.default_rng(seed).standard_normal((m, d)))
     q = lloyd(pool, min(cells, m), np.random.default_rng(seed), restarts=1, max_iter=10)
     rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    design = rq_design(q, pool, rng)
+    design = qlhs_design([(q, pool)], [], rng)
     assert np.array_equal(design.points, pool.points[per_cell_loop(q, reference_rng)])
     assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert np.array_equal(cells_of(design.points, q), np.arange(q.n_cells))
@@ -212,7 +224,8 @@ def test_rq_draws_uniformly_within_a_cell(four_point_pool):
     q = lloyd(four_point_pool, 2, np.random.default_rng(1))
     lower = int(np.argmin(q.centroids.ravel()))
     rng = np.random.default_rng(2)
-    draws = np.array([rq_design(q, four_point_pool, rng).points[lower, 0] for _ in range(10_000)])
+    draws = np.array([qlhs_design([(q, four_point_pool)], [], rng).points[lower, 0]
+                      for _ in range(10_000)])
     freq = np.mean(draws == 0.0)
     assert abs(freq - 0.5) < 0.02
 
@@ -220,12 +233,12 @@ def test_rq_draws_uniformly_within_a_cell(four_point_pool):
 def test_rq_rejects_a_pool_of_another_size(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     with pytest.raises(DimensionError):
-        rq_design(q, CandidatePool(four_point_pool.points[:3]), rng)
+        qlhs_design([(q, CandidatePool(four_point_pool.points[:3]))], [], rng)
 
 
 def test_rq_two_cells_picks_one_point_per_cluster(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
-    design = rq_design(q, four_point_pool, rng)
+    design = qlhs_design([(q, four_point_pool)], [], rng)
     values = design.points.ravel()
     assert sum(v < 5 for v in values) == 1 and sum(v > 5 for v in values) == 1
 
@@ -307,31 +320,45 @@ def test_join_requires_a_quantized_block(rng):
         qlhs_design([], [Uniform(0, 1)], rng)
 
 
-# The per-scheme builders the join replaced, kept as oracles of its draws.
+def test_q2lhs_checks_every_block(rng):
+    # q2lhs weights need not sum to one, so only the join's own block checks
+    # catch a bad second block
+    pool = CandidatePool(np.random.default_rng(14).standard_normal((50, 1)))
+    q = lloyd(pool, 4, rng)
+    heavy = replace(q, probabilities=q.probabilities * 1.5)
+    with pytest.raises(ParameterError, match="sum to 1"):
+        qlhs_design([(q, pool), (heavy, pool)], [], rng)
+    with pytest.raises(DimensionError, match="pool does not match"):
+        qlhs_design([(q, pool), (q, CandidatePool(pool.points[:40]))], [], rng)
+
+
+# The per-scheme builders the join replaced, kept as oracles of its draws;
+# each block draws its cells one at a time.
 def rq_only_oracle(blocks, marginals, rng, roles):
     ((q, pool),) = blocks
-    return rq_design(q, pool, rng, column_roles=roles)
+    return Design(pool.points[per_cell_loop(q, rng)], q.probabilities, "rq", roles)
 
 
 def qlhs_oracle(blocks, marginals, rng, roles):
     ((q, pool),) = blocks
-    dep = rq_design(q, pool, rng)
-    indep = lhs_with_marginals(dep.n, marginals, rng)
-    pi = rng.permutation(dep.n)
-    return Design(np.hstack([dep.points, indep.points[pi]]), dep.weights, "qlhs", roles)
+    dep = pool.points[per_cell_loop(q, rng)]
+    indep = lhs_with_marginals(q.n_cells, marginals, rng)
+    pi = rng.permutation(q.n_cells)
+    return Design(np.hstack([dep, indep.points[pi]]), q.probabilities, "qlhs", roles)
 
 
 def q2lhs_oracle(blocks, marginals, rng, roles):
     # no earlier builder joined two blocks and an LHS part; with marginals
     # this extends q2lhs by the join's order: parts first, then permutations
     (qx, pool_x), (qy, pool_y) = blocks
-    dep_x = rq_design(qx, pool_x, rng)
-    dep_y = rq_design(qy, pool_y, rng)
-    indep = lhs_with_marginals(dep_x.n, marginals, rng) if marginals else None
-    pi = rng.permutation(dep_x.n)
-    points = [dep_x.points, dep_y.points[pi]]
+    n = qx.n_cells
+    dep_x = pool_x.points[per_cell_loop(qx, rng)]
+    dep_y = pool_y.points[per_cell_loop(qy, rng)]
+    indep = lhs_with_marginals(n, marginals, rng) if marginals else None
+    pi = rng.permutation(n)
+    points = [dep_x, dep_y[pi]]
     if indep is not None:
-        points.append(indep.points[rng.permutation(dep_x.n)])
+        points.append(indep.points[rng.permutation(n)])
     weights = qx.probabilities * qy.probabilities[pi]
     return Design(np.hstack(points), weights, "q2lhs", roles)
 
@@ -374,7 +401,7 @@ def test_seed_determinism_bit_identical(builder, four_point_pool):
             return mc_design(rng.standard_normal((6, 2)))
         q = lloyd(four_point_pool, 2, rng)
         if builder == "rq":
-            return rq_design(q, four_point_pool, rng)
+            return qlhs_design([(q, four_point_pool)], [], rng)
         if builder == "qlhs":
             return qlhs_design([(q, four_point_pool)], [Uniform(0, 1)], rng)
         return qlhs_design([(q, four_point_pool), (q, four_point_pool)], [], rng)
@@ -385,7 +412,7 @@ def test_seed_determinism_bit_identical(builder, four_point_pool):
 
 
 def test_design_csv_export(tmp_path):
-    design = lhs(3, 2, np.random.default_rng(13), column_roles=("a", "b"))
+    design = unit_design(3, 2, np.random.default_rng(13), column_roles=("a", "b"))
     path = tmp_path / "design.csv"
     design.to_csv(path, header_comments=("config_hash=deadbeef seed=13",))
     lines = path.read_text().splitlines()

@@ -13,7 +13,6 @@ from qdoe import (
     mc_design,
     qlhs_design,
     replicate,
-    rq_design,
     Uniform,
 )
 
@@ -24,7 +23,7 @@ def all_scheme_designs(four_point_pool, rng):
     return [
         mc_design(np.random.default_rng(0).standard_normal((5, 2))),
         lhs_with_marginals(5, [Normal(0, 1)], rng),
-        rq_design(q, four_point_pool, rng),
+        qlhs_design([(q, four_point_pool)], [], rng),
         qlhs_design([(q, four_point_pool)], [Uniform(0, 1)], rng),
         qlhs_design([(q, four_point_pool), (q, four_point_pool)], [], rng),
     ]
@@ -37,7 +36,7 @@ def test_constant_function_is_estimated_exactly(all_scheme_designs):
 
 def test_weighted_sum_matches_manual_computation(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
-    design = rq_design(q, four_point_pool, rng)
+    design = qlhs_design([(q, four_point_pool)], [], rng)
     expected = float(design.weights @ (design.points[:, 0] + 1.0))
     assert estimate(design, design.points[:, 0] + 1.0) == pytest.approx(expected, abs=1e-15)
 
@@ -68,14 +67,15 @@ def test_values_of_the_wrong_length_are_rejected(all_scheme_designs):
 def test_replicate_requires_two_repetitions(four_point_pool, rng):
     q = lloyd(four_point_pool, 2, rng)
     with pytest.raises(ConfigError):
-        replicate(lambda r: rq_design(q, four_point_pool, r), lambda d: np.ones(d.n), 1, 0)
+        replicate(lambda r: qlhs_design([(q, four_point_pool)], [], r), lambda d: np.ones(d.n),
+                  1, 0)
 
 
 def test_replicate_with_forced_identical_seeds_has_zero_variance(four_point_pool):
     q = lloyd(four_point_pool, 2, np.random.default_rng(1))
 
     def builder(_rng):
-        return rq_design(q, four_point_pool, np.random.default_rng(99))
+        return qlhs_design([(q, four_point_pool)], [], np.random.default_rng(99))
 
     summary = replicate(builder, lambda d: d.points[:, 0], 2, 0)
     assert summary.variance == 0.0
@@ -85,7 +85,7 @@ def test_replicate_threads_match_serial(four_point_pool):
     q = lloyd(four_point_pool, 2, np.random.default_rng(1))
 
     def builder(rng):
-        return rq_design(q, four_point_pool, rng)
+        return qlhs_design([(q, four_point_pool)], [], rng)
 
     f = lambda d: d.points[:, 0] ** 2
     for repetitions in (32, 2):  # 2 < 3 workers: the pool is capped at the repetitions
@@ -107,7 +107,7 @@ def test_rq_variance_identity_with_fixed_quantizer():
     )
 
     def builder(rng):
-        return rq_design(q, pool, rng)
+        return qlhs_design([(q, pool)], [], rng)
 
     summary = replicate(builder, lambda d: d.points[:, 0] ** 2, 5000, 10)
     assert summary.variance == pytest.approx(theoretical, rel=0.2)
@@ -117,7 +117,7 @@ def test_rq_unbiased_on_square(rng):
     def builder(r):
         pool = CandidatePool(r.standard_normal((1000, 1)))
         q = lloyd(pool, 50, r, restarts=1, max_iter=40, rel_tol=1e-6)
-        return rq_design(q, pool, r)
+        return qlhs_design([(q, pool)], [], r)
 
     summary = replicate(builder, lambda d: d.points[:, 0] ** 2, 200, 123)
     se = np.sqrt(summary.variance / summary.repetitions)
@@ -143,7 +143,7 @@ def test_lhs_variance_bound_against_mc():
 def test_replicate_summary_fields(four_point_pool):
     q = lloyd(four_point_pool, 2, np.random.default_rng(4))
     summary = replicate(
-        lambda rng: rq_design(q, four_point_pool, rng), lambda d: d.points[:, 0], 50, 7
+        lambda rng: qlhs_design([(q, four_point_pool)], [], rng), lambda d: d.points[:, 0], 50, 7
     )
     assert summary.repetitions == 50
     assert summary.base_seed == 7

@@ -24,7 +24,7 @@ from qdoe.models import (
     vg_pool_from_sample,
     vg_theta,
 )
-from qdoe.designs import rq_design
+from qdoe.designs import qlhs_design
 from qdoe.quantizer import lloyd
 
 
@@ -170,7 +170,7 @@ def test_quantized_retention_curves_stay_bounded():
     pool = vg_pool(2000, np.random.default_rng(3))
     quantizer = lloyd(pool, 10, np.random.default_rng(4), restarts=1, max_iter=30)
     grid = np.logspace(-4, 2, 50)
-    design = rq_design(quantizer, pool, np.random.default_rng(5))
+    design = qlhs_design([(quantizer, pool)], [], np.random.default_rng(5))
     for tr, ts, alpha, n, _ in design.points:
         curve = vg_theta(grid, tr, ts, alpha, n)
         assert np.all((curve >= tr) & (curve <= ts))
