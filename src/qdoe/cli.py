@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "estimate":
             cmd.add_argument(
                 "--shared-quantizer",
-                action="store_true",
+                action="store_const",  # absent leaves None: the config's value stands
+                const=True,
                 help="fit quantizers once and reuse them across repetitions",
             )
     return parser
@@ -94,12 +95,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level)
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(
-            args.config,
-            seed_override=args.seed,
-            out_override=args.out,
-            shared_override=getattr(args, "shared_quantizer", False),
-        )
+        overrides = {"seed": args.seed, "output_dir": args.out,
+                     "shared_quantizer": getattr(args, "shared_quantizer", None)}
+        cfg = load_config(args.config, overrides)
         workers, options = 1, {}
         if args.command == "estimate":
             # replicate forks one worker per repetition, at most --threads

@@ -123,13 +123,6 @@ def _check_keys(mapping: dict, allowed, path: str) -> None:
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}; accepted: {sorted(allowed)}")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    if minimum is not None:
-        _expect(value >= minimum, path, f"must be >= {minimum}")
-    return value
-
-
 def _as_number(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
     try:
@@ -143,6 +136,49 @@ def _as_number(value, path: str) -> float:
 def _as_bool(value, path: str) -> bool:
     _expect(isinstance(value, bool), path, "expected true or false")
     return value
+
+
+def _as_str(value, path: str) -> str:
+    _expect(isinstance(value, str), path, "expected a string")
+    return value
+
+
+def _at_least(minimum: int):
+    """Reader of an integer >= ``minimum``."""
+    def read(value, path: str) -> int:
+        _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+        _expect(value >= minimum, path, f"must be >= {minimum}")
+        return value
+    return read
+
+
+def _optional(read):
+    """``read``, except that null stays None, as an absent key reads."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+# settings section: its dataclass and a reader per field; the class checks the rest
+_SETTINGS = {
+    "lloyd": (LloydSettings, {"max_iter": _at_least(1), "rel_tol": _as_number,
+                              "restarts": _at_least(1)}),
+    "kernels": (KernelSpec, {"bandwidth_rule": lambda value, path: value,  # KernelSpec checks it
+                             "bandwidth": _optional(_as_number),
+                             "standardize_groups": _as_bool}),
+    "test": (SignificanceSettings, {"permutations": _at_least(100), "alpha": _as_number}),
+}
+
+
+def _settings(raw: dict, section: str):
+    """``config.<section>`` as its dataclass: each key given is read at its
+    dotted path, each one omitted keeps the dataclass default."""
+    cls, readers = _SETTINGS[section]
+    path, given = f"config.{section}", raw.get(section, {})
+    _check_keys(given, readers, path)
+    try:
+        return cls(**{key: read(given[key], f"{path}.{key}")
+                      for key, read in readers.items() if key in given})
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _TOP_LEVEL_KEYS = (
@@ -173,7 +209,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _expect("version" in raw, "config", "missing key 'version'")
     _expect(raw["version"] == 1, "config.version", f"unsupported version {raw['version']!r}")
     _expect("seed" in raw, "config", "missing key 'seed'")
-    seed = _as_int(raw["seed"], "config.seed", minimum=0)
+    seed = _at_least(0)(raw["seed"], "config.seed")
 
     scheme = raw.get("scheme")
     if scheme is not None:
@@ -183,25 +219,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if isinstance(n_raw, int) and not isinstance(n_raw, bool):
         n_raw = [n_raw]
     _expect(isinstance(n_raw, list), "config.n", "expected an integer or a list of integers")
-    n = tuple(_as_int(v, f"config.n[{i}]", minimum=1) for i, v in enumerate(n_raw))
+    n = tuple(_at_least(1)(v, f"config.n[{i}]") for i, v in enumerate(n_raw))
     _expect(len(set(n)) == len(n), "config.n", f"repeated design size in {list(n)}")
 
-    repetitions = raw.get("repetitions")
-    if repetitions is not None:
-        repetitions = _as_int(repetitions, "config.repetitions", minimum=0)
+    repetitions = _optional(_at_least(0))(raw.get("repetitions"), "config.repetitions")
+    pool_size = _at_least(1)(raw.get("pool_size", 100_000), "config.pool_size")
 
-    pool_size = _as_int(raw.get("pool_size", 100_000), "config.pool_size", minimum=1)
-
-    lloyd_raw = raw.get("lloyd", {})
-    _check_keys(lloyd_raw, ("max_iter", "rel_tol", "restarts"), "config.lloyd")
-    lloyd = LloydSettings(
-        max_iter=_as_int(lloyd_raw.get("max_iter", LloydSettings.max_iter),
-                         "config.lloyd.max_iter", minimum=1),
-        rel_tol=_as_number(lloyd_raw.get("rel_tol", LloydSettings.rel_tol),
-                           "config.lloyd.rel_tol"),
-        restarts=_as_int(lloyd_raw.get("restarts", LloydSettings.restarts),
-                         "config.lloyd.restarts", minimum=1),
-    )
+    lloyd = _settings(raw, "lloyd")
     _expect(lloyd.rel_tol >= 0.0, "config.lloyd.rel_tol", "must be >= 0")
 
     model_name = None
@@ -211,8 +235,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         model_raw = raw["model"]
         _check_keys(model_raw, ("name", "params"), "config.model")
         _expect("name" in model_raw, "config.model", "missing key 'name'")
-        model_name = model_raw["name"]
-        _expect(isinstance(model_name, str), "config.model.name", "expected a string")
+        model_name = _as_str(model_raw["name"], "config.model.name")
         model_params = model_raw.get("params", {})
         _expect(isinstance(model_params, dict), "config.model.params", "expected a mapping")
     if "inputs" in raw:
@@ -223,27 +246,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 and inputs_raw["groups"], "config.inputs.groups", "expected a non-empty list")
         inputs = tuple(inputs_raw["groups"])
 
-    kern_raw = raw.get("kernels", {})
-    _check_keys(kern_raw, ("bandwidth_rule", "bandwidth", "standardize_groups"), "config.kernels")
-    try:
-        kernels = KernelSpec(
-            bandwidth_rule=kern_raw.get("bandwidth_rule", KernelSpec.bandwidth_rule),
-            bandwidth=(None if kern_raw.get("bandwidth") is None
-                       else _as_number(kern_raw["bandwidth"], "config.kernels.bandwidth")),
-            standardize_groups=_as_bool(kern_raw.get("standardize_groups",
-                                                     KernelSpec.standardize_groups),
-                                        "config.kernels.standardize_groups"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"config.kernels: {exc}") from exc
-
-    test_raw = raw.get("test", {})
-    _check_keys(test_raw, ("permutations", "alpha"), "config.test")
-    test = SignificanceSettings(
-        permutations=_as_int(test_raw.get("permutations", SignificanceSettings.permutations),
-                              "config.test.permutations", minimum=100),
-        alpha=_as_number(test_raw.get("alpha", SignificanceSettings.alpha), "config.test.alpha"),
-    )
+    kernels = _settings(raw, "kernels")
+    test = _settings(raw, "test")
     _expect(0.0 < test.alpha < 1.0, "config.test.alpha", "must lie strictly inside (0, 1)")
 
     hsic_groups = None
@@ -269,10 +273,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     output_dir = raw.get("output_dir", ".")
     _expect(isinstance(output_dir, str), "config.output_dir", "expected a path string")
 
-    n_cells = raw.get("n_cells")
-    if n_cells is not None:
-        n_cells = _as_int(n_cells, "config.n_cells", minimum=1)
-
     return ExperimentConfig(
         seed=seed,
         scheme=scheme,
@@ -289,8 +289,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         output_dir=output_dir,
         shared_quantizer=_as_bool(raw.get("shared_quantizer", False), "config.shared_quantizer"),
         quantizer_files=dict(quantizer_files),
-        n_cells=n_cells,
-        group=raw.get("group"),
+        n_cells=_optional(_at_least(1))(raw.get("n_cells"), "config.n_cells"),
+        group=_optional(_as_str)(raw.get("group"), "config.group"),
         config_hash=config_hash(raw),
     )
 
@@ -303,15 +303,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_config(
-    path,
-    *,
-    seed_override: int | None = None,
-    out_override: str | None = None,
-    shared_override: bool = False,
-) -> ExperimentConfig:
-    """Read and validate a JSON config file, applying CLI overrides before
-    hashing so the embedded hash reflects the effective configuration."""
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read and validate a JSON config file.
+
+    ``overrides`` maps top-level keys to the values that replace the file's,
+    where None means "not given"; they apply before hashing, so the embedded
+    hash reflects the effective configuration.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
@@ -319,10 +317,6 @@ def load_config(
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    if out_override is not None:
-        raw["output_dir"] = out_override
-    if shared_override:
-        raw["shared_quantizer"] = True
+    if isinstance(raw, dict):  # anything else fails in parse_config
+        raw.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     return parse_config(raw)

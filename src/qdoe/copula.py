@@ -99,12 +99,12 @@ def fit_gaussian_copula(data) -> GaussianCopula:
     for j in range(d):
         if np.ptp(data[:, j]) == 0.0:
             raise DegeneracyError(f"column {j} is constant; its marginal is degenerate")
+    if d == 1:
+        return gaussian_copula(np.array([[1.0]]))
     # ranks are stacked column-major: corrcoef rounds differently on a
     # row-major copy, and the fitted correlations are part of every lhsd design
     ranks = np.array([_average_ranks(column) for column in data.T]).T
     scores = ndtri((ranks - 0.5) / m)
-    if d == 1:
-        return gaussian_copula(np.array([[1.0]]))
     corr = np.corrcoef(scores, rowvar=False)
     eigvals, eigvecs = np.linalg.eigh(corr)
     if eigvals.min() < _MIN_EIGENVALUE:

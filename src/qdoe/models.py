@@ -108,10 +108,6 @@ class ModelSpec:
     groups: tuple[InputGroup, ...]
     evaluate: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def d(self) -> int:
-        return len(self.columns)
-
 
 # ---------------------------------------------------------------------------
 # flood overflow model
@@ -331,10 +327,12 @@ def _parse_group(raw: dict, path: str) -> InputGroup:
         fields["marginals"] = tuple(_distribution(m, f"{path}.marginals[{i}]")
                                     for i, m in enumerate(raw["marginals"]))
     if "correlation" in raw:
-        try:
-            fields["correlation"] = np.asarray(raw["correlation"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.correlation: expected a matrix of numbers") from None
+        where, matrix = f"{path}.correlation", raw["correlation"]
+        _expect(isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
+                and len({len(row) for row in matrix}) <= 1, where, "expected a matrix of numbers")
+        fields["correlation"] = np.array([[_as_number(v, f"{where}[{r}][{c}]")
+                                           for c, v in enumerate(row)]
+                                          for r, row in enumerate(matrix)])
     if "pool_csv" in raw:
         fields["pool_points"] = load_config_pool(raw["pool_csv"], f"{path}.pool_csv").points
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -413,10 +414,12 @@ def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:
 
 def write_table(path, comments, header: str, rows) -> None:
     """Write ``# `` comment lines, the header, then one line per row: a string
-    row as given, any other row as its floats in ``repr`` form (bit-exact)."""
+    row as given, any other row as its floats in ``repr`` form (bit-exact).
+    Missing parent directories are made once the lines are built."""
     lines = [*(f"# {c}" for c in comments), header,
              *(row if isinstance(row, str) else ",".join([repr(float(v)) for v in row])
                for row in rows)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -255,8 +255,9 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
     checks the keys ``command`` requires, the ``hsic_groups`` columns and the
     ``quantizer_files`` names, checks each planned block's pool against the
     largest size, and loads each of its ``quantizer_files`` once, checked
-    against the pool and every size. All of it runs before the output
-    directory is made, so a config that cannot run writes nothing. Returns
+    against the pool and every size. It makes no directory: the output
+    directory appears with the first file written, so a config that cannot
+    run, here or while building its first design, writes nothing. Returns
     ``(columns, groups, model, blocks, out_dir)``; ``model`` is None for
     inline inputs, and loaded blocks are resolved.
     """
@@ -297,9 +298,7 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
             path, pool = cfg.quantizer_files[group.name], CandidatePool(group.pool_points)
             blocks[key] = Block(group, _load(path, group, pool, sizes), pool)
             log.info("quantizer %s: file %s n_cells=%d", key, path, blocks[key].quantizer.n_cells)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return columns, groups, model, blocks, out_dir
+    return columns, groups, model, blocks, Path(cfg.output_dir)
 
 
 def _sweep(cfg: ExperimentConfig) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import re
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdoe import CandidatePool, load_quantizer
 from qdoe.cli import main
-from qdoe.config import load_config, parse_config
+from qdoe.config import (KernelSpec, LloydSettings, SignificanceSettings, load_config,
+                         parse_config)
 from qdoe.errors import ConfigError
 from qdoe.models import build_model, inline_groups
 from qdoe.quantizer import save_pool
@@ -99,6 +101,24 @@ def test_nested_error_paths_are_reported():
 def test_config_numbers_are_finite(section, where):
     with pytest.raises(ConfigError, match=rf"config\.{where}: expected a finite number"):
         parse_config({"version": 1, "seed": 1, **section})
+
+
+@pytest.mark.parametrize("section, cls, given, expected", [
+    ("lloyd", LloydSettings, {"max_iter": 7}, LloydSettings(max_iter=7)),
+    ("kernels", KernelSpec, {"bandwidth_rule": "median"}, KernelSpec(bandwidth_rule="median")),
+    ("test", SignificanceSettings, {"alpha": 0.1}, SignificanceSettings(alpha=0.1)),
+])
+def test_settings_section_takes_exactly_its_dataclass_fields(section, cls, given, expected):
+    def read(value):
+        return getattr(parse_config({"version": 1, "seed": 1, section: value}), section)
+
+    assert read({}) == cls()
+    assert read(given) == expected  # an omitted key keeps the dataclass default
+    assert read(dataclasses.asdict(cls())) == cls()  # a field without a reader fails here
+    accepted = sorted(f.name for f in dataclasses.fields(cls))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config.{section}: unknown keys ['extra']; accepted: {accepted}")):
+        read({"extra": 1})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1"])
@@ -251,10 +271,17 @@ MARGINAL = f"{GROUP}.marginals[0]"
     ({"name": "g", "kind": "pool", "columns": ["x"], "pool_csv": "pool.csv",
       "marginals": [UNIFORM]}, f"{GROUP}: unknown keys ['marginals']"),
     ({"name": "g", "kind": "generator", "columns": ["x"]}, f"{GROUP}.kind: expected one of"),
+    (copula_group(["x", "y"], [["1", "0.5"], ["0.5", 1]]),
+     f"{GROUP}.correlation[0][0]: expected a number"),
+    (copula_group(["x", "y"], [[1, 0.5], [0.5, True]]),
+     f"{GROUP}.correlation[1][1]: expected a number"),
+    (copula_group(["x", "y"], [[1, 0.5], [0.5]]), f"{GROUP}.correlation: expected a matrix"),
+    (copula_group(["x", "y"], 1), f"{GROUP}.correlation: expected a matrix of numbers"),
 ], ids=["unknown key", "unknown law", "missing parameter", "text", "numeric text", "list",
         "bool", "truncation bound", "inner parameter", "law's own check",
         "independent with correlation", "independent with pool_csv", "copula with pool_csv",
-        "pool with marginals", "generator"])
+        "pool with marginals", "generator", "correlation numeric text", "correlation bool",
+        "correlation ragged", "correlation not a list"])
 def test_rejected_declaration_returns_2_and_names_its_path(tmp_path, monkeypatch, capsys,
                                                           group, message):
     monkeypatch.chdir(tmp_path)
@@ -306,6 +333,32 @@ def test_seed_override_changes_output_and_hash(tmp_path):
     main(["sample", "--config", str(path), "--seed", "43"])
     other = (tmp_path / "out" / "design_lhs_n2.csv").read_text()
     assert base != other and "seed=43" in other
+
+
+def test_seed_zero_overrides_the_config_seed(tmp_path):
+    outputs = []
+    for name, seed, flags in (("a.json", 42, ["--seed", "0"]), ("b.json", 0, [])):
+        path, _ = write_config(tmp_path, name, seed=seed, scheme="lhs", n=2,
+                               inputs=UNIT_SQUARE_INPUTS, output_dir=str(tmp_path / "out"))
+        assert main(["sample", "--config", str(path), *flags]) == 0
+        outputs.append((tmp_path / "out" / "design_lhs_n2.csv").read_bytes())
+    assert outputs[0] == outputs[1] and b"seed=0" in outputs[0]
+
+
+def test_absent_shared_quantizer_flag_keeps_the_config_value(tmp_path):
+    path, _ = write_config(tmp_path, scheme="mc", n=4, repetitions=2, shared_quantizer=True,
+                           model={"name": "square"}, output_dir=str(tmp_path / "out"))
+    assert main(["estimate", "--config", str(path), "--threads", "1"]) == 0
+    payload = json.loads((tmp_path / "out" / "summary_mc_square.json").read_text())
+    assert payload["shared_quantizer"] is True
+
+
+def test_group_must_be_a_string(tmp_path, capsys):
+    path, _ = write_config(tmp_path, n_cells=2, group=5, model={"name": "x2y"},
+                           output_dir=str(tmp_path / "out"))
+    assert main(["quantize", "--config", str(path)]) == 2
+    assert "config error: config.group: expected a string" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_rq_flood_design_weights_sum_to_one(tmp_path):
@@ -612,6 +665,19 @@ def write_vg_pool(path, rows, constant_theta_r=False):
               column_names=("theta_r", "theta_s", "alpha", "n", "k_sat"))
 
 
+@pytest.mark.parametrize("scheme, pool_size, message", [
+    ("lhs", 1, "empirical marginal needs at least two observations"),
+    ("lhsd", 3, "need at least d + 1 = 6 rows to fit, got 3"),
+])
+def test_failure_in_the_first_design_leaves_no_output_directory(tmp_path, capsys, scheme,
+                                                               pool_size, message):
+    path, _ = write_config(tmp_path, scheme=scheme, n=2, pool_size=pool_size,
+                           model={"name": "vg_theta"}, output_dir=str(tmp_path / "out"))
+    assert main(["sample", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_impossible_estimate_fails_before_forking_or_writing(tmp_path):
     # the fixed 60-row pool cannot hold 100 cells, which the command sees
     # before it makes the output directory or starts a worker
@@ -637,6 +703,7 @@ def test_estimate_error_inside_a_repetition_exits_3_without_output(tmp_path):
     )
     assert main(["estimate", "--config", str(path), "--threads", "2"]) == 3
     assert list(tmp_path.glob("out/estimates_*.csv")) == []
+    assert not (tmp_path / "out").exists()
     assert multiprocessing.active_children() == []
 
 

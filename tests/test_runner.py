@@ -151,4 +151,4 @@ def test_runner_resolves_model_columns(tmp_path):
     assert columns == model.columns == FLOOD_COLUMNS
     assert [g.name for g in groups] == ["channel", "structures"]
     assert list(blocks) == ["channel"] and blocks["channel"].quantizer is None
-    assert out_dir.is_dir()
+    assert not out_dir.exists()  # made with the first file written
