@@ -81,28 +81,30 @@ class SignificanceSettings:
 class ExperimentConfig:
     """Parsed experiment description, checked against the schema.
 
-    ``inputs`` holds the inline ``inputs.groups`` declarations as written, as
-    ``model_params`` holds the model's. ``qdoe.runner`` builds either when a
+    Each field is read from the config key of its name, and keeps its default
+    when the key is omitted. ``model`` holds the model declaration (``name``,
+    and ``params`` if given) and ``inputs`` the inline ``inputs.groups``
+    declarations, both as written. ``qdoe.runner`` builds either when a
     command starts and runs the checks that need the resolved inputs.
     """
 
     seed: int
-    scheme: str | None
-    n: tuple[int, ...]
-    repetitions: int | None
-    pool_size: int
-    lloyd: LloydSettings
-    model_name: str | None
-    model_params: dict
-    inputs: tuple[dict, ...] | None
-    kernels: KernelSpec
-    test: SignificanceSettings
-    hsic_groups: tuple[tuple[str, ...], ...] | None
-    output_dir: str
-    shared_quantizer: bool
-    quantizer_files: dict[str, str]
-    n_cells: int | None
-    group: str | None
+    version: int = 1
+    scheme: str | None = None
+    n: tuple[int, ...] = ()
+    repetitions: int | None = None
+    pool_size: int = 100_000
+    lloyd: LloydSettings = LloydSettings()
+    model: dict | None = None
+    inputs: tuple[dict, ...] | None = None
+    kernels: KernelSpec = KernelSpec()
+    test: SignificanceSettings = SignificanceSettings()
+    hsic_groups: tuple[tuple[str, ...], ...] | None = None
+    output_dir: str = "."
+    shared_quantizer: bool = False
+    quantizer_files: dict[str, str] = field(default_factory=dict)
+    n_cells: int | None = None
+    group: str | None = None
     config_hash: str = field(default="", compare=False)
 
 
@@ -115,12 +117,6 @@ def config_hash(raw: dict) -> str:
 def _expect(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{path}: {message}")
-
-
-def _check_keys(mapping: dict, allowed, path: str) -> None:
-    _expect(isinstance(mapping, dict), path, "expected a mapping")
-    unknown = set(mapping) - set(allowed)
-    _expect(not unknown, path, f"unknown keys {sorted(unknown)}; accepted: {sorted(allowed)}")
 
 
 def _as_number(value, path: str) -> float:
@@ -143,6 +139,27 @@ def _as_str(value, path: str) -> str:
     return value
 
 
+def _as_path(value, path: str) -> str:
+    _expect(isinstance(value, str), path, "expected a path string")
+    return value
+
+
+def _as_mapping(value, path: str) -> dict:
+    _expect(isinstance(value, dict), path, "expected a mapping")
+    return value
+
+
+def _fields(raw, path: str, readers: dict, required=()) -> dict:
+    """The keys given in the mapping ``raw``, each read by its reader at
+    ``path.key``; a key without a reader and a missing ``required`` key are
+    ConfigErrors at ``path``."""
+    unknown = set(_as_mapping(raw, path)) - set(readers)
+    _expect(not unknown, path, f"unknown keys {sorted(unknown)}; accepted: {sorted(readers)}")
+    for key in required:
+        _expect(key in raw, path, f"missing key {key!r}")
+    return {key: read(raw[key], f"{path}.{key}") for key, read in readers.items() if key in raw}
+
+
 def _at_least(minimum: int):
     """Reader of an integer >= ``minimum``."""
     def read(value, path: str) -> int:
@@ -152,147 +169,105 @@ def _at_least(minimum: int):
     return read
 
 
+def _one_of(choices):
+    """Reader of a value among ``choices``."""
+    def read(value, path: str):
+        _expect(value in choices, path, f"expected one of {choices}")
+        return value
+    return read
+
+
 def _optional(read):
     """``read``, except that null stays None, as an absent key reads."""
     return lambda value, path: None if value is None else read(value, path)
 
 
-# settings section: its dataclass and a reader per field; the class checks the rest
-_SETTINGS = {
-    "lloyd": (LloydSettings, {"max_iter": _at_least(1), "rel_tol": _as_number,
-                              "restarts": _at_least(1)}),
-    "kernels": (KernelSpec, {"bandwidth_rule": lambda value, path: value,  # KernelSpec checks it
-                             "bandwidth": _optional(_as_number),
-                             "standardize_groups": _as_bool}),
-    "test": (SignificanceSettings, {"permutations": _at_least(100), "alpha": _as_number}),
+def _settings(cls, readers: dict):
+    """Reader of a settings section as ``cls``: each key given is read at its
+    dotted path, each one omitted keeps the dataclass default, and the
+    class's own ParameterError names the section."""
+    def read(value, path: str):
+        try:
+            return cls(**_fields(value, path, readers))
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return read
+
+
+def _version(value, path: str) -> int:
+    _expect(type(value) is int and value == 1, path, f"unsupported version {value!r}")
+    return value
+
+
+def _sizes(value, path: str) -> tuple[int, ...]:
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = [value]
+    _expect(isinstance(value, list), path, "expected an integer or a list of integers")
+    n = tuple(_at_least(1)(v, f"{path}[{i}]") for i, v in enumerate(value))
+    _expect(len(set(n)) == len(n), path, f"repeated design size in {list(n)}")
+    return n
+
+
+def _inputs(value, path: str) -> tuple[dict, ...]:
+    groups = _fields(value, path, {"groups": lambda groups, _: groups}).get("groups")
+    _expect(isinstance(groups, list) and groups, f"{path}.groups", "expected a non-empty list")
+    return tuple(groups)
+
+
+def _hsic_groups(value, path: str) -> tuple[tuple[str, ...], ...]:
+    _expect(isinstance(value, list) and value, path, "expected a non-empty list")
+    seen = {}
+    for i, entry in enumerate(value):
+        where = f"{path}[{i}]"
+        _expect(isinstance(entry, list) and entry and all(isinstance(c, str) for c in entry),
+                where, "expected a non-empty list of column names")
+        _expect(len(set(entry)) == len(entry), where, "names a column more than once")
+        first = seen.setdefault(frozenset(entry), i)
+        _expect(first == i, where, f"repeats the columns of {path}[{first}]")
+    return tuple(tuple(entry) for entry in value)
+
+
+def _quantizer_files(value, path: str) -> dict[str, str]:
+    return {name: _as_path(file, f"{path}.{name}")
+            for name, file in _as_mapping(value, path).items()}
+
+
+# top-level key: its reader; the key sets the ExperimentConfig field of its name
+_TOP_LEVEL = {
+    "version": _version,
+    "seed": _at_least(0),
+    "scheme": _optional(_one_of(SCHEMES)),
+    "n": _sizes,
+    "repetitions": _optional(_at_least(0)),
+    "pool_size": _at_least(1),
+    "lloyd": _settings(LloydSettings, {"max_iter": _at_least(1), "rel_tol": _as_number,
+                                       "restarts": _at_least(1)}),
+    "model": lambda value, path: _fields(value, path, {"name": _as_str, "params": _as_mapping},
+                                         required=("name",)),
+    "inputs": _inputs,
+    "kernels": _settings(KernelSpec, {"bandwidth_rule": lambda value, path: value,  # KernelSpec checks it
+                                      "bandwidth": _optional(_as_number),
+                                      "standardize_groups": _as_bool}),
+    "test": _settings(SignificanceSettings, {"permutations": _at_least(100), "alpha": _as_number}),
+    "hsic_groups": _optional(_hsic_groups),
+    "output_dir": _as_path,
+    "shared_quantizer": _as_bool,
+    "quantizer_files": _quantizer_files,
+    "n_cells": _optional(_at_least(1)),
+    "group": _optional(_as_str),
 }
-
-
-def _settings(raw: dict, section: str):
-    """``config.<section>`` as its dataclass: each key given is read at its
-    dotted path, each one omitted keeps the dataclass default."""
-    cls, readers = _SETTINGS[section]
-    path, given = f"config.{section}", raw.get(section, {})
-    _check_keys(given, readers, path)
-    try:
-        return cls(**{key: read(given[key], f"{path}.{key}")
-                      for key, read in readers.items() if key in given})
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_TOP_LEVEL_KEYS = (
-    "version",
-    "seed",
-    "scheme",
-    "n",
-    "repetitions",
-    "pool_size",
-    "lloyd",
-    "model",
-    "inputs",
-    "kernels",
-    "test",
-    "hsic_groups",
-    "output_dir",
-    "shared_quantizer",
-    "quantizer_files",
-    "n_cells",
-    "group",
-)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config mapping; raises ConfigError with a dotted path."""
     _expect(isinstance(raw, dict), "config", "top level must be a mapping")
-    _check_keys(raw, _TOP_LEVEL_KEYS, "config")
-    _expect("version" in raw, "config", "missing key 'version'")
-    _expect(raw["version"] == 1, "config.version", f"unsupported version {raw['version']!r}")
-    _expect("seed" in raw, "config", "missing key 'seed'")
-    seed = _at_least(0)(raw["seed"], "config.seed")
-
-    scheme = raw.get("scheme")
-    if scheme is not None:
-        _expect(scheme in SCHEMES, "config.scheme", f"expected one of {SCHEMES}")
-
-    n_raw = raw.get("n", [])
-    if isinstance(n_raw, int) and not isinstance(n_raw, bool):
-        n_raw = [n_raw]
-    _expect(isinstance(n_raw, list), "config.n", "expected an integer or a list of integers")
-    n = tuple(_at_least(1)(v, f"config.n[{i}]") for i, v in enumerate(n_raw))
-    _expect(len(set(n)) == len(n), "config.n", f"repeated design size in {list(n)}")
-
-    repetitions = _optional(_at_least(0))(raw.get("repetitions"), "config.repetitions")
-    pool_size = _at_least(1)(raw.get("pool_size", 100_000), "config.pool_size")
-
-    lloyd = _settings(raw, "lloyd")
-    _expect(lloyd.rel_tol >= 0.0, "config.lloyd.rel_tol", "must be >= 0")
-
-    model_name = None
-    model_params: dict = {}
-    inputs = None
-    if "model" in raw:
-        model_raw = raw["model"]
-        _check_keys(model_raw, ("name", "params"), "config.model")
-        _expect("name" in model_raw, "config.model", "missing key 'name'")
-        model_name = _as_str(model_raw["name"], "config.model.name")
-        model_params = model_raw.get("params", {})
-        _expect(isinstance(model_params, dict), "config.model.params", "expected a mapping")
-    if "inputs" in raw:
-        _expect(model_name is None, "config.inputs", "declare either a model or inline inputs")
-        inputs_raw = raw["inputs"]
-        _check_keys(inputs_raw, ("groups",), "config.inputs")
-        _expect("groups" in inputs_raw and isinstance(inputs_raw["groups"], list)
-                and inputs_raw["groups"], "config.inputs.groups", "expected a non-empty list")
-        inputs = tuple(inputs_raw["groups"])
-
-    kernels = _settings(raw, "kernels")
-    test = _settings(raw, "test")
-    _expect(0.0 < test.alpha < 1.0, "config.test.alpha", "must lie strictly inside (0, 1)")
-
-    hsic_groups = None
-    if raw.get("hsic_groups") is not None:
-        hg = raw["hsic_groups"]
-        _expect(isinstance(hg, list) and hg, "config.hsic_groups", "expected a non-empty list")
-        seen = {}
-        for i, entry in enumerate(hg):
-            _expect(isinstance(entry, list) and entry and all(isinstance(c, str) for c in entry),
-                    f"config.hsic_groups[{i}]", "expected a non-empty list of column names")
-            _expect(len(set(entry)) == len(entry), f"config.hsic_groups[{i}]",
-                    "names a column more than once")
-            first = seen.setdefault(frozenset(entry), i)
-            _expect(first == i, f"config.hsic_groups[{i}]",
-                    f"repeats the columns of config.hsic_groups[{first}]")
-        hsic_groups = tuple(tuple(entry) for entry in hg)
-
-    quantizer_files = raw.get("quantizer_files", {})
-    _expect(isinstance(quantizer_files, dict), "config.quantizer_files", "expected a mapping")
-    for name, file in quantizer_files.items():
-        _expect(isinstance(file, str), f"config.quantizer_files.{name}", "expected a path string")
-
-    output_dir = raw.get("output_dir", ".")
-    _expect(isinstance(output_dir, str), "config.output_dir", "expected a path string")
-
-    return ExperimentConfig(
-        seed=seed,
-        scheme=scheme,
-        n=n,
-        repetitions=repetitions,
-        pool_size=pool_size,
-        lloyd=lloyd,
-        model_name=model_name,
-        model_params=model_params,
-        inputs=inputs,
-        kernels=kernels,
-        test=test,
-        hsic_groups=hsic_groups,
-        output_dir=output_dir,
-        shared_quantizer=_as_bool(raw.get("shared_quantizer", False), "config.shared_quantizer"),
-        quantizer_files=dict(quantizer_files),
-        n_cells=_optional(_at_least(1))(raw.get("n_cells"), "config.n_cells"),
-        group=_optional(_as_str)(raw.get("group"), "config.group"),
-        config_hash=config_hash(raw),
-    )
+    _expect(not ("model" in raw and "inputs" in raw), "config.inputs",
+            "declare either a model or inline inputs")
+    cfg = ExperimentConfig(**_fields(raw, "config", _TOP_LEVEL, required=("version", "seed")),
+                           config_hash=config_hash(raw))
+    _expect(cfg.lloyd.rel_tol >= 0.0, "config.lloyd.rel_tol", "must be >= 0")
+    _expect(0.0 < cfg.test.alpha < 1.0, "config.test.alpha", "must lie strictly inside (0, 1)")
+    return cfg
 
 
 def _finite(text: str) -> float:

@@ -132,13 +132,17 @@ def _weighted_center(kx: np.ndarray, w: np.ndarray, out: np.ndarray | None = Non
 
     The estimate for an output Gram matrix Ky is vdot(A, Ky); permuting
     the outputs permutes Ky, so A is built once per test. ``out`` may be
-    ``kx`` itself, which centers Kx in place.
+    ``kx`` itself, which centers Kx in place. The weights multiply A a block
+    of rows at a time, by blocks of w w^T of at most _BLOCK_FLOATS floats,
+    so no n-by-n temporary is made beside the result.
     """
     kxw = kx @ w
     a = np.subtract(kx, kxw[:, None], out=out)
     a -= kxw[None, :]
     a += float(w @ kxw)
-    a *= np.outer(w, w)  # the one n-by-n temporary beside the result
+    rows = max(1, _BLOCK_FLOATS // len(w))
+    for s in range(0, len(w), rows):
+        a[s:s + rows] *= np.outer(w[s:s + rows], w)
     return a
 
 

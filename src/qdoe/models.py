@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .config import _as_number, _check_keys, _expect
+from .config import _as_number, _as_str, _expect, _fields, _one_of
 from .copula import gaussian_copula
 from .distributions import Distribution, Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
 from .errors import ConfigError, DimensionError, DomainError, ParameterError, QdoeError
@@ -235,20 +235,14 @@ def vg_pool(m: int, rng: np.random.Generator) -> CandidatePool:
 
     A Gaussian latent vector with ``VG_LATENT_CORRELATION`` is pushed
     through bounded beta marginals for the water contents and lognormal
-    marginals for alpha, n - 1 and k_sat; rows violating
-    theta_r < theta_s are rejected and redrawn.
+    marginals for alpha, n - 1 and k_sat. Every row is valid: theta_r
+    lies in [0.01, 0.11] and theta_s in [0.30, 0.50], and the clipped
+    normal scores keep alpha, n - 1 and k_sat positive and finite.
     """
     if m < 1:
         raise ParameterError("pool size must be >= 1")
-    chol = np.linalg.cholesky(VG_LATENT_CORRELATION)
-    rows = np.empty((0, 5))
-    while rows.shape[0] < m:
-        need = m - rows.shape[0]
-        latent = rng.standard_normal((need, 5)) @ chol.T
-        batch = _vg_marginal_transform(ndtr(latent))
-        batch = batch[_vg_valid_mask(batch)]
-        rows = np.vstack([rows, batch])
-    return CandidatePool(rows[:m])
+    latent = rng.standard_normal((m, 5)) @ np.linalg.cholesky(VG_LATENT_CORRELATION).T
+    return CandidatePool(_vg_marginal_transform(ndtr(latent)))
 
 
 def vg_pool_from_sample(rows) -> tuple[CandidatePool, int]:
@@ -294,62 +288,63 @@ def inline_groups(raw) -> tuple[tuple[str, ...], tuple[InputGroup, ...]]:
     return columns, groups
 
 
-# inline kind: the keys its declaration takes beside name, kind and columns
-_GROUP_KEYS = {"independent": ("marginals",), "copula": ("marginals", "correlation"),
-               "pool": ("pool_csv",)}
+def _label(value, path: str) -> str:
+    """A group or column name: names land in file names and CSV headers."""
+    _expect(bool(value) and not any(ch in value for ch in ",/\\#\n\r"), path,
+            f"name {value!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
+    return value
 
 
-def _parse_group(raw: dict, path: str) -> InputGroup:
+def _columns(value, path: str) -> tuple[str, ...]:
+    _expect(isinstance(value, list) and value and all(isinstance(c, str) for c in value),
+            path, "expected a non-empty list of strings")
+    for i, column in enumerate(value):
+        _label(column, f"{path}[{i}]")
+        # a design CSV ends with its own weight column
+        _expect(column != "weight", f"{path}[{i}]",
+                "name 'weight' is reserved for the design weight column")
+    return tuple(value)
+
+
+def _marginals(value, path: str) -> tuple[Distribution, ...]:
+    _expect(isinstance(value, list), path, "expected a list")
+    return tuple(_distribution(m, f"{path}[{i}]") for i, m in enumerate(value))
+
+
+def _matrix(value, path: str) -> np.ndarray:
+    _expect(isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and len({len(row) for row in value}) <= 1, path, "expected a matrix of numbers")
+    return np.array([[_as_number(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)]
+                     for r, row in enumerate(value)])
+
+
+_GROUP_BASE = {
+    "kind": _one_of(["copula", "independent", "pool"]),
+    "name": lambda value, path: _label(_as_str(value, path), path),
+    "columns": _columns,
+}
+# inline kind: a reader per key its declaration takes
+_GROUP_KEYS = {
+    "independent": {**_GROUP_BASE, "marginals": _marginals},
+    "copula": {**_GROUP_BASE, "marginals": _marginals, "correlation": _matrix},
+    "pool": {**_GROUP_BASE, "pool_csv": lambda value, path: load_config_pool(value, path).points},
+}
+# an unknown kind takes every key, so that the kind's own reader reports it
+_ANY_KIND = {key: read for readers in _GROUP_KEYS.values() for key, read in readers.items()}
+
+
+def _parse_group(raw, path: str) -> InputGroup:
     """One inline group: the JSON types, the names and the keys of its kind
     are checked here, the rest by :class:`InputGroup`, whose errors get ``path``."""
-    _expect(isinstance(raw, dict), path, "expected a mapping")
-    for key in ("name", "kind", "columns"):
-        _expect(key in raw, path, f"missing key {key!r}")
-    name, kind, columns = raw["name"], raw["kind"], raw["columns"]
-    _expect(isinstance(kind, str) and kind in _GROUP_KEYS, f"{path}.kind",
-            f"expected one of {sorted(_GROUP_KEYS)}")
-    _check_keys(raw, ("name", "kind", "columns", *_GROUP_KEYS[kind]), path)
-    _expect(isinstance(name, str), f"{path}.name", "expected a string")
-    _expect(isinstance(columns, list) and columns and all(isinstance(c, str) for c in columns),
-            f"{path}.columns", "expected a non-empty list of strings")
-    # names land in file names and CSV headers
-    for where, label in ((f"{path}.name", name),
-                         *((f"{path}.columns[{i}]", c) for i, c in enumerate(columns))):
-        _expect(bool(label) and not any(ch in label for ch in ",/\\#\n\r"), where,
-                f"name {label!r} must be non-empty and hold no ',', '/', '\\', '#' or line break")
-    # a design CSV ends with its own weight column
-    for i, column in enumerate(columns):
-        _expect(column != "weight", f"{path}.columns[{i}]",
-                "name 'weight' is reserved for the design weight column")
-    fields = {}
-    if "marginals" in raw:
-        _expect(isinstance(raw["marginals"], list), f"{path}.marginals", "expected a list")
-        fields["marginals"] = tuple(_distribution(m, f"{path}.marginals[{i}]")
-                                    for i, m in enumerate(raw["marginals"]))
-    if "correlation" in raw:
-        where, matrix = f"{path}.correlation", raw["correlation"]
-        _expect(isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
-                and len({len(row) for row in matrix}) <= 1, where, "expected a matrix of numbers")
-        fields["correlation"] = np.array([[_as_number(v, f"{where}[{r}][{c}]")
-                                           for c, v in enumerate(row)]
-                                          for r, row in enumerate(matrix)])
-    if "pool_csv" in raw:
-        fields["pool_points"] = load_config_pool(raw["pool_csv"], f"{path}.pool_csv").points
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    readers = _GROUP_KEYS.get(kind, _ANY_KIND) if isinstance(kind, str) else _ANY_KIND
+    fields = _fields(raw, path, readers, required=("name", "kind", "columns"))
+    if "pool_csv" in fields:
+        fields["pool_points"] = fields.pop("pool_csv")
     try:
-        return InputGroup(name, tuple(columns), kind, **fields)
+        return InputGroup(**fields)
     except QdoeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-# declared type: (law, its parameters in argument order)
-_LAWS = {
-    "uniform": (Uniform, ("a", "b")),
-    "normal": (Normal, ("mu", "sigma")),
-    "lognormal": (LogNormal, ("mu", "sigma")),
-    "triangular": (Triangular, ("a", "c", "b")),
-    "gumbel": (Gumbel, ("mu", "beta")),
-    "truncated": (Truncated, ("inner", "lo", "hi")),
-}
 
 
 def _distribution(raw, path: str) -> Distribution:
@@ -362,21 +357,35 @@ def _distribution(raw, path: str) -> Distribution:
     _expect(isinstance(raw, dict) and "type" in raw, path, "expected a mapping with a 'type' key")
     kind = raw["type"]
     _expect(isinstance(kind, str) and kind in _LAWS, f"{path}.type", f"unknown law {kind!r}")
-    law, params = _LAWS[kind]
-    _check_keys(raw, ("type", *params), path)
-    if kind == "truncated":
-        _expect("inner" in raw, path, "missing key 'inner'")
-        lo, hi = (open_side if raw.get(key) is None else _as_number(raw[key], f"{path}.{key}")
-                  for key, open_side in (("lo", -math.inf), ("hi", math.inf)))
-        args = [_distribution(raw["inner"], f"{path}.inner"), lo, hi]
-    else:
-        for key in params:
-            _expect(key in raw, path, f"missing key {key!r}")
-        args = [_as_number(raw[key], f"{path}.{key}") for key in params]
+    law, readers = _LAWS[kind]
+    args = _fields(raw, path, {"type": _as_str, **readers},
+                   required=("inner",) if law is Truncated else tuple(readers))
+    del args["type"]
     try:
-        return law(*args)
+        return law(**args)
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _open_side(side: float):
+    """Reader of a truncation bound, for which null is the open ``side``."""
+    return lambda value, path: side if value is None else _as_number(value, path)
+
+
+def _numbers(*names: str) -> dict:
+    return dict.fromkeys(names, _as_number)
+
+
+# declared type: (law, a reader per parameter)
+_LAWS = {
+    "uniform": (Uniform, _numbers("a", "b")),
+    "normal": (Normal, _numbers("mu", "sigma")),
+    "lognormal": (LogNormal, _numbers("mu", "sigma")),
+    "triangular": (Triangular, _numbers("a", "c", "b")),
+    "gumbel": (Gumbel, _numbers("mu", "beta")),
+    "truncated": (Truncated, {"inner": _distribution, "lo": _open_side(-math.inf),
+                              "hi": _open_side(math.inf)}),
+}
 
 
 def _copula(name: str, columns, marginals, rho: float = 0.0) -> InputGroup:
@@ -504,10 +513,8 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
     _expect(name in _MODELS, "config.model.name",
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     builder, defaults = _MODELS[name]
-    params = params or {}
-    _check_keys(params, defaults, "config.model.params")
-    parsed = {key: (load_config_pool if key == "pool_csv" else _as_number)(
-        value, f"config.model.params.{key}") for key, value in params.items()}
+    readers = {key: load_config_pool if key == "pool_csv" else _as_number for key in defaults}
+    parsed = _fields(params or {}, "config.model.params", readers)
     try:
         return builder(name, **{**defaults, **parsed})
     except QdoeError as exc:

@@ -270,8 +270,8 @@ def _start(cfg: ExperimentConfig, command: str, *required: str, needs_model: boo
     if command == "hsic" and min(cfg.n) < 2:  # a kernel sample needs two rows
         raise ConfigError(f"config.n: hsic requires design sizes >= 2, got {min(cfg.n)}")
     model = None
-    if cfg.model_name is not None:
-        model = build_model(cfg.model_name, cfg.model_params)
+    if cfg.model is not None:
+        model = build_model(**cfg.model)
         columns, groups = model.columns, model.groups
     elif cfg.inputs is not None:
         columns, groups = inline_groups(cfg.inputs)

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdoe import CandidatePool, load_quantizer
 from qdoe.cli import main
-from qdoe.config import (KernelSpec, LloydSettings, SignificanceSettings, load_config,
-                         parse_config)
+from qdoe.config import (ExperimentConfig, KernelSpec, LloydSettings, SignificanceSettings,
+                         load_config, parse_config)
 from qdoe.errors import ConfigError
 from qdoe.models import build_model, inline_groups
 from qdoe.quantizer import save_pool
@@ -119,6 +119,50 @@ def test_settings_section_takes_exactly_its_dataclass_fields(section, cls, given
     with pytest.raises(ConfigError, match=re.escape(
             f"config.{section}: unknown keys ['extra']; accepted: {accepted}")):
         read({"extra": 1})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40])
+def test_omitted_keys_read_as_the_experiment_config_defaults(seed):
+    assert parse_config({"version": 1, "seed": seed}) == ExperimentConfig(seed=seed)
+
+
+# top-level key: a value unlike the field's default; version has no other value
+NON_DEFAULT = {
+    "seed": 7, "scheme": "lhs", "n": [3, 5], "repetitions": 4, "pool_size": 50,
+    "lloyd": {"max_iter": 3}, "model": {"name": "flood"}, "inputs": UNIT_SQUARE_INPUTS,
+    "kernels": {"bandwidth_rule": "median"}, "test": {"alpha": 0.1}, "hsic_groups": [["a"]],
+    "output_dir": "out", "shared_quantizer": True, "quantizer_files": {"g": "q.csv"},
+    "n_cells": 3, "group": "g",
+}
+
+
+def test_each_config_field_is_set_by_the_top_level_key_of_its_name():
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "config_hash"]
+    with pytest.raises(ConfigError, match=re.escape(f"accepted: {sorted(fields)}")):
+        parse_config({"version": 1, "seed": 1, "extra": 1})  # a field without a reader fails here
+    assert sorted(NON_DEFAULT) == sorted(set(fields) - {"version"})
+    default = ExperimentConfig(seed=1)
+    for key, value in NON_DEFAULT.items():
+        cfg = parse_config({"version": 1, "seed": 1, key: value})
+        assert [f for f in fields if getattr(cfg, f) != getattr(default, f)] == [key]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("inputs", {}, "config.inputs.groups: expected a non-empty list"),
+    ("output_dir", 5, "config.output_dir: expected a path string"),
+])
+def test_a_missing_or_wrong_entry_is_named_at_its_own_path(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config({"version": 1, "seed": 1, key: value})
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_version_is_the_integer_1_only(tmp_path, capsys, version):
+    path, _ = write_config(tmp_path, version=version, scheme="mc", n=4,
+                           inputs=UNIT_SQUARE_INPUTS, output_dir=str(tmp_path / "out"))
+    assert main(["sample", "--config", str(path)]) == 2
+    assert f"config.version: unsupported version {version!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1"])

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import math
 import re
 from pathlib import Path
@@ -16,6 +17,8 @@ from qdoe.distributions import Gumbel, LogNormal, Normal, Triangular, Truncated,
 from qdoe.models import (
     MODEL_NAMES,
     InputGroup,
+    _vg_marginal_transform,
+    _vg_valid_mask,
     build_model,
     flood_evaluate,
     inline_groups,
@@ -138,6 +141,15 @@ def test_vg_pool_rows_are_physically_valid():
     tr, ts, alpha, n, ksat = pool.points.T
     assert np.all(tr >= 0) and np.all(tr < ts)
     assert np.all(alpha > 0) and np.all(n > 1) and np.all(ksat > 0)
+
+
+def test_vg_marginal_transform_is_valid_at_the_corners_of_the_unit_cube():
+    # vg_pool keeps every row it draws; the extreme rows show that none can
+    # fail the validity check that vg_pool_from_sample applies
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=5)))
+    rows = _vg_marginal_transform(corners)
+    assert np.all(_vg_valid_mask(rows))
+    assert rows[:, 3].min() > 1.02 and rows[:, 4].min() > 8e-9
 
 
 def test_beta_2_2_quantile_is_betaincinv_bit_for_bit():
