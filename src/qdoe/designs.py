@@ -97,12 +97,8 @@ class Design:
 
 
 def _roles(column_roles, d: int) -> tuple[str, ...]:
-    if column_roles is None:
-        return tuple(f"x{j}" for j in range(d))
-    roles = tuple(column_roles)
-    if len(roles) != d:
-        raise DimensionError(f"expected {d} column roles, got {len(roles)}")
-    return roles
+    """The given roles, which ``Design`` checks, or ``x0 ... x{d-1}``."""
+    return tuple(f"x{j}" for j in range(d)) if column_roles is None else tuple(column_roles)
 
 
 def lhs_with_marginals(

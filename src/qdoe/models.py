@@ -414,17 +414,22 @@ _TOYS = {
 }
 
 
-def _toy_model(name: str) -> ModelSpec:
-    groups, formula = _TOYS[name]
-    columns = tuple(c for g in groups for c in g.columns)
+def _evaluator(name: str, columns, formula):
+    """``formula`` over the rows, which must hold one column per input."""
 
     def evaluate(rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] != len(columns):
-            raise DimensionError(f"toy {name} expects {len(columns)} inputs, got {rows.shape[1]}")
+            raise DimensionError(f"model {name} expects {len(columns)} inputs, got {rows.shape[1]}")
         return formula(rows)
 
-    return ModelSpec(name, columns, groups, evaluate)
+    return evaluate
+
+
+def _toy_model(name: str) -> ModelSpec:
+    groups, formula = _TOYS[name]
+    columns = tuple(c for g in groups for c in g.columns)
+    return ModelSpec(name, columns, groups, _evaluator(name, columns, formula))
 
 
 def _flood_model(name: str) -> ModelSpec:
@@ -459,10 +464,7 @@ def _vg_model(retention, name: str, *, inputs: int, h: float,
             log.warning("dropped %d physically invalid retention rows from pool_csv", rejected)
         group = InputGroup("vg", VG_COLUMNS, "pool", pool_points=pool.points)
 
-    def evaluate(rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return retention(h, *rows.T[:inputs])
-
+    evaluate = _evaluator(name, VG_COLUMNS, lambda rows: retention(h, *rows.T[:inputs]))
     return ModelSpec(name, VG_COLUMNS, (group,), evaluate)
 
 
@@ -476,19 +478,15 @@ def _synthetic_screen_model(name: str, *, rho: float) -> ModelSpec:
         marginals=(_U01,) * 5,
     )
 
-    def evaluate(rows):
+    def formula(rows):
         # amplitudes balance the variance shares so no effect is drowned out
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         x1, x2, x3 = rows[:, 0], rows[:, 1], rows[:, 2]
         w = rows[:, 5:8]
         return 3.0 * x1 + 4.0 * x2**2 + 1.5 * np.sin(2.0 * np.pi * x3) + 0.6 * w.sum(axis=1)
 
-    return ModelSpec(
-        name,
-        ("x1", "x2", "x3", "x4", "x5", "w1", "w2", "w3"),
-        (singles, _copula("w", ("w1", "w2", "w3"), (_N01,) * 3, rho)),
-        evaluate,
-    )
+    columns = ("x1", "x2", "x3", "x4", "x5", "w1", "w2", "w3")
+    return ModelSpec(name, columns, (singles, _copula("w", ("w1", "w2", "w3"), (_N01,) * 3, rho)),
+                     _evaluator(name, columns, formula))
 
 
 # name: (builder, accepted params with their defaults)

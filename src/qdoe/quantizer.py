@@ -200,7 +200,7 @@ def _kmeanspp(points: np.ndarray, cols: np.ndarray, n_cells: int,
         idx = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
         chosen.append(min(idx, m - 1))
         np.minimum(d2, squared_distances(idx, new_d2), out=d2)
-    return points[chosen].copy()
+    return points[chosen]
 
 
 def _squared_distances_to(points: np.ndarray, cols: np.ndarray):
@@ -238,15 +238,12 @@ def _repair_empty_cells(points, centroids, labels, sq, lower, slack):
 
     Donor points come only from cells holding at least two points so a
     repair cannot empty another cell. Returns (centroids, labels, sq, lower,
-    empty) once every cell is populated: after a repair, ``lower`` holds the
-    bounds :func:`_full_pass` gives on the final centroids, taken from the
-    last reassignment; ``empty`` counts the cells empty on entry.
+    empty) once every cell is populated, after a repair as :func:`_full_pass`
+    gives them on the final centroids; ``empty`` counts the cells empty on entry.
     """
     n_cells = centroids.shape[0]
     counts = np.bincount(labels, minlength=n_cells)
     empty = int(np.count_nonzero(counts == 0))
-    if not empty:
-        return centroids, labels, sq, lower, 0
     for _ in range(n_cells):
         missing = np.flatnonzero(counts == 0)
         if missing.size == 0:
@@ -254,11 +251,11 @@ def _repair_empty_cells(points, centroids, labels, sq, lower, slack):
         donors = counts[labels] >= 2
         cand = np.where(donors, sq, -np.inf).argmax()
         centroids[missing[0]] = points[cand]
-        labels, sq, second = _nearest(points, centroids)
+        labels, sq, lower = _full_pass(points, centroids, slack)
         counts = np.bincount(labels, minlength=n_cells)
     if np.any(counts == 0):  # only reachable through adversarial exact ties
         raise RuntimeError("empty-cell repair failed to populate every cell")
-    return centroids, labels, sq, np.sqrt(second) * (1.0 - slack), empty
+    return centroids, labels, sq, lower, empty
 
 
 # Absolute slack of every bound test: squared differences below the smallest
@@ -314,17 +311,16 @@ def _reassign(points, cols, old, new, labels, lower, slack):
     return labels, sq, lower
 
 
-def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
-    """One seeded Lloyd fit: (centroids, labels, distortion, history,
-    converged, empty_cell_repairs)."""
+def _fit(points, cols, centroids, max_iter, rel_tol) -> Quantizer:
+    """Lloyd updates from ``centroids`` (left unchanged) to a fixed point,
+    ``rel_tol`` or ``max_iter``: the fitted Quantizer with its diagnostics.
+    ``cols`` is ``np.ascontiguousarray(points.T)``."""
+    n_cells = centroids.shape[0]
     slack = _slack(points.shape[1])
-    cols = np.ascontiguousarray(points.T)
-    centroids = _kmeanspp(points, cols, n_cells, rng)
     labels, sq, lower = _full_pass(points, centroids, slack)
     centroids, labels, sq, lower, repairs = _repair_empty_cells(
-        points, centroids, labels, sq, lower, slack)
-    dist = float(sq.mean())
-    history = [dist]
+        points, centroids.copy(), labels, sq, lower, slack)
+    history = [float(sq.mean())]
     converged = False
     for _ in range(max_iter):
         new = _cell_means(points, labels, n_cells)
@@ -332,16 +328,15 @@ def _lloyd_once(points, n_cells, rng, max_iter, rel_tol):
         centroids, new_labels, sq, lower, empty = _repair_empty_cells(
             points, new, new_labels, sq, lower, slack)
         repairs += empty
-        new_dist = float(sq.mean())
-        history.append(new_dist)
-        fixed_point = np.array_equal(new_labels, labels)
-        improvement = dist - new_dist
-        labels, dist = new_labels, new_dist
-        if fixed_point or (rel_tol > 0.0 and history[-2] > 0.0
-                           and improvement <= rel_tol * history[-2]):
-            converged = True
+        history.append(float(sq.mean()))
+        converged = np.array_equal(new_labels, labels) or (
+            rel_tol > 0.0 and history[-2] > 0.0 and history[-2] - history[-1] <= rel_tol * history[-2])
+        labels = new_labels
+        if converged:
             break
-    return centroids, labels, dist, history, converged, repairs
+    return Quantizer(centroids, np.bincount(labels, minlength=n_cells) / points.shape[0],
+                     labels.astype(np.int64), history[-1], distortion_history=tuple(history),
+                     converged=converged, empty_cell_repairs=repairs)
 
 
 def lloyd(
@@ -362,14 +357,15 @@ def lloyd(
     n_cells : int
         Number of centroids, at most the number of distinct pool points.
     rng : numpy.random.Generator
-        Drives the k-means++ style seeding of every restart.
+        Draws every restart's k-means++ style seeds, in order, before any fit.
     max_iter : int
         Iteration cap per restart.
     rel_tol : float
         Stop when the relative distortion improvement falls below this;
         pass 0 to iterate to an exact assignment fixed point.
     restarts : int
-        Independent seedings; the lowest-distortion run wins.
+        Independent seedings. Each fit starts from its own seeds, and the
+        lowest distortion wins, the first one on ties.
 
     Returns
     -------
@@ -386,22 +382,9 @@ def lloyd(
     points = pool.points
     if n_cells > pool.m:
         raise ConfigError(f"requested {n_cells} cells but the pool holds {pool.m} points")
-    best = None
-    for _ in range(restarts):
-        candidate = _lloyd_once(points, n_cells, rng, max_iter, rel_tol)
-        if best is None or candidate[2] < best[2]:
-            best = candidate
-    centroids, labels, dist, history, converged, repairs = best
-    probabilities = np.bincount(labels, minlength=n_cells) / pool.m
-    return Quantizer(
-        centroids=centroids,
-        probabilities=probabilities,
-        pool_assignment=labels.astype(np.int64),
-        distortion=dist,
-        distortion_history=tuple(history),
-        converged=converged,
-        empty_cell_repairs=repairs,
-    )
+    cols = np.ascontiguousarray(points.T)
+    seeds = [_kmeanspp(points, cols, n_cells, rng) for _ in range(restarts)]
+    return min((_fit(points, cols, s, max_iter, rel_tol) for s in seeds), key=lambda q: q.distortion)
 
 
 def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:

@@ -536,6 +536,20 @@ def test_median_rule_computes_the_distances_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _screen_peak(n, permutations, seed):
+    """tracemalloc peak of screening the 4 one-column groups of an n-row design."""
+    x = np.random.default_rng(seed).random((n, 4))
+    design = Design(x, np.full(n, 1 / n), "mc", tuple("abcd"))
+    outputs = x[:, 0] + 0.5 * x[:, 1] ** 2
+    tracemalloc.start()
+    try:
+        screen(design, outputs, [(c, [j]) for j, c in enumerate("abcd")],
+               permutations=permutations, rng=np.random.default_rng(seed + 1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
     # whatever the number of permutations, the permutation loop holds the G
     # packed triangles of P floats, the output Gram matrix and the two gather
@@ -544,16 +558,18 @@ def test_screen_memory_is_bounded_by_its_n_by_n_arrays():
     # table and the index arrays. At n = 300 and G = 4 the bound is
     # 5.65 n^2 floats, and the peak reads 5.46 n^2.
     n, groups = 300, 4
-    x = np.random.default_rng(24).random((n, groups))
-    design = Design(x, np.full(n, 1 / n), "mc", tuple("abcd"))
-    outputs = x[:, 0] + 0.5 * x[:, 1] ** 2
-    tracemalloc.start()
-    try:
-        screen(design, outputs, [(c, [j]) for j, c in enumerate("abcd")], permutations=999,
-               rng=np.random.default_rng(25))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _screen_peak(n, 999, 24)
     buffers = sum(b.nbytes for b in _block_buffers(n))
     bound = groups * _packed_size(n) * 8 + max(2 * n * n * 8, n * n * 8 + buffers) + 2**18
     assert peak < bound
+
+
+def test_screen_memory_at_n_1000_is_bounded_by_one_gram_build():
+    # at n = 1000 the peak comes from building a group's Gram matrix: the n x n
+    # matrix beside the n(n - 1)/2 condensed distances it is made from, and
+    # the G packed triangles. A second n x n temporary in the build or the
+    # centering would break the bound of G P + 1.5 n^2 floats + 1 MB (at G = 4,
+    # 3.72 n^2 floats, against a peak of 3.59 n^2).
+    n, groups = 1000, 4
+    peak = _screen_peak(n, 100, 26)
+    assert peak < (groups * _packed_size(n) + 1.5 * n * n) * 8 + 2**20

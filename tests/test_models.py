@@ -204,6 +204,14 @@ def test_model_schemas_are_consistent():
         assert sorted(group_columns) == sorted(model.columns)
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_model_rejects_rows_of_another_width(name):
+    model = build_model(name)
+    for width in (len(model.columns) - 1, len(model.columns) + 1):
+        with pytest.raises(DimensionError, match=f"expects {len(model.columns)} "):
+            model.evaluate(np.ones((3, width)))
+
+
 def test_vg_model_params():
     model = build_model("vg_theta", {"h": 0.0})
     rows = vg_pool(5, np.random.default_rng(6)).points

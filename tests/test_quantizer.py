@@ -23,9 +23,9 @@ from qdoe import (
 import qdoe.quantizer as quantizer_module
 from qdoe.quantizer import (
     _cell_means,
+    _fit,
     _full_pass,
     _kmeanspp,
-    _lloyd_once,
     _nearest,
     _reassign,
     _slack,
@@ -324,12 +324,38 @@ def test_bounded_lloyd_matches_full_assignment(m, d, levels, offset, midpoints, 
     points = np.asarray(points, order=order)
     n_cells = min(n_cells, len(np.unique(points, axis=0)))
     state = gen.bit_generator.state
-    got = _lloyd_once(points, n_cells, gen, 200, rel_tol)
+    cols = np.ascontiguousarray(points.T)
+    got = _fit(points, cols, _kmeanspp(points, cols, n_cells, gen), 200, rel_tol)
     gen.bit_generator.state = state
     want = _reference_lloyd_once(points, n_cells, gen, 200, rel_tol)
-    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-    assert _same_bits(np.array(got[3]), np.array(want[3])) and got[2] == want[2]
-    assert got[4:] == want[4:]  # converged, empty-cell repairs
+    assert _same_bits(got.centroids, want[0]) and _same_bits(got.pool_assignment, want[1])
+    assert _same_bits(np.array(got.distortion_history), np.array(want[3]))
+    assert got.distortion == want[2]
+    assert (got.converged, got.empty_cell_repairs) == want[4:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 200), d=st.integers(1, 6), levels=st.sampled_from([None, 2, 3]),
+       n_cells=st.integers(1, 20), restarts=st.integers(1, 4), max_iter=st.sampled_from([0, 3, 200]),
+       rel_tol=st.sampled_from([0.0, 1e-8, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_lloyd_fits_the_seeds_of_every_restart_drawn_first(m, d, levels, n_cells, restarts,
+                                                           max_iter, rel_tol, seed):
+    # grid pools give restarts of equal distortion, where the first must win
+    points = np.random.default_rng(seed).standard_normal((m, d))
+    if levels is not None:
+        points = np.floor(points * levels)
+    n_cells = min(n_cells, len(np.unique(points, axis=0)))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = lloyd(CandidatePool(points), n_cells, got_rng, max_iter, rel_tol, restarts)
+    cols = np.ascontiguousarray(points.T)
+    seeds = [_kmeanspp(points, cols, n_cells, want_rng) for _ in range(restarts)]
+    fits = [_fit(points, cols, s, max_iter, rel_tol) for s in seeds]
+    want = fits[int(np.argmin([q.distortion for q in fits]))]  # the first of equal ones
+    for name in ("centroids", "probabilities", "pool_assignment"):
+        assert _same_bits(getattr(got, name), getattr(want, name))
+    assert got.distortion_history == want.distortion_history and got.distortion == want.distortion
+    assert (got.converged, got.empty_cell_repairs) == (want.converged, want.empty_cell_repairs)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
