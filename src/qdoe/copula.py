@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegeneracyError, DomainError, ParameterError
-from .quantizer import write_table
+from .errors import DegeneracyError, DimensionError, DomainError, ParameterError
+from .tables import write_table
 
 __all__ = [
     "GaussianCopula",
@@ -177,6 +177,7 @@ class EmpiricalMarginal:
 def correlation_to_csv(copula: GaussianCopula, path, column_names=None, header_comments=()) -> None:
     """Export a copula's correlation matrix for audit."""
     names = list(column_names) if column_names else [f"x{j}" for j in range(copula.d)]
-    write_table(path, ["qdoe-correlation v1", *header_comments], ",".join(["", *names]),
-                [",".join([name, *map(repr, map(float, row))])
-                 for name, row in zip(names, copula.correlation)])
+    if len(names) != copula.d:
+        raise DimensionError(f"{len(names)} column names for a {copula.d}x{copula.d} correlation")
+    write_table(path, ["qdoe-correlation v1", *header_comments], ["", *names],
+                [[name, *row] for name, row in zip(names, copula.correlation.tolist())])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .copula import GaussianCopula, conditional_inverse
 from .errors import ConfigError, DimensionError, ParameterError
-from .quantizer import write_table
+from .tables import write_table
 
 __all__ = [
     "Design",
@@ -92,8 +92,8 @@ class Design:
 
     def to_csv(self, path, header_comments=()) -> None:
         """Write the design with a trailing ``weight`` column (round-trip floats)."""
-        write_table(path, header_comments, ",".join((*self.column_roles, "weight")),
-                    np.column_stack([self.points, self.weights]))
+        write_table(path, header_comments, (*self.column_roles, "weight"),
+                    map(np.ndarray.tolist, np.column_stack([self.points, self.weights])))
 
 
 def _roles(column_roles, d: int) -> tuple[str, ...]:

@@ -266,15 +266,18 @@ def vg_pool_from_sample(rows) -> tuple[CandidatePool, int]:
 # ---------------------------------------------------------------------------
 # model registry
 
-def load_config_pool(value, where: str) -> CandidatePool:
-    """The pool CSV a config names at ``where``; a path that is not a string,
-    or a file that cannot be read, is a ConfigError naming ``where``."""
+def load_config_pool(value, where: str, columns) -> CandidatePool:
+    """The pool CSV a config names at ``where``, whose header must name
+    ``columns`` in order; a path that is not a string, a file that cannot be
+    read or another header is a ConfigError naming ``where``."""
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a path string, got {value!r}")
     try:
-        pool, _ = load_pool(value)
+        pool, names = load_pool(value)
     except (OSError, QdoeError) as exc:
         raise ConfigError(f"{where}: cannot load pool ({exc})") from exc
+    _expect(names == list(columns), where,
+            f"the pool's header names the columns {names}, not the declared {list(columns)}")
     return pool
 
 
@@ -327,7 +330,8 @@ _GROUP_BASE = {
 _GROUP_KEYS = {
     "independent": {**_GROUP_BASE, "marginals": _marginals},
     "copula": {**_GROUP_BASE, "marginals": _marginals, "correlation": _matrix},
-    "pool": {**_GROUP_BASE, "pool_csv": lambda value, path: load_config_pool(value, path).points},
+    # _parse_group reads the file, once the group's columns are known
+    "pool": {**_GROUP_BASE, "pool_csv": lambda value, path: value},
 }
 # an unknown kind takes every key, so that the kind's own reader reports it
 _ANY_KIND = {key: read for readers in _GROUP_KEYS.values() for key, read in readers.items()}
@@ -340,7 +344,8 @@ def _parse_group(raw, path: str) -> InputGroup:
     readers = _GROUP_KEYS.get(kind, _ANY_KIND) if isinstance(kind, str) else _ANY_KIND
     fields = _fields(raw, path, readers, required=("name", "kind", "columns"))
     if "pool_csv" in fields:
-        fields["pool_points"] = fields.pop("pool_csv")
+        fields["pool_points"] = load_config_pool(fields.pop("pool_csv"), f"{path}.pool_csv",
+                                                 fields["columns"]).points
     try:
         return InputGroup(**fields)
     except QdoeError as exc:
@@ -511,7 +516,9 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
     _expect(name in _MODELS, "config.model.name",
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
     builder, defaults = _MODELS[name]
-    readers = {key: load_config_pool if key == "pool_csv" else _as_number for key in defaults}
+    # only the vg_* models take a pool_csv
+    readers = {key: partial(load_config_pool, columns=VG_COLUMNS) if key == "pool_csv"
+               else _as_number for key in defaults}
     parsed = _fields(params or {}, "config.model.params", readers)
     try:
         return builder(name, **{**defaults, **parsed})

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .config import LloydSettings
 from .errors import ConfigError, DimensionError, ParameterError
+from .tables import float_row, parse_rows, read_table, write_table
 
 __all__ = [
     "CandidatePool",
@@ -35,8 +36,6 @@ __all__ = [
     "load_quantizer",
     "save_pool",
     "load_pool",
-    "write_table",
-    "read_table",
 ]
 
 
@@ -395,32 +394,6 @@ def distortion(quantizer: Quantizer, pool: CandidatePool) -> float:
     return float(sq.mean())
 
 
-def write_table(path, comments, header: str, rows) -> None:
-    """Write ``# `` comment lines, the header, then one line per row: a string
-    row as given, any other row as its floats in ``repr`` form (bit-exact).
-    Missing parent directories are made once the lines are built."""
-    lines = [*(f"# {c}" for c in comments), header,
-             *(row if isinstance(row, str) else ",".join([repr(float(v)) for v in row])
-               for row in rows)]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_table(path) -> tuple[dict[str, str], list[tuple[int, str]]]:
-    """The ``key=value`` tokens of the comment lines (later ones win), and the
-    (line number, stripped text) of every other non-blank line."""
-    meta, lines = {}, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
-                meta.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
-            elif line:
-                lines.append((lineno, line))
-    return meta, lines
-
-
 _SECTIONS = ("centroids", "probabilities", "assignments")
 
 
@@ -428,28 +401,10 @@ def save_quantizer(quantizer: Quantizer, path, header_comments=()) -> None:
     """Write a quantizer as labelled CSV sections (reloadable bit-exactly)."""
     claims = (f"n_cells={quantizer.n_cells} d={quantizer.d} pool_size={quantizer.pool_size} "
               f"distortion={quantizer.distortion!r}")
-    write_table(path, ["qdoe-quantizer v1", *header_comments, claims], "centroids",
-                [*quantizer.centroids, "probabilities", *quantizer.probabilities[:, None],
-                 "assignments", *[str(int(a)) for a in quantizer.pool_assignment]])
-
-
-def _parse_lines(path, lines, convert, width=None) -> list:
-    """Convert each (line number, text) pair; a line that does not parse, or
-    whose row length differs from ``width``, is a ParameterError naming it."""
-    values = []
-    for lineno, text in lines:
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or (width is not None and len(value) != width):
-            raise ParameterError(f"{path}, line {lineno}: cannot read {text!r}")
-        values.append(value)
-    return values
-
-
-def _float_row(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    write_table(path, ["qdoe-quantizer v1", *header_comments, claims], ["centroids"],
+                chain(map(np.ndarray.tolist, quantizer.centroids), [["probabilities"]],
+                      zip(quantizer.probabilities.tolist()), [["assignments"]],
+                      zip(quantizer.pool_assignment.tolist())))
 
 
 def load_quantizer(path) -> Quantizer:
@@ -472,9 +427,9 @@ def load_quantizer(path) -> Quantizer:
         raise ParameterError(f"quantizer file {path} missing sections {sorted(missing)}")
     rows = sections["centroids"]
     width = len(rows[0][1].split(",")) if rows else None
-    centroids = np.array(_parse_lines(path, rows, _float_row, width))
-    probabilities = np.array(_parse_lines(path, sections["probabilities"], float), dtype=float)
-    assignment = np.array(_parse_lines(path, sections["assignments"], int), dtype=np.int64)
+    centroids = np.array(parse_rows(path, rows, float_row, width))
+    probabilities = np.array(parse_rows(path, sections["probabilities"], float), dtype=float)
+    assignment = np.array(parse_rows(path, sections["assignments"], int), dtype=np.int64)
     try:
         distortion_value = float(meta.get("distortion", "nan"))
     except ValueError:
@@ -498,7 +453,8 @@ def save_pool(pool: CandidatePool, path, column_names=None, header_comments=()) 
     names = list(column_names) if column_names else [f"x{j}" for j in range(pool.d)]
     if len(names) != pool.d:
         raise DimensionError("column_names length does not match pool dimension")
-    write_table(path, ["qdoe-pool v1", *header_comments], ",".join(names), pool.points)
+    write_table(path, ["qdoe-pool v1", *header_comments], names,
+                map(np.ndarray.tolist, pool.points))
 
 
 def load_pool(path) -> tuple[CandidatePool, list[str]]:
@@ -507,4 +463,4 @@ def load_pool(path) -> tuple[CandidatePool, list[str]]:
     if len(lines) < 2:
         raise ParameterError(f"pool file {path} holds no data")
     names = [c.strip() for c in lines[0][1].split(",")]
-    return CandidatePool(np.array(_parse_lines(path, lines[1:], _float_row, len(names)))), names
+    return CandidatePool(np.array(parse_rows(path, lines[1:], float_row, len(names)))), names

@@ -26,8 +26,8 @@ from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen
 from .models import InputGroup, ModelSpec, build_model, inline_groups
-from .quantizer import (CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer,
-                        write_table)
+from .quantizer import CandidatePool, Quantizer, lloyd, load_quantizer, save_pool, save_quantizer
+from .tables import write_table
 
 __all__ = [
     "sample_group",
@@ -355,8 +355,8 @@ def run_estimate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
         elapsed = time.monotonic() - started
         rep_path = out_dir / f"estimates_{scheme}_{model.name}_n{n}.csv"
         write_table(rep_path, _meta_lines(cfg, f"scheme={scheme} model={model.name} n={n}"),
-                    "seed,estimate",
-                    [f"{base_seed + r},{float(v)!r}" for r, v in enumerate(summary.estimates)])
+                    ["seed", "estimate"],
+                    enumerate(summary.estimates.tolist(), start=base_seed))
         paths.append(rep_path)
         entries.append({"n": n, "repetitions": repetitions, "base_seed": base_seed,
                         "mean": summary.mean, "variance": summary.variance,
@@ -415,8 +415,8 @@ def run_hsic(cfg: ExperimentConfig) -> list[Path]:
         path = out_dir / f"screening_{scheme}_{model.name}_n{n}.csv"
         meta = (f"scheme={scheme} model={model.name} n={n} "
                 f"permutations={cfg.test.permutations} alpha={cfg.test.alpha!r}")
-        write_table(path, _meta_lines(cfg, meta), "input,hsic,p_value,decision",
-                    [f"{r.name},{r.hsic_value!r},{r.p_value!r},{r.decision}" for r in results])
+        write_table(path, _meta_lines(cfg, meta), ["input", "hsic", "p_value", "decision"],
+                    [[r.name, r.hsic_value, r.p_value, r.decision] for r in results])
         print(f"hsic: scheme={scheme} model={model.name} n={n} -> {path}")
         for res in results:
             print(f"  {res.name}: hsic={res.hsic_value:.4g} p={res.p_value:.4g} {res.decision}")

@@ -631,6 +631,38 @@ def test_malformed_pool_csv_fails_and_writes_nothing(tmp_path, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("header, names", [
+    (None, ["0.1", "0.2"]),
+    ("b,a", ["b", "a"]),
+], ids=["headerless", "swapped columns"])
+def test_pool_csv_header_must_name_the_group_columns(tmp_path, capsys, header, names):
+    # unchecked, a headerless file would lose its first row to the column names
+    pool_csv = tmp_path / "pool.csv"
+    rows = ["0.1,0.2", "0.3,0.4", "0.5,0.6", "0.7,0.8"]
+    pool_csv.write_text("\n".join(rows if header is None else [header, *rows]) + "\n")
+    inputs = {"groups": [{"name": "g", "kind": "pool", "columns": ["a", "b"],
+                          "pool_csv": str(pool_csv)}]}
+    path, _ = write_config(tmp_path, inputs=inputs, n_cells=2, output_dir=str(tmp_path / "out"))
+    assert main(["quantize", "--config", str(path)]) == 2
+    assert (f"config error: config.inputs.groups[0].pool_csv: the pool's header names the "
+            f"columns {names}, not the declared ['a', 'b']") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_vg_pool_csv_header_must_name_the_retention_columns(tmp_path, capsys):
+    from qdoe.models import VG_COLUMNS, vg_pool
+
+    pool_csv = tmp_path / "vg_pool.csv"
+    save_pool(vg_pool(60, np.random.default_rng(0)), pool_csv)  # x0 ... x4
+    path, _ = write_config(tmp_path, scheme="mc", n=5, output_dir=str(tmp_path / "out"),
+                           model={"name": "vg_theta", "params": {"pool_csv": str(pool_csv)}})
+    assert main(["sample", "--config", str(path)]) == 2
+    assert (f"config.model.params.pool_csv: the pool's header names the columns "
+            f"{[f'x{j}' for j in range(5)]}, not the declared {list(VG_COLUMNS)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate command
 
@@ -1195,6 +1227,34 @@ def test_package_names_resolve_on_first_access():
     namespace = {}
     exec("from qdoe import *", namespace)
     assert all(namespace[name] is getattr(qdoe, name) for name in qdoe.__all__)
+
+
+def _submodules():
+    import pkgutil
+
+    import qdoe
+
+    return sorted(info.name for info in pkgutil.iter_modules(qdoe.__path__))
+
+
+# names a module lists in __all__ on purpose though another module defines them
+REEXPORTED = {"hsic": {"KernelSpec"}}  # the type of screen's kernel argument
+
+
+@pytest.mark.parametrize("module", _submodules())
+def test_every_submodule_all_names_its_own_attributes(module):
+    # a class or function must be defined where __all__ lists it, so a name
+    # left behind by a move to another module fails here although it is
+    # still imported
+    import importlib
+
+    imported = importlib.import_module(f"qdoe.{module}")
+    names = getattr(imported, "__all__", ())
+    assert [name for name in names if not hasattr(imported, name)] == []
+    foreign = {name for name in names
+               if getattr(getattr(imported, name), "__module__", imported.__name__)
+               != imported.__name__}
+    assert foreign == REEXPORTED.get(module, set())
 
 
 def test_numerical_error_returns_3(tmp_path):

@@ -8,6 +8,7 @@ from scipy.stats import kstest, multivariate_normal, rankdata
 
 from qdoe import (
     DegeneracyError,
+    DimensionError,
     DomainError,
     EmpiricalMarginal,
     ParameterError,
@@ -15,7 +16,7 @@ from qdoe import (
     fit_gaussian_copula,
     gaussian_copula,
 )
-from qdoe.copula import _average_ranks
+from qdoe.copula import _average_ranks, correlation_to_csv
 
 
 def test_copula_validation():
@@ -187,3 +188,12 @@ def test_empirical_quantile_domain():
         marg.quantile(1.01)
     with pytest.raises(ParameterError):
         EmpiricalMarginal([1.0])
+
+
+@pytest.mark.parametrize("d, names", [(3, ["u", "v"]), (2, ["u", "v", "w"])],
+                         ids=["too few names", "too many names"])
+def test_correlation_to_csv_needs_one_name_per_column(tmp_path, d, names):
+    path = tmp_path / "correlation.csv"
+    with pytest.raises(DimensionError, match=f"{len(names)} column names for a {d}x{d}"):
+        correlation_to_csv(gaussian_copula(np.eye(d)), path, column_names=names)
+    assert not path.exists()
