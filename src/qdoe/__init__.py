@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _SOURCES = {
     "config": "ExperimentConfig load_config parse_config KernelSpec",
-    "copula": "EmpiricalMarginal GaussianCopula conditional_inverse fit_gaussian_copula "
-              "gaussian_copula",
+    "copula": "GaussianCopula conditional_inverse fit_gaussian_copula gaussian_copula",
     "designs": "Design lhs_with_marginals mc_design qlhs_design",
-    "distributions": "Distribution Gumbel LogNormal Normal Triangular Truncated Uniform",
+    "distributions": "Distribution EmpiricalMarginal Gumbel LogNormal Normal Triangular "
+                     "Truncated Uniform",
     "errors": "ConfigError DegeneracyError DimensionError DomainError EvaluationError "
               "ParameterError QdoeError",
     "estimators": "ReplicateSummary estimate replicate",

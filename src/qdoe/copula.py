@@ -1,4 +1,4 @@
-"""Gaussian copulas: fitting, sequential conditional inversion, empirical marginals.
+"""Gaussian copulas: fitting and sequential conditional inversion.
 
 A Gaussian copula couples arbitrary marginals through a correlation matrix.
 Sequentially inverting its conditional distributions maps a vector of
@@ -22,7 +22,6 @@ __all__ = [
     "gaussian_copula",
     "fit_gaussian_copula",
     "conditional_inverse",
-    "EmpiricalMarginal",
     "correlation_to_csv",
 ]
 
@@ -143,35 +142,6 @@ def conditional_inverse(copula: GaussianCopula, z) -> np.ndarray:
         zn = ndtri(np.clip(z2, _CLAMP, 1.0 - _CLAMP))
         out = ndtr(zn @ copula.cholesky.T)
     return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class EmpiricalMarginal:
-    """Quantile function interpolated from an observed sample.
-
-    Order statistic k (1-based) sits at probability (k - 0.5) / M; the
-    quantile interpolates linearly between neighbours and clamps to the
-    sample minimum/maximum beyond the end positions.
-    """
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        values = np.sort(np.asarray(self.sorted_values, dtype=float).reshape(-1))
-        if values.size < 2:
-            raise ParameterError("empirical marginal needs at least two observations")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("empirical marginal sample contains non-finite values")
-        object.__setattr__(self, "sorted_values", values)
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)) or np.any(np.isnan(u)):
-            raise DomainError("quantile argument must lie in [0, 1]")
-        m = self.sorted_values.size
-        positions = (np.arange(1, m + 1) - 0.5) / m
-        out = np.interp(u, positions, self.sorted_values)
-        return float(out) if np.ndim(u) == 0 else out
 
 
 def correlation_to_csv(copula: GaussianCopula, path, column_names=None, header_comments=()) -> None:

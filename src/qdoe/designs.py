@@ -117,8 +117,8 @@ def lhs_with_marginals(
     With a Gaussian ``copula`` (an ``lhsd`` design) it is first rebuilt
     coordinate by coordinate with the copula's inverse conditionals; the
     first coordinate keeps exact LHS stratification because its conditional
-    inverse is the identity. Marginals may be analytic laws or empirical
-    ones: anything exposing ``quantile``.
+    inverse is the identity. Marginals are ``Distribution``s, analytic laws
+    or the empirical law of a sample.
     """
     marginals = list(marginals)
     d = len(marginals)

@@ -1,9 +1,11 @@
 """Univariate distributions with exact cdf, quantile and seeded sampling.
 
-Every distribution exposes ``cdf``, ``quantile`` (generalized inverse cdf)
-and ``sample``; all three accept scalars or numpy arrays. Sampling is pure
-inverse-transform on a caller-supplied ``numpy.random.Generator``, so two
-generators with the same seed produce identical draws.
+Every distribution, the empirical law of an observed sample included,
+exposes ``cdf``, ``quantile`` (generalized inverse cdf) and ``sample``; all
+three accept scalars or numpy arrays, and :class:`Distribution` checks
+their arguments for every law. Sampling is pure inverse-transform on a
+caller-supplied ``numpy.random.Generator``, so two generators with the same
+seed produce identical draws.
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ __all__ = [
     "Triangular",
     "Gumbel",
     "Truncated",
+    "EmpiricalMarginal",
 ]
-
-
-def _check_u(u):
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)) or np.any(np.isnan(u)):
-        raise DomainError("quantile argument must lie in [0, 1]")
-    return u
 
 
 def _require_finite(law: str, **params) -> None:
@@ -49,12 +45,27 @@ def _maybe_scalar(x, template):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Base class; concrete laws implement ``cdf`` and ``quantile``."""
+    """Base class: the argument contract of ``cdf`` and ``quantile``.
+
+    A scalar argument gives a python float, and a quantile argument outside
+    [0, 1] or NaN is a DomainError. Concrete laws implement ``_cdf`` and
+    ``_quantile`` on float arrays.
+    """
 
     def cdf(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        return _maybe_scalar(self._cdf(x), x)
 
     def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        if np.any((u < 0.0) | (u > 1.0)) or np.any(np.isnan(u)):
+            raise DomainError("quantile argument must lie in [0, 1]")
+        return _maybe_scalar(self._quantile(u), u)
+
+    def _cdf(self, x):
+        raise NotImplementedError
+
+    def _quantile(self, u):
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -72,13 +83,11 @@ class Uniform(Distribution):
         if not self.a < self.b:
             raise ParameterError(f"uniform requires a < b, got [{self.a}, {self.b}]")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0), x)
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def quantile(self, u):
-        u = _check_u(u)
-        return _maybe_scalar(self.a + u * (self.b - self.a), u)
+    def _quantile(self, u):
+        return self.a + u * (self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -91,13 +100,11 @@ class Normal(Distribution):
         if not self.sigma > 0:
             raise ParameterError(f"normal requires sigma > 0, got {self.sigma}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(ndtr((x - self.mu) / self.sigma), x)
+    def _cdf(self, x):
+        return ndtr((x - self.mu) / self.sigma)
 
-    def quantile(self, u):
-        u = _check_u(u)
-        return _maybe_scalar(self.mu + self.sigma * ndtri(u), u)
+    def _quantile(self, u):
+        return self.mu + self.sigma * ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -112,15 +119,12 @@ class LogNormal(Distribution):
         if not self.sigma > 0:
             raise ParameterError(f"lognormal requires sigma > 0, got {self.sigma}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x > 0, ndtr((np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma), 0.0)
-        return _maybe_scalar(out, x)
+            return np.where(x > 0, ndtr((np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma), 0.0)
 
-    def quantile(self, u):
-        u = _check_u(u)
-        return _maybe_scalar(np.exp(self.mu + self.sigma * ndtri(u)), u)
+    def _quantile(self, u):
+        return np.exp(self.mu + self.sigma * ndtri(u))
 
 
 @dataclass(frozen=True)
@@ -138,24 +142,21 @@ class Triangular(Distribution):
                 f"triangular requires a <= c <= b and a < b, got ({self.a}, {self.c}, {self.b})"
             )
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         a, c, b = self.a, self.c, self.b
         span = b - a
         with np.errstate(divide="ignore", invalid="ignore"):
             left = np.where(c > a, (x - a) ** 2 / (span * (c - a)), 0.0)
             right = np.where(b > c, 1.0 - (b - x) ** 2 / (span * (b - c)), 1.0)
-        out = np.select([x <= a, x < c, x < b], [0.0, left, right], default=1.0)
-        return _maybe_scalar(out, x)
+        return np.select([x <= a, x < c, x < b], [0.0, left, right], default=1.0)
 
-    def quantile(self, u):
-        u = _check_u(u)
+    def _quantile(self, u):
         a, c, b = self.a, self.c, self.b
         span = b - a
         fc = (c - a) / span
         lower = a + np.sqrt(np.maximum(u * span * (c - a), 0.0))
         upper = b - np.sqrt(np.maximum((1.0 - u) * span * (b - c), 0.0))
-        return _maybe_scalar(np.where(u < fc, lower, upper), u)
+        return np.where(u < fc, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,13 @@ class Gumbel(Distribution):
         if not self.beta > 0:
             raise ParameterError(f"gumbel requires beta > 0, got {self.beta}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-(x - self.mu) / self.beta))
-        return _maybe_scalar(out, x)
+            return np.exp(-np.exp(-(x - self.mu) / self.beta))
 
-    def quantile(self, u):
-        u = _check_u(u)
+    def _quantile(self, u):
         with np.errstate(divide="ignore"):
-            out = self.mu - self.beta * np.log(-np.log(u))
-        return _maybe_scalar(out, u)
+            return self.mu - self.beta * np.log(-np.log(u))
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,8 @@ class Truncated(Distribution):
 
     The cdf is (F(x) - F(lo)) / (F(hi) - F(lo)) clipped to [0, 1]; the
     quantile composes the inner quantile with the rescaled argument, which
-    is exact because every supported inner law has a closed-form quantile.
+    is exact because every supported inner law has a closed-form quantile,
+    and stays inside [lo, hi].
     """
 
     inner: Distribution
@@ -217,12 +215,35 @@ class Truncated(Distribution):
     def _mass(self) -> float:
         return self._f_hi() - self._f_lo()
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip((self.inner.cdf(x) - self._f_lo()) / self._mass(), 0.0, 1.0)
-        return _maybe_scalar(out, x)
+    def _cdf(self, x):
+        return np.clip((self.inner.cdf(x) - self._f_lo()) / self._mass(), 0.0, 1.0)
 
-    def quantile(self, u):
-        u = _check_u(u)
-        return _maybe_scalar(self.inner.quantile(self._f_lo() + u * self._mass()), u)
+    def _quantile(self, u):
+        # the inner cdf and quantile round, and may step past a finite bound
+        return np.clip(self.inner.quantile(self._f_lo() + u * self._mass()), self.lo, self.hi)
+
+
+@dataclass(frozen=True)
+class EmpiricalMarginal(Distribution):
+    """Quantile function interpolated from an observed sample.
+
+    Order statistic k (1-based) sits at probability (k - 0.5) / M; the
+    quantile interpolates linearly between neighbours and clamps to the
+    sample minimum/maximum beyond the end positions.
+    """
+
+    sorted_values: np.ndarray
+
+    def __post_init__(self):
+        values = np.sort(np.asarray(self.sorted_values, dtype=float).reshape(-1))
+        if values.size < 2:
+            raise ParameterError("empirical marginal needs at least two observations")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("empirical marginal sample contains non-finite values")
+        object.__setattr__(self, "sorted_values", values)
+
+    def _quantile(self, u):
+        m = self.sorted_values.size
+        positions = (np.arange(1, m + 1) - 0.5) / m
+        return np.interp(u, positions, self.sorted_values)
 

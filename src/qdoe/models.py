@@ -11,6 +11,7 @@ input groups are built here too, marginal declarations included, reading
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -154,24 +155,26 @@ def flood_evaluate(rows) -> np.ndarray:
 VG_COLUMNS = ("theta_r", "theta_s", "alpha", "n", "k_sat")
 
 
-def _check_vg_params(theta_r, theta_s, alpha, n):
-    theta_r = np.asarray(theta_r, dtype=float)
-    theta_s = np.asarray(theta_s, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if np.any(theta_r < 0) or np.any(theta_r >= theta_s):
-        raise ParameterError("retention parameters require 0 <= theta_r < theta_s")
-    if np.any(alpha <= 0):
-        raise ParameterError("retention parameter alpha must be positive")
-    if np.any(n <= 1):
-        raise ParameterError("retention parameter n must exceed 1")
-    return theta_r, theta_s, alpha, n
+def _vg_valid(theta_r, theta_s, alpha, n, k_sat=1.0):
+    """Elementwise: the retention parameters are finite with
+    0 <= theta_r < theta_s, alpha > 0, n > 1 and k_sat > 0."""
+    finite = np.all(np.isfinite(np.broadcast_arrays(theta_r, theta_s, alpha, n, k_sat)), axis=0)
+    return finite & (theta_r >= 0) & (theta_r < theta_s) & (alpha > 0) & (n > 1) & (k_sat > 0)
+
+
+def _vg_params(*params):
+    """The retention parameters as float arrays, once all are valid."""
+    params = [np.asarray(p, dtype=float) for p in params]
+    if not np.all(_vg_valid(*params)):
+        raise ParameterError("retention parameters must be finite with 0 <= theta_r < theta_s, "
+                             "alpha > 0, n > 1 and k_sat > 0")
+    return params
 
 
 def vg_theta(h, theta_r, theta_s, alpha, n):
     """Volumetric water content theta(h) = theta_r +
     (theta_s - theta_r) / (1 + (alpha |h|)^n)^(1 - 1/n)."""
-    theta_r, theta_s, alpha, n = _check_vg_params(theta_r, theta_s, alpha, n)
+    theta_r, theta_s, alpha, n = _vg_params(theta_r, theta_s, alpha, n)
     h = np.abs(np.asarray(h, dtype=float))
     out = theta_r + (theta_s - theta_r) / (1.0 + (alpha * h) ** n) ** (1.0 - 1.0 / n)
     return float(out) if np.ndim(out) == 0 else out
@@ -181,12 +184,8 @@ def vg_conductivity(h, theta_r, theta_s, alpha, n, k_sat):
     """Unsaturated conductivity
     K_sat sqrt(S) (1 - (1 - S^(1/(1 - 1/n)))^(1 - 1/n))^2 with the effective
     saturation S(h) = (theta(h) - theta_r) / (theta_s - theta_r)."""
-    if np.any(np.asarray(k_sat, dtype=float) <= 0):
-        raise ParameterError("k_sat must be positive")
+    theta_r, theta_s, alpha, n, k_sat = _vg_params(theta_r, theta_s, alpha, n, k_sat)
     theta = vg_theta(h, theta_r, theta_s, alpha, n)
-    theta_r = np.asarray(theta_r, dtype=float)
-    theta_s = np.asarray(theta_s, dtype=float)
-    n = np.asarray(n, dtype=float)
     s = np.clip((theta - theta_r) / (theta_s - theta_r), 0.0, 1.0)
     m = 1.0 - 1.0 / n
     out = k_sat * np.sqrt(s) * (1.0 - (1.0 - s ** (1.0 / m)) ** m) ** 2
@@ -217,18 +216,6 @@ def _vg_marginal_transform(u: np.ndarray) -> np.ndarray:
     return np.column_stack([theta_r, theta_s, alpha, n, k_sat])
 
 
-def _vg_valid_mask(rows: np.ndarray) -> np.ndarray:
-    theta_r, theta_s, alpha, n, k_sat = rows.T
-    return (
-        (theta_r >= 0)
-        & (theta_r < theta_s)
-        & (alpha > 0)
-        & (n > 1)
-        & (k_sat > 0)
-        & np.all(np.isfinite(rows), axis=1)
-    )
-
-
 def vg_pool(m: int, rng: np.random.Generator) -> CandidatePool:
     """Synthetic generator of correlated, physically valid retention
     parameter sets (columns ``VG_COLUMNS``).
@@ -254,7 +241,7 @@ def vg_pool_from_sample(rows) -> tuple[CandidatePool, int]:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != 5:
         raise DimensionError(f"retention parameter sample must have 5 columns, got {rows.shape[1]}")
-    mask = _vg_valid_mask(rows)
+    mask = _vg_valid(*rows.T)
     rejected = int(np.sum(~mask))
     if not np.any(mask):
         raise ParameterError("every row of the sample is physically invalid")
@@ -355,16 +342,20 @@ def _parse_group(raw, path: str) -> InputGroup:
 def _distribution(raw, path: str) -> Distribution:
     """One marginal declaration, like ``{"type": "triangular", "a": 49, "c": 50, "b": 51}``.
 
-    ``truncated`` wraps an ``inner`` declaration, as in ``{"type": "truncated",
-    "inner": {...}, "lo": 500}``; a missing or null ``lo``/``hi`` leaves that
-    side open. Every error is a ConfigError naming its entry under ``path``.
+    The keys are the law's dataclass fields, numbers unless ``_TRUNCATED``
+    reads them, and required unless the field has a default. ``truncated``
+    wraps an ``inner`` declaration, as in ``{"type": "truncated", "inner":
+    {...}, "lo": 500}``; a missing or null ``lo``/``hi`` leaves that side
+    open. Every error is a ConfigError naming its entry under ``path``.
     """
     _expect(isinstance(raw, dict) and "type" in raw, path, "expected a mapping with a 'type' key")
     kind = raw["type"]
     _expect(isinstance(kind, str) and kind in _LAWS, f"{path}.type", f"unknown law {kind!r}")
-    law, readers = _LAWS[kind]
+    law = _LAWS[kind]
+    params = dataclasses.fields(law)
+    readers = {p.name: _TRUNCATED[p.name] if law is Truncated else _as_number for p in params}
     args = _fields(raw, path, {"type": _as_str, **readers},
-                   required=("inner",) if law is Truncated else tuple(readers))
+                   required=tuple(p.name for p in params if p.default is dataclasses.MISSING))
     del args["type"]
     try:
         return law(**args)
@@ -377,20 +368,10 @@ def _open_side(side: float):
     return lambda value, path: side if value is None else _as_number(value, path)
 
 
-def _numbers(*names: str) -> dict:
-    return dict.fromkeys(names, _as_number)
-
-
-# declared type: (law, a reader per parameter)
-_LAWS = {
-    "uniform": (Uniform, _numbers("a", "b")),
-    "normal": (Normal, _numbers("mu", "sigma")),
-    "lognormal": (LogNormal, _numbers("mu", "sigma")),
-    "triangular": (Triangular, _numbers("a", "c", "b")),
-    "gumbel": (Gumbel, _numbers("mu", "beta")),
-    "truncated": (Truncated, {"inner": _distribution, "lo": _open_side(-math.inf),
-                              "hi": _open_side(math.inf)}),
-}
+_LAWS = {"uniform": Uniform, "normal": Normal, "lognormal": LogNormal,
+         "triangular": Triangular, "gumbel": Gumbel, "truncated": Truncated}
+# the readers of the truncated law's parameters
+_TRUNCATED = {"inner": _distribution, "lo": _open_side(-math.inf), "hi": _open_side(math.inf)}
 
 
 def _copula(name: str, columns, marginals, rho: float = 0.0) -> InputGroup:

@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .copula import EmpiricalMarginal, fit_gaussian_copula, gaussian_copula, conditional_inverse
+from .copula import fit_gaussian_copula, gaussian_copula, conditional_inverse
 from .designs import Design, lhs_with_marginals, mc_design, qlhs_design
+from .distributions import EmpiricalMarginal
 from .errors import ConfigError, QdoeError
 from .estimators import replicate
 from .hsic import screen

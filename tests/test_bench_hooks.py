@@ -47,7 +47,8 @@ def test_layer_spans_are_recorded(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     names = Counter(s.name for s in tracer.spans)
-    for name in ("quantizer.lloyd", "estimators.estimate", "models.evaluate", "hsic.gram"):
+    for name in ("quantizer.lloyd", "estimators.estimate", "models.evaluate", "hsic.gram",
+                 "distributions.quantile"):
         assert names[name] > 0, f"no {name} span recorded"
     evaluations = [s for s in estimate_spans if s.name == "models.evaluate"]
     assert len(evaluations) == 2

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from qdoe import (
     DomainError,
+    EmpiricalMarginal,
     Gumbel,
     LogNormal,
     Normal,
@@ -175,3 +178,107 @@ def test_gumbel_matches_scipy_parameterization():
     x = np.linspace(0, 4000, 25)
     assert np.allclose(dist.cdf(x), ref.cdf(x), rtol=1e-12)
 
+
+
+# one law per class, each truncated flood law and an empirical law
+CONTRACT_LAWS = {
+    "uniform": Uniform(7.0, 9.0),
+    "normal": Normal(30.0, 8.0),
+    "lognormal": LogNormal(0.0, 1.0),
+    "triangular": Triangular(49.0, 50.0, 51.0),
+    "gumbel": Gumbel(1013.0, 558.0),
+    "truncated_q": Truncated(Gumbel(1013.0, 558.0), 500.0, 3000.0),
+    "truncated_ks": Truncated(Normal(30.0, 8.0), 15.0, math.inf),
+    "empirical": EmpiricalMarginal([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+}
+ANALYTIC = [name for name in CONTRACT_LAWS if name != "empirical"]
+# repr(quantile(u)) at each of TABLE_U, frozen before the laws shared one
+# argument check: a changed expression changes a value here
+TABLE_U = (1e-12, 0.1, 0.5, 0.9, 1 - 1e-12)
+QUANTILE_TABLE = {
+    "uniform": ("7.000000000002", "7.2", "8.0", "8.8", "8.999999999998"),
+    "normal": ("-26.27587060240905", "19.747587475643197", "30.0", "40.2524125243568",
+               "86.27589528038268"),
+    "lognormal": ("0.000880972783446861", "0.2776062418520098", "1.0", "3.6022244792791573",
+                  "1135.112348010216"),
+    "triangular": ("49.000001414213564", "49.44721359549996", "50.0", "50.55278640450004",
+                   "50.99999858580208"),
+    "gumbel": ("-838.9680150300633", "547.6098955516406", "1217.5142096845686",
+               "2268.7049686403443", "16431.122126744216"),
+    "truncated_q": ("500.00000000243267", "694.7221294428937", "1261.0862476562781",
+                    "2175.5458387280037", "2999.9999999820056"),
+    "truncated_ks": ("15.000000000112763", "20.8881974983038", "30.304843276524373",
+                     "40.39254087889498", "86.31034765542147"),
+    "empirical": ("1.0", "1.05", "2.8", "8.500000000000002", "9.0"),
+}
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("name", CONTRACT_LAWS)
+def test_quantile_matches_its_frozen_table(name):
+    law = CONTRACT_LAWS[name]
+    assert tuple(repr(law.quantile(u)) for u in TABLE_U) == QUANTILE_TABLE[name]
+
+
+@pytest.mark.parametrize("name", CONTRACT_LAWS)
+@settings(max_examples=50, deadline=None)
+@given(u=st.floats(0.0, 1.0))
+@example(u=0.0)
+@example(u=1.0)
+def test_scalar_quantile_is_a_float_equal_to_the_array_entry(name, u):
+    law = CONTRACT_LAWS[name]
+    value = law.quantile(u)
+    assert type(value) is float
+    assert bits(value) == bits(law.quantile(np.array([u]))[0])
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+@settings(max_examples=50, deadline=None)
+@given(x=st.floats(-1e5, 1e5))
+@example(x=0.0)
+def test_scalar_cdf_is_a_float_equal_to_the_array_entry(name, x):
+    law = CONTRACT_LAWS[name]
+    value = law.cdf(x)
+    assert type(value) is float
+    assert bits(value) == bits(law.cdf(np.array([x]))[0])
+
+
+@pytest.mark.parametrize("name", CONTRACT_LAWS)
+@pytest.mark.parametrize("u", [-1e-300, -0.5, np.nextafter(1.0, 2.0), 2.0, math.nan,
+                               np.array([0.5, math.nan]), np.array([[0.2], [-0.1]])])
+def test_quantile_outside_the_unit_interval_is_a_domain_error(name, u):
+    with pytest.raises(DomainError, match=re.escape("quantile argument must lie in [0, 1]")):
+        CONTRACT_LAWS[name].quantile(u)
+
+
+@pytest.mark.parametrize("name", CONTRACT_LAWS)
+def test_sample_is_the_quantile_of_the_generator_uniforms(name):
+    law = CONTRACT_LAWS[name]
+    drawn = law.sample(np.random.default_rng(41), 500)
+    twin = np.random.default_rng(41)
+    assert drawn.tobytes() == law.quantile(twin.random(500)).tobytes()
+
+
+_INNER_LAWS = st.one_of(
+    st.builds(Normal, st.floats(-3.0, 3.0), st.floats(0.05, 5.0)),
+    st.builds(Gumbel, st.floats(-3.0, 3.0), st.floats(0.05, 5.0)),
+    st.builds(LogNormal, st.floats(-2.0, 2.0), st.floats(0.05, 2.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner=_INNER_LAWS, lo=st.floats(-3.0, 3.0), width=st.sampled_from([0.5, 2.0, math.inf]),
+       u=st.floats(0.0, 1.0))
+@example(inner=Normal(30.0, 8.0), lo=15.0, width=math.inf, u=0.0)  # flood's Ks
+@example(inner=Normal(30.0, 8.0), lo=15.0, width=math.inf, u=1e-17)
+@example(inner=Gumbel(0.0, 1.0), lo=-2.82, width=2.0, u=1.0)
+@example(inner=LogNormal(0.0, 1.0), lo=-1.96, width=2.0, u=1.0)
+def test_truncated_quantile_stays_in_its_window(inner, lo, width, u):
+    try:
+        law = Truncated(inner, lo, lo + width)
+    except ParameterError:  # no mass on the window
+        return
+    assert law.lo <= law.quantile(u) <= law.hi

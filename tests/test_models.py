@@ -16,9 +16,10 @@ from qdoe import ConfigError, DimensionError, DomainError, ParameterError
 from qdoe.distributions import Gumbel, LogNormal, Normal, Triangular, Truncated, Uniform
 from qdoe.models import (
     MODEL_NAMES,
+    VG_COLUMNS,
     InputGroup,
     _vg_marginal_transform,
-    _vg_valid_mask,
+    _vg_valid,
     build_model,
     flood_evaluate,
     inline_groups,
@@ -109,6 +110,21 @@ def test_vg_theta_parameter_validation():
         vg_theta(1.0, 0.05, 0.45, 1.0, 1.0)  # n must exceed 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", range(5), ids=VG_COLUMNS)
+def test_vg_evaluators_reject_non_finite_parameters(column, bad):
+    # the evaluators check the rule that drops a pool row
+    row = [0.05, 0.45, 2.0, 1.6, 1e-5]
+    row[column] = bad
+    assert not _vg_valid(*row)
+    assert vg_pool_from_sample([row, [0.05, 0.45, 2.0, 1.6, 1e-5]])[1] == 1
+    with pytest.raises(ParameterError):
+        vg_conductivity(1.0, *row)
+    if column < 4:
+        with pytest.raises(ParameterError):
+            vg_theta(1.0, *row[:4])
+
+
 def test_vg_conductivity_limits():
     assert vg_conductivity(0.0, 0.05, 0.45, 1.0, 2.0, 3.5e-5) == 3.5e-5
     assert vg_conductivity(1e6, 0.05, 0.45, 1.0, 2.0, 3.5e-5) < 1e-12 * 3.5e-5
@@ -148,7 +164,7 @@ def test_vg_marginal_transform_is_valid_at_the_corners_of_the_unit_cube():
     # fail the validity check that vg_pool_from_sample applies
     corners = np.array(list(itertools.product([0.0, 1.0], repeat=5)))
     rows = _vg_marginal_transform(corners)
-    assert np.all(_vg_valid_mask(rows))
+    assert np.all(_vg_valid(*rows.T))
     assert rows[:, 3].min() > 1.02 and rows[:, 4].min() > 8e-9
 
 
