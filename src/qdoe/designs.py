@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copula import GaussianCopula, conditional_inverse
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, DomainError, ParameterError
 from .tables import write_table
 
 __all__ = [
@@ -91,7 +91,12 @@ class Design:
         return self.points.shape[1]
 
     def to_csv(self, path, header_comments=()) -> None:
-        """Write the design with a trailing ``weight`` column (round-trip floats)."""
+        """Write the design with a trailing ``weight`` column (round-trip floats).
+        A non-finite point is a DomainError naming its row; nothing is written."""
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(f"design has a non-finite value on row {i}: {self.points[i].tolist()}")
         write_table(path, header_comments, (*self.column_roles, "weight"),
                     map(np.ndarray.tolist, np.column_stack([self.points, self.weights])))
 

@@ -201,26 +201,23 @@ class Truncated(Distribution):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ParameterError(f"truncation requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self._mass() <= 0.0:
+        # F(lo) and the window's mass, computed once: plain attributes, not
+        # fields, so a law's config keys stay its declared parameters
+        f_lo = float(self.inner.cdf(self.lo)) if math.isfinite(self.lo) else 0.0
+        f_hi = float(self.inner.cdf(self.hi)) if math.isfinite(self.hi) else 1.0
+        if f_hi - f_lo <= 0.0:
             raise ParameterError(
                 f"inner law has no mass on the truncation window [{self.lo}, {self.hi}]"
             )
-
-    def _f_lo(self) -> float:
-        return float(self.inner.cdf(self.lo)) if math.isfinite(self.lo) else 0.0
-
-    def _f_hi(self) -> float:
-        return float(self.inner.cdf(self.hi)) if math.isfinite(self.hi) else 1.0
-
-    def _mass(self) -> float:
-        return self._f_hi() - self._f_lo()
+        object.__setattr__(self, "_f_lo", f_lo)
+        object.__setattr__(self, "_mass", f_hi - f_lo)
 
     def _cdf(self, x):
-        return np.clip((self.inner.cdf(x) - self._f_lo()) / self._mass(), 0.0, 1.0)
+        return np.clip((self.inner.cdf(x) - self._f_lo) / self._mass, 0.0, 1.0)
 
     def _quantile(self, u):
         # the inner cdf and quantile round, and may step past a finite bound
-        return np.clip(self.inner.quantile(self._f_lo() + u * self._mass()), self.lo, self.hi)
+        return np.clip(self.inner.quantile(self._f_lo + u * self._mass), self.lo, self.hi)
 
 
 @dataclass(frozen=True)

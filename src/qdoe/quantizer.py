@@ -114,8 +114,8 @@ class Quantizer:
         if not np.allclose(self.probabilities, counts / pool.m, rtol=slack, atol=0.0):
             raise ParameterError("cell probabilities differ from the pool assignment counts")
         _, sq, _ = _nearest(pool.points, self.centroids)
-        diff = pool.points - self.centroids[self.pool_assignment]
-        far = np.flatnonzero(np.square(diff, out=diff).sum(axis=1) > sq * (1.0 + slack) + _TINY)
+        own = _own_squared_distances(pool.points.T, self.centroids, self.pool_assignment)
+        far = np.flatnonzero(own > sq * (1.0 + slack) + _TINY)
         if far.size:
             raise ParameterError(f"pool point {far[0]} is not assigned to a nearest centroid")
         mean = float(sq.mean())
@@ -187,7 +187,7 @@ def _kmeanspp(points: np.ndarray, cols: np.ndarray, n_cells: int,
     """Distance-weighted seeding; never selects a duplicate of a chosen seed.
     ``cols`` is ``np.ascontiguousarray(points.T)``."""
     m = points.shape[0]
-    squared_distances = _squared_distances_to(points, cols)
+    squared_distances = _squared_distances_to(cols)
     chosen = [int(rng.integers(m))]
     d2 = squared_distances(chosen[0], np.empty(m))
     new_d2 = np.empty_like(d2)
@@ -202,25 +202,14 @@ def _kmeanspp(points: np.ndarray, cols: np.ndarray, n_cells: int,
     return points[chosen]
 
 
-def _squared_distances_to(points: np.ndarray, cols: np.ndarray):
+def _squared_distances_to(cols: np.ndarray):
     """``f(i, out)``: squared distances of every point to point i, into ``out``.
 
-    They equal ``np.sum((points - points[i]) ** 2, axis=1)`` bit for bit.
-    numpy sums the rows of an (M, d) buffer laid out like ``points``
-    sequentially when d < 8 or the buffer is F-ordered; those sums are taken
-    on ``cols``, the (d, M) C-contiguous copy of ``points``, a few whole-pool
-    vector operations per call. C-ordered rows with d >= 8 are summed
-    pairwise, so they keep the row sums themselves.
+    ``cols`` is the (d, M) C-contiguous copy of the points. Each distance is
+    summed coordinate after coordinate, as cdist sums it, in a few whole-pool
+    vector operations per call.
     """
-    d = points.shape[1]
-    rows = np.empty_like(points)
-    if d >= 8 and rows.flags.c_contiguous:
-
-        def row_sums(i: int, out: np.ndarray) -> np.ndarray:
-            np.square(np.subtract(points, points[i], out=rows), out=rows)
-            return rows.sum(axis=1, out=out)
-
-        return row_sums
+    d = cols.shape[0]
     diff = np.empty_like(cols)
 
     def column_sums(i: int, out: np.ndarray) -> np.ndarray:
@@ -230,6 +219,15 @@ def _squared_distances_to(points: np.ndarray, cols: np.ndarray):
         return np.add.reduce(diff, axis=0, out=out)
 
     return column_sums
+
+
+def _own_squared_distances(cols: np.ndarray, centroids: np.ndarray,
+                           labels: np.ndarray) -> np.ndarray:
+    """Each point's squared distance to its labelled centroid, summed as cdist
+    sums it. ``cols`` is the (d, M) transpose of the points, in any layout."""
+    diff = np.take(centroids.T, labels, axis=1)  # (d, M), C-contiguous
+    np.square(np.subtract(cols, diff, out=diff), out=diff)
+    return np.add.reduce(diff, axis=0)  # row after row: cdist's order
 
 
 def _repair_empty_cells(points, centroids, labels, sq, lower, slack):
@@ -299,9 +297,7 @@ def _reassign(points, cols, old, new, labels, lower, slack):
     gaps = cdist(new, new, "sqeuclidean")
     np.fill_diagonal(gaps, np.inf)
     half_gap = 0.5 * np.sqrt(gaps.min(axis=1)) * (1.0 - slack)
-    diff = np.take(new.T, labels, axis=1)  # (d, M), like cols
-    np.square(np.subtract(cols, diff, out=diff), out=diff)
-    sq = np.add.reduce(diff, axis=0)  # row after row: cdist's order
+    sq = _own_squared_distances(cols, new, labels)
     keep = np.sqrt(sq) * (1.0 + slack) + _TINY < np.maximum(half_gap[labels], lower)
     labels = labels.copy()
     moved = np.flatnonzero(~keep)

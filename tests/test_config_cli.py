@@ -429,6 +429,22 @@ def test_sample_invalid_config_returns_2_and_writes_nothing(tmp_path):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("scheme, n, law", [
+    ("lhs", 50, {"type": "lognormal", "mu": 700, "sigma": 10}),
+    ("mc", 5, {"type": "gumbel", "mu": 0, "beta": 1e308}),
+])
+def test_sample_with_a_non_finite_row_returns_3_and_writes_nothing(tmp_path, capsys,
+                                                                    scheme, n, law):
+    inputs = {"groups": [{"name": "g", "kind": "independent", "columns": ["x"],
+                          "marginals": [law]}]}
+    path, _ = write_config(tmp_path, scheme=scheme, n=n, inputs=inputs,
+                           output_dir=str(tmp_path / "out"))
+    with np.errstate(over="ignore"):  # the quantile overflows to inf
+        assert main(["sample", "--config", str(path)]) == 3
+    assert "design has a non-finite value on row" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"design_{scheme}_n{n}.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # quantize command and artifact reuse
 

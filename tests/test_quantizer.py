@@ -165,7 +165,7 @@ def test_centroids_pairwise_distinct(rng):
 
 
 # The arithmetic the quantizer core replaced: one full distance matrix,
-# np.add.at cell sums and a fresh (M, d) temporary per seeding step. The core
+# np.add.at cell sums and a fresh cdist column per seeding step. The core
 # must reproduce it bit for bit.
 def _reference_nearest(points, centroids):
     sq = cdist(points, centroids, "sqeuclidean")
@@ -179,15 +179,19 @@ def _reference_cell_means(points, labels, n_cells):
     return sums / np.bincount(labels, minlength=n_cells).astype(float)[:, None]
 
 
+def _reference_squared_distances(points, i):
+    return cdist(points, points[i][None], "sqeuclidean")[:, 0]
+
+
 def _reference_kmeanspp(points, n_cells, rng):
     m = points.shape[0]
     chosen = [int(rng.integers(m))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = _reference_squared_distances(points, chosen[0])
     for _ in range(1, n_cells):
         cumulative = np.cumsum(d2)
         idx = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
         chosen.append(min(idx, m - 1))
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        d2 = np.minimum(d2, _reference_squared_distances(points, idx))
     return points[chosen].copy()
 
 
@@ -202,12 +206,34 @@ def test_seeding_and_cell_means_match_reference_arithmetic(d, order):
     seeds = _kmeanspp(points, cols, 40, np.random.default_rng(11))
     assert _same_bits(seeds, _reference_kmeanspp(points, 40, np.random.default_rng(11)))
     # an ulp in a distance rarely moves a seed, so compare the distances too
-    squared_distances = _squared_distances_to(points, cols)
+    squared_distances = _squared_distances_to(cols)
     for i in (0, 1, 1234, points.shape[0] - 1):
-        reference = np.sum((points - points[i]) ** 2, axis=1)
+        reference = _reference_squared_distances(points, i)
         assert _same_bits(squared_distances(i, np.empty(points.shape[0])), reference)
     labels, _ = _reference_nearest(points, seeds)
     assert _same_bits(_cell_means(points, labels, 40), _reference_cell_means(points, labels, 40))
+
+
+def _layouts(points):
+    """C-ordered, F-ordered and strided copies of one pool's values."""
+    strided = np.zeros((2 * points.shape[0], 2 * points.shape[1]))
+    strided[::2, ::2] = points
+    return np.ascontiguousarray(points), np.asfortranarray(points), strided[::2, ::2]
+
+
+@pytest.mark.parametrize("d", [3, 8, 17])
+def test_seeding_does_not_depend_on_the_pool_layout(d):
+    c_points, *others = _layouts(np.random.default_rng(d).standard_normal((3000, d)))
+    expected = _squared_distances_to(np.ascontiguousarray(c_points.T))
+    reference = lloyd(CandidatePool(c_points), 20, np.random.default_rng(5), restarts=2)
+    for points in others:
+        squared_distances = _squared_distances_to(np.ascontiguousarray(points.T))
+        for i in (0, 1234, points.shape[0] - 1):
+            assert _same_bits(squared_distances(i, np.empty(3000)), expected(i, np.empty(3000)))
+        q = lloyd(CandidatePool(points), 20, np.random.default_rng(5), restarts=2)
+        assert _same_bits(q.centroids, reference.centroids)
+        assert _same_bits(q.pool_assignment, reference.pool_assignment)
+        assert q.distortion_history == reference.distortion_history
 
 
 def _reference_second(points, centroids):
